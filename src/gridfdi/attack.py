@@ -19,6 +19,7 @@ import numpy as np
 from . import lp
 from .cases import Network
 from .estimation import FLOW, INJECTION, MeasurementSet, wls_estimate
+from .powerflow import topology
 
 AUDIT_TOL = 1e-7
 
@@ -51,7 +52,9 @@ class AttackSpec:
             raise ContractError("base_flows length does not match in-service branches")
         if np.asarray(self.base_loads).shape != (net.n_bus,):
             raise ContractError("base_loads length does not match bus count")
-        net.branch_position(self.target_branch)  # raises if out of service
+        if self.target_flow(net) == 0.0:  # also raises if out of service
+            raise ValueError(f"target branch {self.target_branch} has zero base"
+                             " flow, so the attack has no direction")
 
     def target_flow(self, net: Network) -> float:
         """Pre-attack flow on the target branch (p.u.)."""
@@ -72,11 +75,13 @@ class AttackResult:
 
 def _divergence(net: Network, delta_p: np.ndarray) -> np.ndarray:
     """Net outflow delta per bus implied by branch flow deltas."""
-    div = np.zeros(net.n_bus)
-    for k, br in enumerate(net.in_service_branches):
-        div[br.from_bus] += delta_p[k]
-        div[br.to_bus] -= delta_p[k]
-    return div
+    return topology(net).incidence.T @ delta_p
+
+
+def _flow_deltas(net: Network, c: np.ndarray) -> np.ndarray:
+    """Hidden flow delta per in-service branch for angle bias ``c``."""
+    topo = topology(net)
+    return (c[topo.to_bus] - c[topo.from_bus]) / topo.x
 
 
 def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
@@ -88,8 +93,8 @@ def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
     c fixed to zero at the reference bus.
     """
     spec.validate(net)
-    branches = net.in_service_branches
-    n, m = net.n_bus, len(branches)
+    topo = topology(net)
+    m, n = topo.bf.shape
     base = net.base_mva
     d0_pu = np.asarray(spec.base_loads, dtype=float) / base
     target_pos = net.branch_position(spec.target_branch)
@@ -105,18 +110,15 @@ def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
     width = problem.n_var
 
     # dp_k - (-c_from + c_to)/x_k = 0
-    for k, br in enumerate(branches):
-        row = np.zeros(width)
-        row[dps.start + k] = 1.0
-        row[cs.start + br.from_bus] += 1.0 / br.reactance
-        row[cs.start + br.to_bus] -= 1.0 / br.reactance
+    tie_rows = np.zeros((m, width))
+    tie_rows[:, cs] = topo.bf
+    tie_rows[:, dps] = np.eye(m)
+    for row in tie_rows:
         problem.add_constraint(row, lp.EQ, 0.0)
 
     # Divergence rows: bounded at load buses, zero elsewhere.
     div_rows = np.zeros((n, width))
-    for k, br in enumerate(branches):
-        div_rows[br.from_bus, dps.start + k] += 1.0
-        div_rows[br.to_bus, dps.start + k] -= 1.0
+    div_rows[:, dps] = topo.incidence.T
     ls = spec.load_shift_factor
     for bus in net.buses:
         row = div_rows[bus.internal_index]
@@ -159,10 +161,7 @@ def solve_attack(net: Network, spec: AttackSpec, engine: str = "auto") -> Attack
     n = net.n_bus
     c = sol.values[0:n]
     s = sol.values[n : 2 * n]
-    branches = net.in_service_branches
-    delta_p = np.array(
-        [(-c[br.from_bus] + c[br.to_bus]) / br.reactance for br in branches]
-    )
+    delta_p = _flow_deltas(net, c)
     div_pu = _divergence(net, delta_p)
     is_load = np.array([b.is_load_bus for b in net.buses])
     delta_d = np.where(is_load, div_pu, 0.0) * net.base_mva
@@ -186,32 +185,27 @@ def solve_attack(net: Network, spec: AttackSpec, engine: str = "auto") -> Attack
 def audit_attack(net: Network, spec: AttackSpec, result: AttackResult,
                  tol: float = AUDIT_TOL) -> None:
     """Independent re-check of every attack constraint; raises on violation."""
-    base = net.base_mva
-    branches = net.in_service_branches
     c, s, dp = result.c, result.s, result.delta_p
 
     if abs(c[net.reference_bus]) > tol:
         raise AuditError("reference-bus bias not zero")
-    for k, br in enumerate(branches):
-        expect = (-c[br.from_bus] + c[br.to_bus]) / br.reactance
-        if abs(dp[k] - expect) > tol:
-            raise AuditError(f"flow-delta equation violated on branch {br.ordinal}")
+    bad = np.abs(dp - _flow_deltas(net, c)) > tol
+    if np.any(bad):
+        ordinal = net.in_service_branches[np.argmax(bad)].ordinal
+        raise AuditError(f"flow-delta equation violated on branch {ordinal}")
 
     div_pu = _divergence(net, dp)
-    ls = spec.load_shift_factor
-    for bus in net.buses:
-        i = bus.internal_index
-        if bus.is_load_bus:
-            bound = ls * spec.base_loads[i] / base
-            if abs(div_pu[i]) > bound + tol:
-                raise AuditError(f"load shift bound violated at bus {bus.external_id}")
-            if abs(result.delta_d[i] / base - div_pu[i]) > tol:
-                raise AuditError(f"load deviation mismatch at bus {bus.external_id}")
-        else:
-            if abs(div_pu[i]) > tol:
-                raise AuditError(
-                    f"injection change at no-load bus {bus.external_id}"
-                )
+    is_load = np.array([b.is_load_bus for b in net.buses])
+    bound = spec.load_shift_factor * np.asarray(spec.base_loads) / net.base_mva
+    checks = (
+        (is_load & (np.abs(div_pu) > bound + tol), "load shift bound violated at bus"),
+        (is_load & (np.abs(result.delta_d / net.base_mva - div_pu) > tol),
+         "load deviation mismatch at bus"),
+        (~is_load & (np.abs(div_pu) > tol), "injection change at no-load bus"),
+    )
+    for bad, message in checks:
+        if np.any(bad):
+            raise AuditError(f"{message} {net.buses[np.argmax(bad)].external_id}")
 
     if np.any(np.abs(c) > s + tol):
         raise AuditError("absolute-value auxiliaries below |c|")
@@ -230,21 +224,21 @@ def apply_attack(clean: MeasurementSet, result: AttackResult) -> MeasurementSet:
     buses drop by the malicious load deviation (higher cyber load means lower
     net injection).  Generator-only buses are untouched.
     """
-    n_flow = sum(1 for k in clean.kinds if k == FLOW)
+    kinds = np.array(clean.kinds, dtype=object)
+    is_flow, is_inj = kinds == FLOW, kinds == INJECTION
+    n_flow = int(is_flow.sum())
     if n_flow and n_flow != len(result.delta_p):
         raise ContractError(
             f"measurement set has {n_flow} flow entries, attack has"
             f" {len(result.delta_p)} branches"
         )
     delta_d_pu = result.delta_d / result.base_mva
+    idx = np.asarray(clean.indices)
+    if np.any(idx[is_inj] >= len(delta_d_pu)):
+        raise ContractError("injection index outside attack bus range")
     values = clean.values.copy()
-    for i, (kind, idx) in enumerate(zip(clean.kinds, clean.indices)):
-        if kind == FLOW:
-            values[i] -= result.delta_p[idx]
-        elif kind == INJECTION:
-            if idx >= len(delta_d_pu):
-                raise ContractError("injection index outside attack bus range")
-            values[i] -= delta_d_pu[idx]
+    values[is_flow] -= result.delta_p[idx[is_flow]]
+    values[is_inj] -= delta_d_pu[idx[is_inj]]
     return clean.with_values(values)
 
 

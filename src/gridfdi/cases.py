@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -101,7 +102,9 @@ class Generator:
 
 @dataclass(frozen=True)
 class Network:
-    """Validated, immutable network model; safe to share across workers."""
+    """Validated, immutable network model; safe to share across workers.
+    Operators derived from it are built on first use and kept on the
+    instance, so an outage case (a new instance) starts without them."""
 
     base_mva: float
     buses: tuple[Bus, ...]
@@ -114,11 +117,17 @@ class Network:
     def n_bus(self):
         return len(self.buses)
 
-    @property
+    @cached_property
     def in_service_branches(self) -> tuple[Branch, ...]:
         """In-service branches in file order; all branch-indexed vectors
         (flows, limits, PTDF rows) follow this ordering."""
         return tuple(self.branches[i] for i in self._active)
+
+    @cached_property
+    def operators(self) -> dict:
+        """Per-topology operators other modules derive from this network,
+        keyed by the module that builds them."""
+        return {}
 
     @property
     def load_mw(self) -> np.ndarray:
@@ -134,9 +143,6 @@ class Network:
             if i == ordinal - 1:
                 return pos
         raise DataError(f"branch {ordinal} is not in service")
-
-    def reactances(self) -> np.ndarray:
-        return np.array([b.reactance for b in self.in_service_branches])
 
     def limits_pu(self) -> np.ndarray:
         return np.array([b.limit_mw for b in self.in_service_branches]) / self.base_mva

@@ -91,12 +91,13 @@ class Snapshot:
     def __post_init__(self):
         m, n = self.ptdf.matrix.shape
         for name in ("prev_flows", "measured_flows", "sced_flows", "limits",
-                     "branch_ordinals"):
-            if np.asarray(getattr(self, name)).shape != (m,):
-                raise ValueError(f"{name} must have one entry per in-service branch")
-        for name in ("prev_loads", "measured_loads"):
-            if np.asarray(getattr(self, name)).shape != (n,):
-                raise ValueError(f"{name} must have one entry per bus")
+                     "branch_ordinals", "prev_loads", "measured_loads"):
+            values = np.asarray(getattr(self, name))
+            size, per = (n, "bus") if name.endswith("loads") else (m, "in-service branch")
+            if values.shape != (size,):
+                raise ValueError(f"{name} must have one entry per {per}")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} has NaN or infinite entries")
         if np.any(self.limits <= 0):
             raise ValueError("all branch limits must be positive")
 
@@ -154,20 +155,12 @@ def _load_direction(snap: Snapshot, dead_band: float) -> np.ndarray:
     return np.where(rel >= band, 1.0, np.where(rel <= -band, -1.0, 0.0)) * nz
 
 
-def _critical_mask(ptdf: Ptdf) -> np.ndarray:
-    m, n = ptdf.matrix.shape
-    mask = np.zeros((m, n), dtype=bool)
-    for k, buses in enumerate(ptdf.critical_sets):
-        mask[k, buses] = True
-    return mask
-
-
 def _indicators(snap: Snapshot, dead_band: float) -> np.ndarray:
     """Indicator matrix (branch x bus): direction of each critical load's
     impact on the branch flow, zero outside the critical sets."""
     direction = _load_direction(snap, dead_band)
     ind = direction[None, :] * np.sign(snap.ptdf.matrix)
-    ind[~_critical_mask(snap.ptdf)] = 0.0
+    ind[~snap.ptdf.critical_mask] = 0.0
     return ind
 
 
@@ -185,7 +178,7 @@ def emldi_all(snap: Snapshot, dead_band: float = DEAD_BAND) -> np.ndarray:
     ind = _indicators(snap, dead_band)
     delta = snap.measured_loads - snap.prev_loads
     weight = np.abs(delta[None, :] * snap.ptdf.matrix)
-    weight[~_critical_mask(snap.ptdf)] = 0.0
+    weight[~snap.ptdf.critical_mask] = 0.0
     norm = weight.sum(axis=1)
     safe = np.where(norm > 0, norm, 1.0)
     return np.sign(snap.prev_flows) * (weight * ind).sum(axis=1) / safe
@@ -199,26 +192,6 @@ def bori_all(snap: Snapshot):
     bori1 = sgn * (hidden + snap.prev_flows) / snap.limits
     bori2 = sgn * (hidden + snap.sced_flows) / snap.limits
     return bori1, bori2, np.maximum(bori1, bori2)
-
-
-def bori(k: int, snap: Snapshot):
-    """Overload-risk metrics and alert for in-service branch position k."""
-    b1, b2, b = bori_all(snap)
-    return b1[k], b2[k], b[k], _level(b[k], BORI_THRESHOLDS)
-
-
-def mldi(k: int, snap: Snapshot, dead_band: float = DEAD_BAND):
-    """Per-branch deviation index plus the indicator values over its
-    critical set."""
-    ind = _indicators(snap, dead_band)
-    buses = snap.ptdf.critical_sets[k]
-    value = mldi_all(snap, dead_band)[k]
-    return value, ind[k, buses]
-
-
-def emldi(k: int, snap: Snapshot, dead_band: float = DEAD_BAND):
-    value = emldi_all(snap, dead_band)[k]
-    return value, _level(value, INDEX_THRESHOLDS)
 
 
 def smldi(mldi_values: np.ndarray, eligible: np.ndarray, top_n: int = TOP_N):

@@ -9,14 +9,21 @@ builder exploits and the detector metrics are for.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
 
 from .cases import Network
+from .powerflow import topology
 
 LNR_THRESHOLD = 3.0
+
+# A measurement whose residual variance is below this share of its own
+# variance is critical: its residual is always zero, so the LNR screen skips it.
+CRITICAL_OMEGA = 1e-9
+_WLS_CACHE_SIZE = 4   # factor sets kept per network (layout x weights)
 
 FLOW = "flow"
 INJECTION = "injection"
@@ -48,8 +55,9 @@ class SeResult:
     angles: np.ndarray            # rad per bus, reference = 0
     residuals: np.ndarray         # z - H x_hat
     weighted_residual_norm: float # J = r' W r
-    lnr_value: float
-    lnr_index: int
+    lnr_value: float              # largest normalized residual, non-critical only
+    lnr_index: int | None         # its measurement; None when all are critical
+    critical_count: int           # measurements with zero residual variance
 
     @property
     def bad_data(self) -> bool:
@@ -71,11 +79,9 @@ def build_measurements(
     zero or missing means noiseless.  Same seed, same set.
     """
     flows_pu = np.asarray(flows_pu, dtype=float)
-    branches = net.in_service_branches
-    if flows_pu.shape != (len(branches),):
-        raise ValueError(
-            f"expected {len(branches)} branch flows, got {flows_pu.shape}"
-        )
+    m, n = len(net.in_service_branches), net.n_bus
+    if flows_pu.shape != (m,):
+        raise ValueError(f"expected {m} branch flows, got {flows_pu.shape}")
     loads_mw = np.asarray(loads_mw, dtype=float)
     gen_mw = np.asarray(gen_mw, dtype=float)
     inj_pu = (gen_mw - loads_mw) / net.base_mva
@@ -83,35 +89,19 @@ def build_measurements(
     sigma = {FLOW: 0.0, INJECTION: 0.0}
     if noise_sigma:
         sigma.update(noise_sigma)
-    rng = np.random.default_rng(seed)
 
-    kinds: list[str] = []
-    indices: list[int] = []
-    values: list[float] = []
-    weights: list[float] = []
-    for k in range(len(branches)):
-        kinds.append(FLOW)
-        indices.append(k)
-        values.append(flows_pu[k])
-        weights.append(_weight(sigma[FLOW]))
-    for n in range(net.n_bus):
-        kinds.append(INJECTION)
-        indices.append(n)
-        values.append(inj_pu[n])
-        weights.append(_weight(sigma[INJECTION]))
-
-    values = np.array(values)
-    noise_scale = np.array(
-        [sigma[k] for k in kinds]
-    )
+    counts = [m, n]
+    values = np.concatenate([flows_pu, inj_pu])
+    noise_scale = np.repeat([sigma[FLOW], sigma[INJECTION]], counts)
     if np.any(noise_scale > 0):
+        rng = np.random.default_rng(seed)
         values = values + rng.standard_normal(len(values)) * noise_scale
 
     return MeasurementSet(
-        kinds=tuple(kinds),
-        indices=np.array(indices),
+        kinds=(FLOW,) * m + (INJECTION,) * n,
+        indices=np.concatenate([np.arange(m), np.arange(n)]),
         values=values,
-        weights=np.array(weights),
+        weights=np.repeat([_weight(sigma[FLOW]), _weight(sigma[INJECTION])], counts),
     )
 
 
@@ -121,71 +111,81 @@ def _weight(sigma: float) -> float:
 
 def measurement_matrix(meas: MeasurementSet, net: Network) -> np.ndarray:
     """Dense H over all bus angles (the reference column is dropped when
-    estimating)."""
-    branches = net.in_service_branches
-    h = np.zeros((len(meas), net.n_bus))
-    for i, (kind, idx) in enumerate(zip(meas.kinds, meas.indices)):
-        if kind == FLOW:
-            br = branches[idx]
-            w = 1.0 / br.reactance
-            h[i, br.from_bus] += w
-            h[i, br.to_bus] -= w
-        elif kind == INJECTION:
-            for br in branches:
-                w = 1.0 / br.reactance
-                if br.from_bus == idx:
-                    h[i, br.from_bus] += w
-                    h[i, br.to_bus] -= w
-                elif br.to_bus == idx:
-                    h[i, br.to_bus] += w
-                    h[i, br.from_bus] -= w
-        else:
-            raise ValueError(f"unknown measurement kind {kind!r}")
-    return h
+    estimating): flow rows of Bf, injection rows of B = A'Bf."""
+    topo = topology(net)
+    m, n = topo.bf.shape
+    kinds = np.array(meas.kinds, dtype=object)
+    is_flow = kinds == FLOW
+    unknown = ~is_flow & (kinds != INJECTION)
+    if np.any(unknown):
+        raise ValueError(f"unknown measurement kind {kinds[unknown][0]!r}")
+    idx = np.asarray(meas.indices)
+    if np.any((idx < 0) | (idx >= np.where(is_flow, m, n))):
+        raise ValueError("measurement index outside the network")
+    return np.vstack([topo.bf, topo.b])[np.where(is_flow, idx, m + idx)]
 
 
-def wls_estimate(meas: MeasurementSet, net: Network) -> SeResult:
-    """Weighted least squares with theta_ref = 0; residual covariance feeds
-    the largest-normalized-residual statistic."""
-    h_full = measurement_matrix(meas, net)
-    keep = [i for i in range(net.n_bus) if i != net.reference_bus]
-    h = h_full[:, keep]
-    w = meas.weights
-    z = meas.values
+def _wls_factors(meas: MeasurementSet, net: Network):
+    """H without the reference column, the gain G^-1 H'W (x_hat = gain @ z),
+    and the residual standard deviations at the positions of the non-critical
+    measurements, for this measurement layout and weight set.  Cached on the
+    network; an unobservable set raises and is never cached."""
+    weights = np.asarray(meas.weights, dtype=float)
+    key = (tuple(meas.kinds), np.asarray(meas.indices, dtype=np.int64).tobytes(),
+           weights.tobytes())
+    cache = net.operators.setdefault("wls", OrderedDict())
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
 
-    g = (h * w[:, None]).T @ h
+    keep = topology(net).keep
+    h = measurement_matrix(meas, net)[:, keep]
+    hw = (h * weights[:, None]).T
     try:
-        cho = linalg.cho_factor(g)
+        cho = linalg.cho_factor(hw @ h)
     except linalg.LinAlgError:
         raise ObservabilityError(
             f"measurement set rank {np.linalg.matrix_rank(h)} < {len(keep)}"
         )
-    x = linalg.cho_solve(cho, (h * w[:, None]).T @ z)
-
-    angles = np.zeros(net.n_bus)
-    angles[keep] = x
-    residuals = z - h @ x
-    j_value = float(residuals @ (w * residuals))
-
     # Residual covariance: Omega = W^-1 - H G^-1 H'.
     hg = linalg.cho_solve(cho, h.T)       # G^-1 H'
-    omega = 1.0 / w - np.einsum("ij,ji->i", h, hg)
-    omega = np.maximum(omega, 1e-12)
-    normalized = np.abs(residuals) / np.sqrt(omega)
-    lnr_index = int(np.argmax(normalized))
+    omega = 1.0 / weights - np.einsum("ij,ji->i", h, hg)
+    noncritical = np.flatnonzero(omega > CRITICAL_OMEGA / weights)
+    cache[key] = (h, hg * weights[None, :], np.sqrt(omega[noncritical]), noncritical)
+    if len(cache) > _WLS_CACHE_SIZE:
+        cache.popitem(last=False)
+    return cache[key]
+
+
+def wls_estimate(meas: MeasurementSet, net: Network) -> SeResult:
+    """Weighted least squares with theta_ref = 0; residual covariance feeds
+    the largest-normalized-residual statistic, over non-critical measurements
+    only."""
+    h, gain, sqrt_omega, noncritical = _wls_factors(meas, net)
+    z = meas.values
+    x = gain @ z
+
+    angles = np.zeros(net.n_bus)
+    angles[topology(net).keep] = x
+    residuals = z - h @ x
+    j_value = float(residuals @ (meas.weights * residuals))
+
+    lnr_value, lnr_index = 0.0, None
+    if len(noncritical):
+        normalized = np.abs(residuals[noncritical]) / sqrt_omega
+        best = int(np.argmax(normalized))
+        lnr_value, lnr_index = float(normalized[best]), int(noncritical[best])
     return SeResult(
         angles=angles,
         residuals=residuals,
         weighted_residual_norm=j_value,
-        lnr_value=float(normalized[lnr_index]),
+        lnr_value=lnr_value,
         lnr_index=lnr_index,
+        critical_count=len(residuals) - len(noncritical),
     )
 
 
 def estimated_flows(net: Network, angles: np.ndarray) -> np.ndarray:
     """Branch flows implied by estimated angles."""
-    branches = net.in_service_branches
-    out = np.empty(len(branches))
-    for k, br in enumerate(branches):
-        out[k] = (angles[br.from_bus] - angles[br.to_bus]) / br.reactance
-    return out
+    topo, angles = topology(net), np.asarray(angles)
+    return (angles[topo.from_bus] - angles[topo.to_bus]) / topo.x

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attack import AttackResult, AttackSpec, apply_attack, solve_attack
+from .attack import (AttackResult, AttackSpec, apply_attack,
+                     check_unobservability, solve_attack)
 from .cases import Network, load_case
 from .detect import DetectionReport, Snapshot, run_two_stage
 from .estimation import (
@@ -121,8 +122,7 @@ class NetworkCache:
 
 def _gen_by_bus(net: Network, dispatch: Dispatch) -> np.ndarray:
     out = np.zeros(net.n_bus)
-    for g, mw in zip(net.generators, dispatch.gen_output):
-        out[g.bus] += mw
+    np.add.at(out, [g.bus for g in net.generators], dispatch.gen_output)
     return out
 
 
@@ -180,8 +180,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
     se = wls_estimate(meas, net)
     residual_delta = None
     if attack is not None:
-        j_clean = wls_estimate(clean, net).weighted_residual_norm
-        residual_delta = abs(se.weighted_residual_norm - j_clean)
+        residual_delta = check_unobservability(net, attack, clean)
     measured_flows = estimated_flows(net, se.angles)
     measured_loads = _loads_from_measurements(net, meas, gen_prev)
 
@@ -230,10 +229,9 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
 def _loads_from_measurements(net: Network, meas, gen_mw: np.ndarray) -> np.ndarray:
     """Load telemetry as the control room reads it: trusted generation minus
     the (possibly forged) net-injection measurements."""
+    is_inj = np.array(meas.kinds, dtype=object) == INJECTION
     inj = np.zeros(net.n_bus)
-    for kind, idx, val in zip(meas.kinds, meas.indices, meas.values):
-        if kind == INJECTION:
-            inj[idx] = val
+    inj[meas.indices[is_inj]] = meas.values[is_inj]
     return np.asarray(gen_mw) - inj * net.base_mva
 
 

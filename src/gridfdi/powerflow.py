@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -49,35 +50,61 @@ class Ptdf:
     def n_branches(self):
         return self.matrix.shape[0]
 
+    @cached_property
+    def critical_mask(self) -> np.ndarray:
+        """Boolean branch x bus matrix of the critical sets (read-only)."""
+        mask = np.zeros(self.matrix.shape, dtype=bool)
+        for k, buses in enumerate(self.critical_sets):
+            mask[k, buses] = True
+        mask.setflags(write=False)
+        return mask
 
-def _incidence(net: Network):
-    """Weighted incidence Bf (flows = Bf @ angles) and nodal B matrix."""
+
+@dataclass(frozen=True)
+class Topology:
+    """DC operators of one network, built once per :class:`Network` instance
+    by :func:`topology`.  Arrays are read-only."""
+
+    from_bus: np.ndarray   # per in-service branch
+    to_bus: np.ndarray
+    x: np.ndarray          # reactance, p.u.
+    incidence: np.ndarray  # A, branch x bus: +1 at the from bus, -1 at the to bus
+    bf: np.ndarray         # diag(1/x) A: flows = bf @ angles
+    b: np.ndarray          # A' bf: net injections = b @ angles
+    keep: np.ndarray       # non-reference bus indices
+    factor: tuple          # LU factor of b[keep, keep]
+
+
+def topology(net: Network) -> Topology:
+    """The network's cached DC operators; the first call builds them."""
+    topo = net.operators.get("topology")
+    if topo is None:
+        topo = net.operators["topology"] = _build_topology(net)
+    return topo
+
+
+def _build_topology(net: Network) -> Topology:
     branches = net.in_service_branches
-    n, m = net.n_bus, len(branches)
-    bf = np.zeros((m, n))
-    for k, br in enumerate(branches):
-        w = 1.0 / br.reactance
-        bf[k, br.from_bus] += w
-        bf[k, br.to_bus] -= w
-    a = np.zeros((m, n))
-    for k, br in enumerate(branches):
-        a[k, br.from_bus] = 1.0
-        a[k, br.to_bus] = -1.0
+    f = np.array([br.from_bus for br in branches], dtype=int)
+    t = np.array([br.to_bus for br in branches], dtype=int)
+    x = np.array([br.reactance for br in branches], dtype=float)
+    rows = np.arange(len(branches))
+    a = np.zeros((len(branches), net.n_bus))
+    a[rows, f] = 1.0
+    a[rows, t] -= 1.0      # a self-loop row cancels to zero
+    bf = a / x[:, None]
     b = a.T @ bf
-    return bf, b
-
-
-def _reduced_factor(net: Network):
-    bf, b = _incidence(net)
     keep = np.array([i for i in range(net.n_bus) if i != net.reference_bus])
-    b_red = b[np.ix_(keep, keep)]
     try:
-        factor = lu_factor(b_red)
+        factor = lu_factor(b[np.ix_(keep, keep)])
     except Exception as exc:  # pragma: no cover - connected nets never hit this
         raise NumericError(f"reduced susceptance matrix not factorizable: {exc}")
     if not np.all(np.isfinite(factor[0])):
         raise NumericError("reduced susceptance matrix is singular")
-    return bf, keep, factor
+    for arr in (f, t, x, a, bf, b, keep, *factor):
+        arr.setflags(write=False)
+    return Topology(from_bus=f, to_bus=t, x=x, incidence=a, bf=bf, b=b,
+                    keep=keep, factor=factor)
 
 
 def solve_dc(net: Network, injections: np.ndarray) -> DcSolution:
@@ -93,10 +120,10 @@ def solve_dc(net: Network, injections: np.ndarray) -> DcSolution:
     if abs(total) > max(BALANCE_TOL, 1e-12 * np.abs(injections).sum()):
         raise ValueError(f"injections are unbalanced by {total:.3e} p.u.")
 
-    bf, keep, factor = _reduced_factor(net)
+    topo = topology(net)
     angles = np.zeros(net.n_bus)
-    angles[keep] = lu_solve(factor, injections[keep])
-    return DcSolution(angles=angles, flows=bf @ angles)
+    angles[topo.keep] = lu_solve(topo.factor, injections[topo.keep])
+    return DcSolution(angles=angles, flows=topo.bf @ angles)
 
 
 def compute_ptdf(net: Network) -> Ptdf:
@@ -106,23 +133,20 @@ def compute_ptdf(net: Network) -> Ptdf:
     columns.  Critical sets collect the load buses whose absolute sensitivity
     reaches ``CRITICAL_PTDF``.
     """
-    bf, keep, factor = _reduced_factor(net)
-    n = net.n_bus
+    topo = topology(net)
+    keep = topo.keep
     # Response of non-reference angles to a unit injection at each kept bus.
-    theta = lu_solve(factor, np.eye(len(keep)))
-    matrix = np.zeros((bf.shape[0], n))
-    matrix[:, keep] = bf[:, keep] @ theta
+    theta = lu_solve(topo.factor, np.eye(len(keep)))
+    matrix = np.zeros((topo.bf.shape[0], net.n_bus))
+    matrix[:, keep] = topo.bf[:, keep] @ theta
 
     load_buses = net.load_buses
-    critical = []
-    for k in range(matrix.shape[0]):
-        mask = np.abs(matrix[k, load_buses]) >= CRITICAL_PTDF
-        critical.append(load_buses[mask])
-    nl_sizes = np.array([len(c) for c in critical])
+    critical = np.abs(matrix[:, load_buses]) >= CRITICAL_PTDF
+    nl_sizes = critical.sum(axis=1)
     return Ptdf(
         matrix=matrix,
         reference_bus=net.reference_bus,
-        critical_sets=tuple(critical),
+        critical_sets=tuple(load_buses[row] for row in critical),
         nl_sizes=nl_sizes,
         eligible=nl_sizes >= MIN_CRITICAL_SET,
     )
@@ -135,8 +159,5 @@ def flows_from_ptdf(ptdf: Ptdf, injections: np.ndarray) -> np.ndarray:
 
 def nodal_imbalance(net: Network, injections: np.ndarray, flows: np.ndarray) -> float:
     """Max-norm of injection minus branch-flow divergence (conservation check)."""
-    div = np.zeros(net.n_bus)
-    for k, br in enumerate(net.in_service_branches):
-        div[br.from_bus] += flows[k]
-        div[br.to_bus] -= flows[k]
+    div = topology(net).incidence.T @ np.asarray(flows)
     return float(np.max(np.abs(np.asarray(injections) - div)))

@@ -94,3 +94,37 @@ def random_bounded_lp(rng, n_var=None, n_con=None):
         # keep the origin feasible so the region is never empty
         problem.add_constraint(row, lp.LE, float(rng.uniform(0.1, 2.0)))
     return problem
+
+
+def measurement_matrix_loop(meas, net):
+    """Dense H built branch by branch from the network's branch records:
+    a flow row carries +-1/x at the branch ends, an injection row sums the
+    rows of every branch touching the bus."""
+    branches = net.in_service_branches
+    h = np.zeros((len(meas), net.n_bus))
+    for i, (kind, idx) in enumerate(zip(meas.kinds, meas.indices)):
+        if kind == "flow":
+            br = branches[idx]
+            w = 1.0 / br.reactance
+            h[i, br.from_bus] += w
+            h[i, br.to_bus] -= w
+        elif kind == "injection":
+            for br in branches:
+                w = 1.0 / br.reactance
+                if br.from_bus == idx:
+                    h[i, br.from_bus] += w
+                    h[i, br.to_bus] -= w
+                elif br.to_bus == idx:
+                    h[i, br.to_bus] += w
+                    h[i, br.from_bus] -= w
+        else:
+            raise ValueError(f"unknown measurement kind {kind!r}")
+    return h
+
+
+def estimated_flows_loop(net, angles):
+    """Branch flows from bus angles, one branch at a time."""
+    return np.array([
+        (angles[br.from_bus] - angles[br.to_bus]) / br.reactance
+        for br in net.in_service_branches
+    ])

@@ -206,6 +206,16 @@ def test_spec_validation(net3):
         AttackSpec(1, 0.1, 1.0, flows[:2], loads).validate(net3)
 
 
+def test_zero_base_flow_target_rejected(net3):
+    # With zero base flow the objective sign is 0 and the attack would be a
+    # silent no-op; the spec must refuse it instead.
+    loads, _, flows = _base_state(net3)
+    flows = flows.copy()
+    flows[0] = 0.0
+    with pytest.raises(ValueError, match="zero base flow"):
+        solve_attack(net3, AttackSpec(1, 0.5, 10.0, flows, loads))
+
+
 def test_lp_structure(net3):
     loads, _, flows = _base_state(net3)
     problem = build_attack_lp(net3, AttackSpec(1, 0.5, 10.0, flows, loads))

@@ -5,20 +5,36 @@ from gridfdi.detect import (
     AlertLevel,
     BORI_THRESHOLDS,
     ConfigError,
+    DEAD_BAND,
     INDEX_THRESHOLDS,
     Snapshot,
-    bori,
+    bori_all,
     cai_ranking,
     combine_alert,
-    emldi,
     emldi_all,
-    mldi,
     mldi_all,
     run_two_stage,
     smldi,
+    _indicators,
     _level,
 )
 from gridfdi.powerflow import CRITICAL_PTDF, MIN_CRITICAL_SET, Ptdf
+
+
+def bori(k, snap):
+    """Overload-risk metrics and alert for in-service branch position k."""
+    b1, b2, b = bori_all(snap)
+    return b1[k], b2[k], b[k], _level(b[k], BORI_THRESHOLDS)
+
+
+def mldi(k, snap):
+    """Deviation index of branch k plus its indicators over the critical set."""
+    return mldi_all(snap)[k], _indicators(snap, DEAD_BAND)[k, snap.ptdf.critical_sets[k]]
+
+
+def emldi(k, snap):
+    value = emldi_all(snap)[k]
+    return value, _level(value, INDEX_THRESHOLDS)
 
 
 def toy_ptdf(matrix, load_buses, reference_bus=0):
@@ -372,3 +388,26 @@ def test_snapshot_shape_validation():
         make_snapshot(FIVE_LOADS, prev_flows=[0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
         make_snapshot(FIVE_LOADS, prev_flows=[0.5, 0.5], limits=[1.0, 0.0])
+
+
+@pytest.mark.parametrize("field", ["prev_flows", "measured_flows", "sced_flows",
+                                   "limits", "prev_loads", "measured_loads"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_snapshot_rejects_non_finite(field, bad):
+    m, n = FIVE_LOADS.matrix.shape
+    values = {
+        "prev_flows": [0.5, 0.5], "measured_flows": [0.5, 0.5],
+        "sced_flows": [0.5, 0.5], "limits": [1.0, 1.0],
+        "prev_loads": np.full(n, 100.0), "measured_loads": np.full(n, 100.0),
+    }
+    values[field] = np.array(values[field], dtype=float)
+    values[field][0] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        make_snapshot(FIVE_LOADS, **values)
+
+
+def test_critical_mask_matches_sets(ptdf118):
+    mask = ptdf118.critical_mask
+    assert ptdf118.critical_mask is mask       # stored, not rebuilt per call
+    for k, buses in enumerate(ptdf118.critical_sets):
+        assert np.array_equal(np.flatnonzero(mask[k]), np.sort(buses))
