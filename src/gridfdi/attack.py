@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import lp
 from .cases import Network
@@ -85,64 +86,54 @@ def _flow_deltas(net: Network, c: np.ndarray) -> np.ndarray:
 
 
 def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
-    """Assemble the attack LP over variables [c, s, dp].
+    """Assemble the attack LP over variables [c, s].
 
-    Rows: dp tied to angle biases per branch; per load bus the dp divergence
-    (the malicious load deviation) bounded by +-L_S * d_n0; zero divergence at
-    non-load buses; |c| <= s elementwise with sum(s) capped by the l1 budget;
-    c fixed to zero at the reference bus.
+    The flow deltas ``dp = -Bf c`` are substituted out: the objective is
+    ``sgn * dp[target] = -sgn * Bf[target] c`` and the malicious load
+    deviation per bus, the dp divergence, is ``-B c``.  Rows: per load bus
+    that deviation bounded by +-L_S * d_n0; zero deviation at non-load buses;
+    |c| <= s elementwise with sum(s) capped by the l1 budget; c fixed to zero
+    at the reference bus.
     """
     spec.validate(net)
     topo = topology(net)
-    m, n = topo.bf.shape
-    base = net.base_mva
-    d0_pu = np.asarray(spec.base_loads, dtype=float) / base
+    n = net.n_bus
+    d0_pu = np.asarray(spec.base_loads, dtype=float) / net.base_mva
     target_pos = net.branch_position(spec.target_branch)
     sgn = float(np.sign(spec.target_flow(net)))
 
     problem = lp.LinearProgram(sense="max")
     cs = problem.add_variables("c", n)
-    ss = problem.add_variables("s", n, lower=0.0)
-    dps = problem.add_variables("dp", m)
+    problem.add_variables("s", n, lower=0.0)
     problem.fix_variable(cs.start + net.reference_bus, 0.0)
-    problem.objective[dps.start + target_pos] = sgn
+    problem.objective[cs] = -sgn * topo.bf[target_pos]
 
-    width = problem.n_var
+    is_load = np.array([b.is_load_bus for b in net.buses])
+    load = np.flatnonzero(is_load)
+    deviation = -topo.b
+    # <= rows, as COO triplets: per load bus the pair +-deviation <= bound,
+    # then -c - s <= 0 and c - s <= 0 per bus, then sum(s) <= N1.
+    shift_rows = (np.repeat(deviation[load], 2, axis=0)
+                  * np.tile([1.0, -1.0], len(load))[:, None])
+    r, col = np.nonzero(shift_rows)
+    k = len(shift_rows)
+    abs_rows = k + np.arange(2 * n)
+    bus = np.repeat(np.arange(n), 2)
+    rows = np.concatenate([r, abs_rows, abs_rows, np.full(n, k + 2 * n)])
+    cols = np.concatenate([col, bus, n + bus, n + np.arange(n)])
+    data = np.concatenate([shift_rows[r, col], np.tile([-1.0, 1.0], n),
+                           -np.ones(2 * n), np.ones(n)])
+    b_ub = np.concatenate([
+        np.repeat(spec.load_shift_factor * d0_pu[load], 2),
+        np.zeros(2 * n),
+        [spec.l1_limit],
+    ])
+    problem.add_rows(sparse.csr_array((data, (rows, cols)), shape=(k + 2 * n + 1, 2 * n)),
+                     lp.LE, b_ub)
 
-    # dp_k - (-c_from + c_to)/x_k = 0
-    tie_rows = np.zeros((m, width))
-    tie_rows[:, cs] = topo.bf
-    tie_rows[:, dps] = np.eye(m)
-    for row in tie_rows:
-        problem.add_constraint(row, lp.EQ, 0.0)
-
-    # Divergence rows: bounded at load buses, zero elsewhere.
-    div_rows = np.zeros((n, width))
-    div_rows[:, dps] = topo.incidence.T
-    ls = spec.load_shift_factor
-    for bus in net.buses:
-        row = div_rows[bus.internal_index]
-        if bus.is_load_bus:
-            bound = ls * d0_pu[bus.internal_index]
-            problem.add_constraint(row, lp.LE, bound)
-            problem.add_constraint(-row, lp.LE, bound)
-        else:
-            problem.add_constraint(row, lp.EQ, 0.0)
-
-    # l1 budget: -c <= s, c <= s, sum(s) <= N1.
-    for i in range(n):
-        row = np.zeros(width)
-        row[cs.start + i] = -1.0
-        row[ss.start + i] = -1.0
-        problem.add_constraint(row, lp.LE, 0.0)
-        row = np.zeros(width)
-        row[cs.start + i] = 1.0
-        row[ss.start + i] = -1.0
-        problem.add_constraint(row, lp.LE, 0.0)
-    budget = np.zeros(width)
-    budget[ss] = 1.0
-    problem.add_constraint(budget, lp.LE, spec.l1_limit)
-
+    quiet = deviation[~is_load]
+    problem.add_rows(sparse.csr_array(np.hstack([quiet, np.zeros_like(quiet)])),
+                     lp.EQ, np.zeros(len(quiet)))
     return problem
 
 

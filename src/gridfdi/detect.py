@@ -59,6 +59,16 @@ def combine_alert(flow_level: AlertLevel, load_level: AlertLevel) -> AlertLevel:
     return COMBINED_ALERT[int(flow_level)][int(load_level)]
 
 
+_LEVELS = tuple(AlertLevel)
+_COMBINED_INDEX = np.array(COMBINED_ALERT, dtype=int)
+
+
+def _levels(values: np.ndarray, thresholds) -> np.ndarray:
+    """Alert level index per value: the number of (ascending) thresholds it
+    strictly exceeds, the vector form of :func:`_level`."""
+    return (np.asarray(values)[:, None] > np.asarray(thresholds)).sum(axis=1)
+
+
 def _level(value: float, thresholds) -> AlertLevel:
     lo, mid, hi = thresholds
     if value > hi:
@@ -167,7 +177,10 @@ def _indicators(snap: Snapshot, dead_band: float) -> np.ndarray:
 def mldi_all(snap: Snapshot, dead_band: float = DEAD_BAND) -> np.ndarray:
     """Mean directional consensus of critical-load changes, per branch,
     signed so that positive means 'loads conspire to shrink this flow'."""
-    ind = _indicators(snap, dead_band)
+    return _mldi(snap, _indicators(snap, dead_band))
+
+
+def _mldi(snap: Snapshot, ind: np.ndarray) -> np.ndarray:
     sizes = np.maximum(snap.ptdf.nl_sizes, 1)
     return np.sign(snap.prev_flows) * ind.sum(axis=1) / sizes
 
@@ -175,7 +188,10 @@ def mldi_all(snap: Snapshot, dead_band: float = DEAD_BAND) -> np.ndarray:
 def emldi_all(snap: Snapshot, dead_band: float = DEAD_BAND) -> np.ndarray:
     """Like :func:`mldi_all` but weighting each critical load by its share of
     |load change x sensitivity|; zero when no critical load moved at all."""
-    ind = _indicators(snap, dead_band)
+    return _emldi(snap, _indicators(snap, dead_band))
+
+
+def _emldi(snap: Snapshot, ind: np.ndarray) -> np.ndarray:
     delta = snap.measured_loads - snap.prev_loads
     weight = np.abs(delta[None, :] * snap.ptdf.matrix)
     weight[~snap.ptdf.critical_mask] = 0.0
@@ -228,7 +244,8 @@ def run_two_stage(snap: Snapshot, top_n: int = TOP_N,
     Stage 2 runs only when the stage-1 alert reaches Warning; suspects are
     the Danger-marked branches plus the top-ranked positive combined scores.
     """
-    mldi_values = mldi_all(snap, dead_band)
+    ind = _indicators(snap, dead_band)
+    mldi_values = _mldi(snap, ind)
     smldi_value, alert = smldi(mldi_values, snap.ptdf.eligible, top_n)
     under_attack = alert >= AlertLevel.WARNING
     if not under_attack:
@@ -242,21 +259,21 @@ def run_two_stage(snap: Snapshot, top_n: int = TOP_N,
         )
 
     bori1, bori2, bori_values = bori_all(snap)
-    emldi_values = emldi_all(snap, dead_band)
-    flow_alerts = tuple(_level(v, BORI_THRESHOLDS) for v in bori_values)
-    load_alerts = tuple(_level(v, INDEX_THRESHOLDS) for v in emldi_values)
-    combined = tuple(
-        combine_alert(f, l) for f, l in zip(flow_alerts, load_alerts)
+    emldi_values = _emldi(snap, ind)
+    flow_idx = _levels(bori_values, BORI_THRESHOLDS)
+    load_idx = _levels(emldi_values, INDEX_THRESHOLDS)
+    combined_idx = _COMBINED_INDEX[flow_idx, load_idx]
+    flow_alerts, load_alerts, combined = (
+        tuple(_LEVELS[i] for i in idx.tolist())
+        for idx in (flow_idx, load_idx, combined_idx)
     )
     cai, rank = cai_ranking(emldi_values, bori_values, snap.branch_ordinals)
 
     chosen: dict[int, list[str]] = {}
-    for k in range(snap.n_branches):
-        if combined[k] == AlertLevel.DANGER:
-            chosen.setdefault(k, []).append("danger-alert")
-    for k in range(snap.n_branches):
-        if rank[k] <= TOP_SUSPECTS and cai[k] > 0:
-            chosen.setdefault(k, []).append("top-cai")
+    for k in np.flatnonzero(combined_idx == AlertLevel.DANGER).tolist():
+        chosen.setdefault(k, []).append("danger-alert")
+    for k in np.flatnonzero((rank <= TOP_SUSPECTS) & (cai > 0)).tolist():
+        chosen.setdefault(k, []).append("top-cai")
     suspects = tuple(
         Suspect(
             ordinal=int(snap.branch_ordinals[k]),

@@ -120,6 +120,20 @@ class NetworkCache:
         return self._entries[key]
 
 
+def _base_dispatch(net: Network, ptdf) -> Dispatch:
+    """Interval-1 dispatch on the case loads.  It depends on the network
+    alone, so it is solved once per instance, kept in ``net.operators`` and
+    shared read-only by every timeline on that network."""
+    dispatch = net.operators.get("base_dispatch")
+    if dispatch is None:
+        dispatch = run_sced(net, net.load_mw, ptdf=ptdf, soft_limits=True)
+        for arr in (dispatch.gen_output, dispatch.scheduled_flows,
+                    dispatch.violations_mw):
+            arr.setflags(write=False)
+        net.operators["base_dispatch"] = dispatch
+    return dispatch
+
+
 def _gen_by_bus(net: Network, dispatch: Dispatch) -> np.ndarray:
     out = np.zeros(net.n_bus)
     np.add.at(out, [g.bus for g in net.generators], dispatch.gen_output)
@@ -143,7 +157,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
 
     # Interval 1: trusted loads, dispatch, actual flows.
     loads_prev = net.load_mw
-    dispatch_prev = run_sced(net, loads_prev, ptdf=ptdf, soft_limits=True)
+    dispatch_prev = _base_dispatch(net, ptdf)
     gen_prev = _gen_by_bus(net, dispatch_prev)
 
     # Loads drift into interval 2; the old dispatch rides through, imbalance

@@ -1,11 +1,14 @@
-"""Dense linear programs for the dispatch and attack builders.
+"""Linear programs in matrix form for the dispatch and attack builders.
 
-Two interchangeable engines sit behind :func:`solve_lp`:
+Constraints are kept as blocks of rows, ``A x (relation) b``, with ``A`` a
+scipy CSR matrix; a builder adds each family of rows as one block.  Two
+interchangeable engines sit behind :func:`solve_lp`:
 
 * ``simplex`` -- a self-contained two-phase dense simplex using Bland's rule
   (deterministic, cycle-free, meant for small problems and as a reference);
+  it densifies the blocks;
 * ``highs`` -- scipy's HiGHS adapter, used by default for the case-study
-  sized problems.
+  sized problems; it receives the sparse blocks unchanged.
 
 Every optimal solution is re-checked against all constraints and bounds at
 ``FEASIBILITY_TOL`` before it is returned; a violation raises
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 FEASIBILITY_TOL = 1e-7
 _PIVOT_TOL = 1e-9
@@ -34,14 +38,16 @@ class SolverError(Exception):
 
 @dataclass
 class Constraint:
-    row: np.ndarray
+    """A block of rows ``a @ x (relation) rhs``."""
+
+    a: sparse.csr_array
     relation: str
-    rhs: float
+    rhs: np.ndarray
 
 
 @dataclass
 class LinearProgram:
-    """A small dense LP: ``sense`` objective over bounded variables."""
+    """An LP: ``sense`` objective over bounded variables and row blocks."""
 
     sense: str = "max"                      # "max" | "min"
     objective: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -67,11 +73,19 @@ class LinearProgram:
         self.lower[index] = value
         self.upper[index] = value
 
-    def add_constraint(self, row, relation: str, rhs: float):
-        row = np.asarray(row, dtype=float)
+    def add_rows(self, a, relation: str, rhs):
+        """Append the block ``a @ x (relation) rhs``; ``a`` is 2-D, sparse or
+        dense, with one entry of ``rhs`` per row."""
         if relation not in (LE, EQ, GE):
             raise ValueError(f"unknown relation {relation!r}")
-        self.constraints.append(Constraint(row=row, relation=relation, rhs=float(rhs)))
+        self.constraints.append(Constraint(
+            a=sparse.csr_array(a, dtype=float), relation=relation,
+            rhs=np.asarray(rhs, dtype=float),
+        ))
+
+    def add_constraint(self, row, relation: str, rhs: float):
+        """Append one row ``row @ x (relation) rhs``."""
+        self.add_rows(np.atleast_2d(np.asarray(row, dtype=float)), relation, [rhs])
 
     def validate(self):
         n = self.n_var
@@ -80,10 +94,31 @@ class LinearProgram:
         if np.any(self.lower > self.upper + 1e-15):
             raise ValueError("a variable has lower bound above its upper bound")
         for i, con in enumerate(self.constraints):
-            if con.row.shape != (n,):
-                raise ValueError(f"constraint {i} row length {con.row.shape} != {n}")
+            if con.a.shape[1] != n:
+                raise ValueError(f"constraint block {i} shape {con.a.shape} has not"
+                                 f" {n} columns")
+            if con.rhs.shape != (con.a.shape[0],):
+                raise ValueError(f"constraint block {i} has {con.a.shape[0]} rows"
+                                 f" but rhs shape {con.rhs.shape}")
         if self.sense not in ("max", "min"):
             raise ValueError(f"unknown sense {self.sense!r}")
+
+    def matrix_form(self):
+        """``(a_ub, b_ub, a_eq, b_eq)``: the blocks stacked in insertion order
+        as CSR matrices, ``>=`` rows negated into ``a_ub x <= b_ub``."""
+        ub = [(c.a, c.rhs) if c.relation == LE else (-c.a, -c.rhs)
+              for c in self.constraints if c.relation != EQ]
+        eq = [(c.a, c.rhs) for c in self.constraints if c.relation == EQ]
+        return (*_stack(ub, self.n_var), *_stack(eq, self.n_var))
+
+
+def _stack(blocks, n):
+    if not blocks:
+        return sparse.csr_array((0, n)), np.zeros(0)
+    a, b = zip(*blocks)
+    if len(a) == 1:
+        return a[0], b[0]
+    return sparse.vstack(a, format="csr"), np.concatenate(b)
 
 
 @dataclass(frozen=True)
@@ -113,14 +148,15 @@ def _check_solution(lp: LinearProgram, sol: LpSolution):
     x = sol.values
     if np.any(x < lp.lower - FEASIBILITY_TOL) or np.any(x > lp.upper + FEASIBILITY_TOL):
         raise SolverError("solution violates variable bounds")
-    for i, con in enumerate(lp.constraints):
-        lhs = float(con.row @ x)
-        if con.relation == LE and lhs > con.rhs + FEASIBILITY_TOL:
-            raise SolverError(f"constraint {i} (<=) violated by {lhs - con.rhs:.3e}")
-        if con.relation == GE and lhs < con.rhs - FEASIBILITY_TOL:
-            raise SolverError(f"constraint {i} (>=) violated by {con.rhs - lhs:.3e}")
-        if con.relation == EQ and abs(lhs - con.rhs) > FEASIBILITY_TOL:
-            raise SolverError(f"constraint {i} (=) off by {lhs - con.rhs:.3e}")
+    a_ub, b_ub, a_eq, b_eq = lp.matrix_form()
+    excess = a_ub @ x - b_ub
+    if excess.size and excess.max() > FEASIBILITY_TOL:
+        i = int(np.argmax(excess))
+        raise SolverError(f"row {i} of A_ub (<=) violated by {excess[i]:.3e}")
+    off = a_eq @ x - b_eq
+    if off.size and np.abs(off).max() > FEASIBILITY_TOL:
+        i = int(np.argmax(np.abs(off)))
+        raise SolverError(f"row {i} of A_eq (=) off by {off[i]:.3e}")
     obj = float(lp.objective @ x)
     if abs(obj - sol.objective_value) > FEASIBILITY_TOL * max(1.0, abs(obj)):
         raise SolverError("objective value inconsistent with solution vector")
@@ -133,25 +169,14 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     from scipy.optimize import linprog
 
     sign = -1.0 if lp.sense == "max" else 1.0
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for con in lp.constraints:
-        if con.relation == LE:
-            a_ub.append(con.row)
-            b_ub.append(con.rhs)
-        elif con.relation == GE:
-            a_ub.append(-con.row)
-            b_ub.append(-con.rhs)
-        else:
-            a_eq.append(con.row)
-            b_eq.append(con.rhs)
-
+    a_ub, b_ub, a_eq, b_eq = lp.matrix_form()
     res = linprog(
         c=sign * lp.objective,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=list(zip(lp.lower, lp.upper)),
+        A_ub=a_ub if a_ub.shape[0] else None,
+        b_ub=b_ub if a_ub.shape[0] else None,
+        A_eq=a_eq if a_eq.shape[0] else None,
+        b_eq=b_eq if a_eq.shape[0] else None,
+        bounds=np.column_stack([lp.lower, lp.upper]),
         method="highs",
     )
     if res.status == 0:
@@ -165,12 +190,12 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
 
 # --- built-in dense simplex --------------------------------------------------
 #
-# Variables are shifted/flipped/split to nonnegative form, finite upper bounds
-# become rows, and the resulting
-#     min c.x  s.t.  A x {<=,=,>=} b,  x >= 0
-# is solved by a two-phase tableau simplex.  Bland's rule (lowest eligible
-# index enters, lowest basic index leaves on ties) makes every pivot sequence
-# deterministic and cycling impossible.
+# Variables are shifted/flipped/split to nonnegative form, x = base + S u,
+# finite upper bounds become rows, and the resulting
+#     min c.x  s.t.  A x {<=,=} b,  x >= 0
+# is solved by a two-phase tableau simplex on the densified blocks.  Bland's
+# rule (lowest eligible index enters, lowest basic index leaves on ties) makes
+# every pivot sequence deterministic and cycling impossible.
 
 
 def _solve_simplex(lp: LinearProgram) -> LpSolution:
@@ -178,77 +203,40 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
     sign = -1.0 if lp.sense == "max" else 1.0
     c_orig = sign * lp.objective
 
-    # Nonnegative substitution per variable: x = shift + scale*u (+ u2 for free).
-    cols = []            # (kind, shift, extra) per original variable
-    col_of = []          # first mapped column index per original variable
-    n_cols = 0
+    # Nonnegative substitution per variable, x = base + S u: u = x - lo
+    # (capped at hi - lo when hi is finite), u = hi - x, or x = u+ - u-.
+    base = np.zeros(n)
+    cols = []            # columns of S, one per u
+    caps = []            # (u index, hi - lo) per finite cap
     for j in range(n):
         lo, hi = lp.lower[j], lp.upper[j]
-        col_of.append(n_cols)
+        e = np.zeros(n)
+        e[j] = 1.0
         if np.isfinite(lo):
-            cols.append(("shift", lo, hi - lo))     # u = x - lo, u <= hi - lo
-            n_cols += 1
+            base[j] = lo
+            if np.isfinite(hi):
+                caps.append((len(cols), hi - lo))
+            cols.append(e)
         elif np.isfinite(hi):
-            cols.append(("flip", hi, np.inf))       # u = hi - x
-            n_cols += 1
+            base[j] = hi
+            cols.append(-e)
         else:
-            cols.append(("free", 0.0, np.inf))      # x = u+ - u-
-            n_cols += 2
+            cols += [e, -e]
+    s = np.column_stack(cols)
+    cap_cols = [k for k, _ in caps]
 
-    def expand(row):
-        out = np.zeros(n_cols)
-        for j in range(n):
-            kind, _, _ = cols[j]
-            k = col_of[j]
-            if kind == "shift":
-                out[k] = row[j]
-            elif kind == "flip":
-                out[k] = -row[j]
-            else:
-                out[k] = row[j]
-                out[k + 1] = -row[j]
-        return out
+    a_ub, b_ub, a_eq, b_eq = lp.matrix_form()
+    a = np.vstack([a_ub.toarray(), a_eq.toarray()])
+    rows = np.vstack([a @ s, np.eye(s.shape[1])[cap_cols]])
+    rels = [LE] * a_ub.shape[0] + [EQ] * a_eq.shape[0] + [LE] * len(caps)
+    rhs = np.concatenate([np.concatenate([b_ub, b_eq]) - a @ base,
+                          [cap for _, cap in caps]])
 
-    def shift_rhs(row):
-        s = 0.0
-        for j in range(n):
-            kind, base, _ = cols[j]
-            if kind in ("shift", "flip"):
-                s += row[j] * base
-        return s
-
-    rows, rels, rhs = [], [], []
-    for con in lp.constraints:
-        rows.append(expand(con.row))
-        rels.append(con.relation)
-        rhs.append(con.rhs - shift_rhs(con.row))
-    for j in range(n):
-        kind, _, span = cols[j]
-        if kind == "shift" and np.isfinite(span):
-            row = np.zeros(n_cols)
-            row[col_of[j]] = 1.0
-            rows.append(row)
-            rels.append(LE)
-            rhs.append(span)
-
-    c = expand(c_orig)
-    const = shift_rhs(c_orig)
-
-    status, u = _two_phase(np.array(rows) if rows else np.zeros((0, n_cols)),
-                           rels, np.array(rhs, dtype=float), c)
+    status, u = _two_phase(rows, rels, rhs, c_orig @ s)
     if status != OPTIMAL:
         return LpSolution(status, None, None)
 
-    x = np.zeros(n)
-    for j in range(n):
-        kind, base, _ = cols[j]
-        k = col_of[j]
-        if kind == "shift":
-            x[j] = base + u[k]
-        elif kind == "flip":
-            x[j] = base - u[k]
-        else:
-            x[j] = u[k] - u[k + 1]
+    x = base + s @ u
     obj = float(c_orig @ x)
     return LpSolution(OPTIMAL, x, sign * obj if lp.sense == "max" else obj)
 

@@ -20,6 +20,11 @@ MIN_CRITICAL_SET = 5
 
 BALANCE_TOL = 1e-9
 
+# Smallest accepted ratio of the smallest to the largest LU pivot magnitude
+# of reduced B.  Below it the angle solve keeps fewer digits than the LP and
+# audit tolerances (1e-7) assume; case118 sits at 8.0e-3.
+MIN_PIVOT_RATIO = 1e-10
+
 
 class NumericError(Exception):
     """Singular or numerically unusable system matrix."""
@@ -101,6 +106,12 @@ def _build_topology(net: Network) -> Topology:
         raise NumericError(f"reduced susceptance matrix not factorizable: {exc}")
     if not np.all(np.isfinite(factor[0])):
         raise NumericError("reduced susceptance matrix is singular")
+    pivots = np.abs(np.diag(factor[0]))
+    if pivots.min() <= MIN_PIVOT_RATIO * pivots.max():
+        raise NumericError(
+            "reduced susceptance matrix is numerically singular: pivot ratio"
+            f" {pivots.min() / pivots.max():.1e} <= {MIN_PIVOT_RATIO:.0e}"
+        )
     for arr in (f, t, x, a, bf, b, keep, *factor):
         arr.setflags(write=False)
     return Topology(from_bus=f, to_bus=t, x=x, incidence=a, bf=bf, b=b,

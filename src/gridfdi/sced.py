@@ -7,7 +7,8 @@ identity).  Scheduled flows are what the detector later compares against.
 With ``soft_limits`` the branch constraints become elastic at a penalty price
 far above any generation cost, the way production dispatch engines keep
 running when a load pattern is not servable within ratings; violations then
-show up in the schedule instead of an exception.
+show up in the schedule and in ``Dispatch.violations_mw`` instead of an
+exception.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import lp
 from .cases import Network
@@ -38,41 +40,49 @@ class Dispatch:
     scheduled_flows: np.ndarray   # p.u. per in-service branch
     total_cost: float             # $/h
     binding_branches: tuple[int, ...]  # 1-based ordinals at or above their limit
+    violations_mw: np.ndarray     # MW over the limit per branch; soft limits only
 
 
-def _dispatch_lp(net, ptdf, d_pu, soft_penalty=None, limit_costs=True):
+def _dispatch_lp(net, ptdf, d_pu, enforce_limits=True, soft_penalty=None,
+                 limit_costs=True):
+    """The SCED LP over [p, v]: the balance row, then (with
+    ``enforce_limits``) a +- limit row pair per in-service branch,
+    ``+-(PTDF_gen p - PTDF d) - v <= limit``, the elastic ``v >= 0`` present
+    only when ``soft_penalty`` prices it."""
     gens = net.generators
     base = net.base_mva
     problem = lp.LinearProgram(sense="min")
     gs = problem.add_variables("p", len(gens))
-    for i, g in enumerate(gens):
-        problem.lower[gs][i] = g.p_min / base
-        problem.upper[gs][i] = g.p_max / base
-        if limit_costs:
-            problem.objective[gs][i] = g.linear_cost * base
+    problem.lower[gs] = np.array([g.p_min for g in gens]) / base
+    problem.upper[gs] = np.array([g.p_max for g in gens]) / base
+    if limit_costs:
+        problem.objective[gs] = np.array([g.linear_cost for g in gens]) * base
 
     vs = None
-    n_relax = ptdf.n_branches if soft_penalty is not None else 0
-    if soft_penalty is not None:
+    if enforce_limits and soft_penalty is not None:
         vs = problem.add_variables("v", ptdf.n_branches, lower=0.0)
         problem.objective[vs] = soft_penalty * base
 
-    balance = np.zeros(problem.n_var)
-    balance[gs] = 1.0
-    problem.add_constraint(balance, lp.EQ, d_pu.sum())
+    balance = np.zeros((1, problem.n_var))
+    balance[0, gs] = 1.0
+    problem.add_rows(balance, lp.EQ, [d_pu.sum()])
+    if not enforce_limits:
+        return problem, gs, vs
 
-    sens = np.zeros((ptdf.n_branches, len(gens)))
-    for i, g in enumerate(gens):
-        sens[:, i] = ptdf.matrix[:, g.bus]
+    m = ptdf.n_branches
+    sens = ptdf.matrix[:, [g.bus for g in gens]]
     shift = ptdf.matrix @ d_pu
-    limits = net.limits_pu()
-    for k in range(ptdf.n_branches):
-        for sign in (1.0, -1.0):
-            row = np.zeros(problem.n_var)
-            row[gs] = sign * sens[k]
-            if vs is not None:
-                row[vs.start + k] = -1.0
-            problem.add_constraint(row, lp.LE, limits[k] + sign * shift[k])
+    sign = np.tile([1.0, -1.0], m)
+    rows = np.repeat(sens, 2, axis=0) * sign[:, None]
+    r, c = np.nonzero(rows)
+    data = rows[r, c]
+    if vs is not None:   # -v_k in both rows of branch k
+        r = np.concatenate([r, np.arange(2 * m)])
+        c = np.concatenate([c, vs.start + np.repeat(np.arange(m), 2)])
+        data = np.concatenate([data, -np.ones(2 * m)])
+    rhs = np.repeat(net.limits_pu(), 2) + sign * np.repeat(shift, 2)
+    problem.add_rows(sparse.csr_array((data, (r, c)), shape=(2 * m, problem.n_var)),
+                     lp.LE, rhs)
     return problem, gs, vs
 
 
@@ -86,7 +96,8 @@ def run_sced(
     """Cost-minimal dispatch serving ``loads_mw`` (per bus).
 
     ``enforce_limits=False`` drops the branch constraints entirely (merit
-    order only); ``soft_limits=True`` prices violations instead of failing.
+    order only); ``soft_limits=True`` prices violations instead of failing
+    and reports them in ``Dispatch.violations_mw``.
     """
     loads_mw = np.asarray(loads_mw, dtype=float)
     if loads_mw.shape != (net.n_bus,):
@@ -108,22 +119,10 @@ def run_sced(
     if ptdf is None:
         ptdf = compute_ptdf(net)
 
-    if not enforce_limits:
-        problem = lp.LinearProgram(sense="min")
-        gs = problem.add_variables("p", len(gens))
-        for i, g in enumerate(gens):
-            problem.lower[gs][i] = g.p_min / base
-            problem.upper[gs][i] = g.p_max / base
-            problem.objective[gs][i] = g.linear_cost * base
-        balance = np.zeros(problem.n_var)
-        balance[gs] = 1.0
-        problem.add_constraint(balance, lp.EQ, d_pu.sum())
-    else:
-        problem, gs, _ = _dispatch_lp(
-            net, ptdf, d_pu,
-            soft_penalty=VIOLATION_PENALTY if soft_limits else None,
-        )
-
+    problem, gs, vs = _dispatch_lp(
+        net, ptdf, d_pu, enforce_limits=enforce_limits,
+        soft_penalty=VIOLATION_PENALTY if soft_limits else None,
+    )
     sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
         binding = _diagnose_infeasibility(net, ptdf, d_pu) if enforce_limits else ()
@@ -133,8 +132,7 @@ def run_sced(
 
     p = sol.values[gs]
     inj = -d_pu.copy()
-    for i, g in enumerate(gens):
-        inj[g.bus] += p[i]
+    np.add.at(inj, [g.bus for g in gens], p)
     flows = ptdf.matrix @ inj
 
     binding = ()
@@ -142,14 +140,15 @@ def run_sced(
         limits = net.limits_pu()
         binding = tuple(
             net.in_service_branches[k].ordinal
-            for k in range(ptdf.n_branches)
-            if abs(flows[k]) >= limits[k] - BINDING_TOL
+            for k in np.flatnonzero(np.abs(flows) >= limits - BINDING_TOL)
         )
+    violations = np.zeros(ptdf.n_branches) if vs is None else sol.values[vs] * base
     return Dispatch(
         gen_output=p * base,
         scheduled_flows=flows,
         total_cost=float(sol.objective_value),
         binding_branches=binding,
+        violations_mw=violations,
     )
 
 

@@ -18,19 +18,10 @@ def enumerate_vertices(problem: lp.LinearProgram):
     """All vertices of a bounded feasible region; returns (best_x, best_obj)
     for the problem's sense, or (None, None) when no vertex is feasible."""
     n = problem.n_var
+    a_ub, b_ub, a_eq, b_eq = problem.matrix_form()
 
-    eq_rows, eq_rhs = [], []
-    ineq_rows, ineq_rhs = [], []   # normalized to row @ x <= rhs
-    for con in problem.constraints:
-        if con.relation == lp.EQ:
-            eq_rows.append(con.row)
-            eq_rhs.append(con.rhs)
-        elif con.relation == lp.LE:
-            ineq_rows.append(con.row)
-            ineq_rhs.append(con.rhs)
-        else:
-            ineq_rows.append(-con.row)
-            ineq_rhs.append(-con.rhs)
+    eq_rows, eq_rhs = list(a_eq.toarray()), list(b_eq)
+    ineq_rows, ineq_rhs = list(a_ub.toarray()), list(b_ub)  # row @ x <= rhs
     for j in range(n):
         lo, hi = problem.lower[j], problem.upper[j]
         e = np.zeros(n)
@@ -71,12 +62,12 @@ def _feasible(problem, x):
     if np.any(x < problem.lower - 1e-7) or np.any(x > problem.upper + 1e-7):
         return False
     for con in problem.constraints:
-        lhs = float(con.row @ x)
-        if con.relation == lp.LE and lhs > con.rhs + 1e-7:
+        lhs = con.a.toarray() @ x
+        if con.relation == lp.LE and np.any(lhs > con.rhs + 1e-7):
             return False
-        if con.relation == lp.GE and lhs < con.rhs - 1e-7:
+        if con.relation == lp.GE and np.any(lhs < con.rhs - 1e-7):
             return False
-        if con.relation == lp.EQ and abs(lhs - con.rhs) > 1e-7:
+        if con.relation == lp.EQ and np.any(np.abs(lhs - con.rhs) > 1e-7):
             return False
     return True
 
@@ -128,3 +119,94 @@ def estimated_flows_loop(net, angles):
         (angles[br.from_bus] - angles[br.to_bus]) / br.reactance
         for br in net.in_service_branches
     ])
+
+
+def dispatch_lp_rows(net, ptdf, d_pu, soft_penalty=None):
+    """The SCED LP built one row at a time: the balance row, then a +- limit
+    row pair per in-service branch (each with its elastic variable in soft
+    mode).  Returns (problem, generator slice, elastic slice or None)."""
+    gens = net.generators
+    base = net.base_mva
+    problem = lp.LinearProgram(sense="min")
+    gs = problem.add_variables("p", len(gens))
+    for i, g in enumerate(gens):
+        problem.lower[gs][i] = g.p_min / base
+        problem.upper[gs][i] = g.p_max / base
+        problem.objective[gs][i] = g.linear_cost * base
+
+    vs = None
+    if soft_penalty is not None:
+        vs = problem.add_variables("v", ptdf.n_branches, lower=0.0)
+        problem.objective[vs] = soft_penalty * base
+
+    balance = np.zeros(problem.n_var)
+    balance[gs] = 1.0
+    problem.add_constraint(balance, lp.EQ, d_pu.sum())
+
+    sens = np.zeros((ptdf.n_branches, len(gens)))
+    for i, g in enumerate(gens):
+        sens[:, i] = ptdf.matrix[:, g.bus]
+    shift = ptdf.matrix @ d_pu
+    limits = net.limits_pu()
+    for k in range(ptdf.n_branches):
+        for sign in (1.0, -1.0):
+            row = np.zeros(problem.n_var)
+            row[gs] = sign * sens[k]
+            if vs is not None:
+                row[vs.start + k] = -1.0
+            problem.add_constraint(row, lp.LE, limits[k] + sign * shift[k])
+    return problem, gs, vs
+
+
+def attack_lp_rows(net, spec):
+    """The attack LP over [c, s, dp] built one row at a time from the branch
+    and bus records: dp tied to the angle bias per branch, the dp divergence
+    bounded at load buses and zero elsewhere, |c| <= s, sum(s) <= budget."""
+    branches = net.in_service_branches
+    m, n = len(branches), net.n_bus
+    d0_pu = np.asarray(spec.base_loads, dtype=float) / net.base_mva
+    target_pos = net.branch_position(spec.target_branch)
+    sgn = float(np.sign(spec.target_flow(net)))
+
+    problem = lp.LinearProgram(sense="max")
+    cs = problem.add_variables("c", n)
+    ss = problem.add_variables("s", n, lower=0.0)
+    dps = problem.add_variables("dp", m)
+    problem.fix_variable(cs.start + net.reference_bus, 0.0)
+    problem.objective[dps.start + target_pos] = sgn
+
+    width = problem.n_var
+    for k, br in enumerate(branches):   # dp_k + (c_from - c_to)/x_k = 0
+        row = np.zeros(width)
+        row[cs.start + br.from_bus] += 1.0 / br.reactance
+        row[cs.start + br.to_bus] -= 1.0 / br.reactance
+        row[dps.start + k] = 1.0
+        problem.add_constraint(row, lp.EQ, 0.0)
+
+    for bus in net.buses:
+        row = np.zeros(width)
+        for k, br in enumerate(branches):
+            if br.from_bus == bus.internal_index:
+                row[dps.start + k] += 1.0
+            if br.to_bus == bus.internal_index:
+                row[dps.start + k] -= 1.0
+        if bus.is_load_bus:
+            bound = spec.load_shift_factor * d0_pu[bus.internal_index]
+            problem.add_constraint(row, lp.LE, bound)
+            problem.add_constraint(-row, lp.LE, bound)
+        else:
+            problem.add_constraint(row, lp.EQ, 0.0)
+
+    for i in range(n):
+        row = np.zeros(width)
+        row[cs.start + i] = -1.0
+        row[ss.start + i] = -1.0
+        problem.add_constraint(row, lp.LE, 0.0)
+        row = np.zeros(width)
+        row[cs.start + i] = 1.0
+        row[ss.start + i] = -1.0
+        problem.add_constraint(row, lp.LE, 0.0)
+    budget = np.zeros(width)
+    budget[ss] = 1.0
+    problem.add_constraint(budget, lp.LE, spec.l1_limit)
+    return problem

@@ -15,7 +15,7 @@ from gridfdi.estimation import build_measurements, wls_estimate
 from gridfdi.powerflow import solve_dc
 from gridfdi import lp
 
-from oracles import enumerate_vertices
+from oracles import attack_lp_rows, enumerate_vertices
 from test_cases import TRIANGLE
 
 
@@ -216,12 +216,26 @@ def test_zero_base_flow_target_rejected(net3):
         solve_attack(net3, AttackSpec(1, 0.5, 10.0, flows, loads))
 
 
+@pytest.mark.parametrize("target", [118, 111])
+def test_objective_matches_row_oracle_118(net118, target):
+    loads, _, flows = _state_118(net118)
+    for shift in (0.05, 0.20):
+        for budget in (1.0, 5.0, 10.0):
+            spec = AttackSpec(target, shift, budget, flows, loads)
+            oracle = lp.solve_lp(attack_lp_rows(net118, spec))
+            assert oracle.status == lp.OPTIMAL
+            result = solve_attack(net118, spec)
+            assert result.objective == pytest.approx(oracle.objective_value,
+                                                     abs=1e-9)
+
+
 def test_lp_structure(net3):
     loads, _, flows = _base_state(net3)
     problem = build_attack_lp(net3, AttackSpec(1, 0.5, 10.0, flows, loads))
-    # variables: c per bus, s per bus, dp per branch
-    assert problem.n_var == 3 + 3 + 3
+    # variables: c per bus, s per bus (the flow deltas are substituted out)
+    assert problem.n_var == 3 + 3
     assert problem.lower[net3.reference_bus] == 0.0
     assert problem.upper[net3.reference_bus] == 0.0
-    relations = [c.relation for c in problem.constraints]
-    assert relations.count(lp.EQ) == 3 + 1   # flow ties + no-load bus
+    a_ub, _, a_eq, _ = problem.matrix_form()
+    assert a_eq.shape[0] == 1                 # the no-load bus
+    assert a_ub.shape[0] == 2 * 2 + 2 * 3 + 1  # load-bus pairs, |c| pairs, budget

@@ -17,6 +17,7 @@ from gridfdi.detect import (
     smldi,
     _indicators,
     _level,
+    _levels,
 )
 from gridfdi.powerflow import CRITICAL_PTDF, MIN_CRITICAL_SET, Ptdf
 
@@ -313,6 +314,49 @@ def test_alert_monotone_in_value(rng):
     values = np.sort(rng.uniform(0.0, 2.0, 50))
     levels = [_level(v, BORI_THRESHOLDS) for v in values]
     assert all(b >= a for a, b in zip(levels, levels[1:]))
+
+
+def test_vector_levels_match_scalar(rng):
+    # values exactly on, and one ulp either side of, every threshold, plus
+    # seeded random vectors and non-finite entries
+    for thresholds in (BORI_THRESHOLDS, INDEX_THRESHOLDS):
+        edges = np.array(thresholds)
+        values = np.concatenate([
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            rng.uniform(-0.5, 2.0, 500), rng.normal(thresholds[1], 0.1, 500),
+            [np.nan, np.inf, -np.inf],
+        ])
+        want = [int(_level(v, thresholds)) for v in values]
+        assert _levels(values, thresholds).tolist() == want
+
+
+def test_stage2_alerts_match_scalar_levels(case118_path):
+    from gridfdi.harness import (
+        AttackParams, FluctuationSpec, NetworkCache, ScenarioConfig,
+        run_timeline,
+    )
+
+    config = ScenarioConfig(
+        case_path=str(case118_path), mode="attack", seed=(3, 3),
+        fluctuation=FluctuationSpec(0.0, 0.03),
+        attack_params=AttackParams(118, 0.10, 5.0), group="x", index=0,
+    )
+    snap = run_timeline(config, NetworkCache()).snapshot
+    report = run_two_stage(snap)
+    s2 = report.stage2
+    assert s2 is not None
+    # one indicator matrix serves both indices
+    assert np.array_equal(report.mldi, mldi_all(snap))
+    assert np.array_equal(s2.emldi, emldi_all(snap))
+    flow = tuple(_level(v, BORI_THRESHOLDS) for v in s2.bori)
+    load = tuple(_level(v, INDEX_THRESHOLDS) for v in s2.emldi)
+    assert s2.flow_alerts == flow
+    assert s2.load_alerts == load
+    assert s2.combined_alerts == tuple(map(combine_alert, flow, load))
+    for alerts in (s2.flow_alerts, s2.load_alerts, s2.combined_alerts):
+        assert isinstance(alerts, tuple)
+        assert all(type(a) is AlertLevel for a in alerts)
+    assert AlertLevel.DANGER in s2.combined_alerts
 
 
 def test_smldi_zero_and_alerts():

@@ -16,6 +16,7 @@ from gridfdi.harness import (
     run_scenario,
     run_timeline,
 )
+from gridfdi.sced import run_sced
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +198,29 @@ def test_experiment_reproducible(case118_path, cache):
     assert [o.smldi for o in first.outcomes] == [o.smldi for o in second.outcomes]
     g1, g2 = first.groups[0], second.groups[0]
     assert g1 == g2
+
+
+def test_base_dispatch_solved_once_per_network(case118_path):
+    cache = NetworkCache()
+    kept = []
+    for outages in ((), (71,), (30,)):
+        net, ptdf = cache.get(case118_path, outages)
+        first = run_timeline(_config(case118_path, outages=outages), cache)
+        second = run_timeline(_config(case118_path, outages=outages,
+                                      seed=(11, 1), index=1), cache)
+        base = net.operators["base_dispatch"]
+        assert first.dispatch_prev is base and second.dispatch_prev is base
+
+        fresh = run_sced(net, net.load_mw, ptdf=ptdf, soft_limits=True)
+        for name in ("gen_output", "scheduled_flows", "violations_mw"):
+            cached = getattr(base, name)
+            assert np.array_equal(cached, getattr(fresh, name))
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+        assert base.total_cost == fresh.total_cost
+        assert base.binding_branches == fresh.binding_branches
+        kept.append(base)
+    # each outage network solves its own
+    assert len({id(d) for d in kept}) == 3
+    assert not np.array_equal(kept[1].scheduled_flows, kept[2].scheduled_flows)

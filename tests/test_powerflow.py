@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from gridfdi.cases import parse_matpower, validate_case
 from gridfdi.powerflow import (
     MIN_CRITICAL_SET,
+    MIN_PIVOT_RATIO,
+    NumericError,
     flows_from_ptdf,
     nodal_imbalance,
     solve_dc,
+    topology,
 )
 from gridfdi.sced import run_sced
+
+from test_cases import TRIANGLE
 
 
 def _transfer(net, at_bus, amount=1.0):
@@ -104,3 +110,31 @@ def test_critical_sets_load_buses_only(net118, ptdf118):
 def test_eligibility_rule(ptdf118):
     assert np.array_equal(ptdf118.eligible, ptdf118.nl_sizes >= MIN_CRITICAL_SET)
     assert MIN_CRITICAL_SET == 5
+
+
+@pytest.mark.parametrize("branches", [
+    # bus 4 hangs off bus 3 on a near-zero susceptance link (x = 1e12 p.u.)
+    ((1, 2, 0.1), (2, 3, 0.1), (1, 3, 0.1), (3, 4, 1e12)),
+    # the ring's susceptances cancel (0.1 + 0.1 - 0.2 = 0): the LU factor has
+    # an exactly zero, hence finite, pivot
+    ((1, 2, 0.1), (2, 3, 0.1), (1, 3, -0.2)),
+], ids=["weak-link", "exact-zero-pivot"])
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_reduced_b_raises(branches):
+    buses = sorted({b for br in branches for b in br[:2]})
+    text = TRIANGLE.split("mpc.bus = [")[0] + "mpc.bus = [\n" + "".join(
+        f"\t{b}\t{3 if b == 1 else 1}\t{0 if b == 1 else 10}\t0\t0\t0\t1\t1\t0"
+        "\t138\t1\t1.06\t0.94;\n" for b in buses
+    ) + "];\n" + TRIANGLE[TRIANGLE.index("mpc.gen = ["):TRIANGLE.index("mpc.branch = [")]
+    text += "mpc.branch = [\n" + "".join(
+        f"\t{f}\t{t}\t0.01\t{x}\t0\t100\t0\t0\t0\t0\t1\t-360\t360;\n"
+        for f, t, x in branches
+    ) + "];\n" + TRIANGLE[TRIANGLE.index("mpc.gencost = ["):]
+    net = validate_case(parse_matpower(text))
+    with pytest.raises(NumericError, match="singular"):
+        solve_dc(net, np.zeros(net.n_bus))
+
+
+def test_case118_pivot_ratio_clear_of_threshold(net118):
+    pivots = np.abs(np.diag(topology(net118).factor[0]))
+    assert pivots.min() / pivots.max() > 1e6 * MIN_PIVOT_RATIO

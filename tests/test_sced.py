@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from gridfdi import lp
 from gridfdi.cases import parse_matpower, validate_case
-from gridfdi.sced import DispatchError, run_sced
+from gridfdi.sced import VIOLATION_PENALTY, DispatchError, run_sced
+
+from oracles import dispatch_lp_rows
 
 TWO_GEN = """\
 function mpc = case2g
@@ -98,6 +101,44 @@ def test_soft_limits_absorb_infeasibility():
     # 90 MW must cross the 50 MW tie: violation shows up in the schedule
     assert abs(dispatch.scheduled_flows[0]) == pytest.approx(0.9, abs=1e-6)
     assert 1 in dispatch.binding_branches
+
+
+def test_soft_limit_violations_reported():
+    # over-tight tie: 90 MW must cross a 50 MW limit
+    raw = parse_matpower(TWO_GEN.format(rate=50).replace(
+        "\t2\t0\t0\t100\t-100\t1\t100\t1\t200\t0;",
+        "\t2\t0\t0\t100\t-100\t1\t100\t1\t30\t0;",
+    ))
+    net = validate_case(raw)
+    dispatch = run_sced(net, net.load_mw, soft_limits=True)
+    over = (np.abs(dispatch.scheduled_flows) - net.limits_pu()) * net.base_mva
+    assert over[0] == pytest.approx(40.0, abs=1e-6)
+    assert dispatch.violations_mw == pytest.approx(over, abs=1e-6)
+
+
+def test_violations_zero_unless_soft(net118, ptdf118):
+    net = _two_gen(rate=50)
+    for kwargs in ({}, {"enforce_limits": False}):
+        dispatch = run_sced(net, net.load_mw, **kwargs)
+        assert np.array_equal(dispatch.violations_mw, np.zeros(1))
+    # servable within ratings: the elastic variables stay at zero
+    soft = run_sced(net118, net118.load_mw, ptdf=ptdf118, soft_limits=True)
+    assert soft.violations_mw.shape == (len(net118.in_service_branches),)
+    assert np.all(np.abs(soft.violations_mw) <= 1e-6)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.9, 1.1])
+@pytest.mark.parametrize("soft", [False, True])
+def test_cost_matches_row_oracle_118(net118, ptdf118, scale, soft):
+    loads = net118.load_mw * scale
+    dispatch = run_sced(net118, loads, ptdf=ptdf118, soft_limits=soft)
+    problem, _, _ = dispatch_lp_rows(
+        net118, ptdf118, loads / net118.base_mva,
+        soft_penalty=VIOLATION_PENALTY if soft else None,
+    )
+    oracle = lp.solve_lp(problem)
+    assert oracle.status == lp.OPTIMAL
+    assert dispatch.total_cost == pytest.approx(oracle.objective_value, abs=1e-9)
 
 
 def test_capacity_shortfall():
