@@ -36,7 +36,6 @@ from .harness import (
     gen_fluctuation,
     outage_robustness_suite,
     study_118_suite,
-    study_rts96_suite,
     run_experiment,
     run_scenario,
     run_timeline,

@@ -103,8 +103,8 @@ def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
     sgn = float(np.sign(spec.target_flow(net)))
 
     problem = lp.LinearProgram(sense="max")
-    cs = problem.add_variables("c", n)
-    problem.add_variables("s", n, lower=0.0)
+    cs = problem.add_variables(n)
+    problem.add_variables(n, lower=0.0)
     problem.fix_variable(cs.start + net.reference_bus, 0.0)
     problem.objective[cs] = -sgn * topo.bf[target_pos]
 
@@ -137,7 +137,7 @@ def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
     return problem
 
 
-def solve_attack(net: Network, spec: AttackSpec, engine: str = "auto") -> AttackResult:
+def solve_attack(net: Network, spec: AttackSpec) -> AttackResult:
     """Solve the attack LP and reconstruct the consistent tampered state.
 
     Flow and load deltas are recomputed from the solved angle bias so the
@@ -145,7 +145,7 @@ def solve_attack(net: Network, spec: AttackSpec, engine: str = "auto") -> Attack
     audited against every constraint before being returned.
     """
     problem = build_attack_lp(net, spec)
-    sol = lp.solve_lp(problem, engine=engine)
+    sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
         raise lp.SolverError(f"attack LP terminated {sol.status}")
 

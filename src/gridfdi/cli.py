@@ -27,7 +27,6 @@ from .harness import (
     ScenarioConfig,
     outage_robustness_suite,
     study_118_suite,
-    study_rts96_suite,
     run_experiment,
 )
 from .powerflow import compute_ptdf
@@ -270,9 +269,7 @@ def _config_from_dict(d: dict) -> ScenarioConfig:
 
 def _cmd_gen_scenarios(args):
     case = args.case or bundled_case()
-    if args.paper_rts96:
-        suite = study_rts96_suite(case, seed=args.seed)
-    elif args.outage:
+    if args.outage:
         suite = outage_robustness_suite(case, args.outage, seed=args.seed)
     else:
         suite = study_118_suite(case, seed=args.seed)
@@ -378,9 +375,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("gen-scenarios", help="emit a canonical scenario grid")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--paper-118", action="store_true", default=True)
-    group.add_argument("--paper-rts96", action="store_true")
+    p.add_argument("--paper-118", action="store_true",
+                   help="the 240-scenario 118-bus study grid (the default)")
     p.add_argument("--outage", type=int,
                    help="emit the outage robustness mini-grid instead")
     p.add_argument("--case", help="case file the scenarios reference")

@@ -413,18 +413,6 @@ def study_118_suite(case_path: str, seed: int = 2018,
     )
 
 
-def study_rts96_suite(case_path: str, seed: int = 2018) -> list[ScenarioConfig]:
-    """The 73-bus study grid: 40 fluctuation-only scenarios plus 40 attacks
-    (targets 62 and 99, 10% load shift, l1 budgets 1..10)."""
-    return _grid(
-        case_path, seed, (),
-        targets=(62, 99),
-        shifts=(0.10,),
-        budgets=tuple(range(1, 11)),
-        fluct_per_dist=10,
-    )
-
-
 def outage_robustness_suite(case_path: str, outage: int,
                             seed: int = 2018) -> list[ScenarioConfig]:
     """Mini-suite per outage configuration: 40 fluctuation-only scenarios

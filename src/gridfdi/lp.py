@@ -1,17 +1,18 @@
 """Linear programs in matrix form for the dispatch and attack builders.
 
 Constraints are kept as blocks of rows, ``A x (relation) b``, with ``A`` a
-scipy CSR matrix; a builder adds each family of rows as one block.  Two
-interchangeable engines sit behind :func:`solve_lp`:
+scipy CSR matrix; a builder adds each family of rows as one block.
+:func:`solve_lp` hands the stacked blocks to scipy's HiGHS adapter unchanged.
 
-* ``simplex`` -- a self-contained two-phase dense simplex using Bland's rule
-  (deterministic, cycle-free, meant for small problems and as a reference);
-  it densifies the blocks;
-* ``highs`` -- scipy's HiGHS adapter, used by default for the case-study
-  sized problems; it receives the sparse blocks unchanged.
-
-Every optimal solution is re-checked against all constraints and bounds at
-``FEASIBILITY_TOL`` before it is returned; a violation raises
+Every optimal answer is certified before it is returned.  The primal check
+re-tests all bounds and rows at ``FEASIBILITY_TOL``.  The dual certificate
+reads the HiGHS marginals ``y`` (rows) and ``z`` (bounds) of the minimisation
+form and checks stationarity ``c = A_ub' y_ub + A_eq' y_eq + z_l + z_u``, the
+signs ``y_ub <= 0``, ``z_l >= 0``, ``z_u <= 0``, zero marginals on infinite
+bounds, and a primal-dual gap within ``FEASIBILITY_TOL``.  Residuals are
+relative: stationarity and signs to ``max(1, |c|_inf)``, the gap to
+``max(1, |objective|)``.  A primal point that passes both is optimal up to
+those tolerances, whatever produced it; a failure raises
 :class:`SolverError` rather than returning a silently wrong answer.
 """
 
@@ -23,7 +24,6 @@ import numpy as np
 from scipy import sparse
 
 FEASIBILITY_TOL = 1e-7
-_PIVOT_TOL = 1e-9
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -51,19 +51,17 @@ class LinearProgram:
 
     sense: str = "max"                      # "max" | "min"
     objective: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    names: list[str] = field(default_factory=list)
     lower: np.ndarray = field(default_factory=lambda: np.zeros(0))
     upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
     constraints: list[Constraint] = field(default_factory=list)
 
     @property
     def n_var(self):
-        return len(self.names)
+        return self.lower.size
 
-    def add_variables(self, prefix: str, count: int, lower=-np.inf, upper=np.inf):
+    def add_variables(self, count: int, lower=-np.inf, upper=np.inf):
         """Append ``count`` variables; returns their index slice."""
         start = self.n_var
-        self.names.extend(f"{prefix}{i}" for i in range(count))
         self.lower = np.concatenate([self.lower, np.full(count, float(lower))])
         self.upper = np.concatenate([self.upper, np.full(count, float(upper))])
         self.objective = np.concatenate([self.objective, np.zeros(count)])
@@ -128,27 +126,43 @@ class LpSolution:
     objective_value: float | None
 
 
-def solve_lp(lp: LinearProgram, engine: str = "auto") -> LpSolution:
-    """Solve an LP; deterministic for identical input and engine."""
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve an LP with HiGHS and certify an optimal answer; deterministic
+    for identical input."""
+    # Looked up at call time, so a wrapper installed on scipy.optimize is used.
+    from scipy.optimize import linprog
+
     lp.validate()
-    if engine == "auto":
-        engine = "highs"
-    if engine == "highs":
-        sol = _solve_highs(lp)
-    elif engine == "simplex":
-        sol = _solve_simplex(lp)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    if sol.status == OPTIMAL:
-        _check_solution(lp, sol)
-    return sol
+    sign = -1.0 if lp.sense == "max" else 1.0
+    c = sign * lp.objective
+    a_ub, b_ub, a_eq, b_eq = lp.matrix_form()
+    res = linprog(
+        c=c,
+        A_ub=a_ub if a_ub.shape[0] else None,
+        b_ub=b_ub if a_ub.shape[0] else None,
+        A_eq=a_eq if a_eq.shape[0] else None,
+        b_eq=b_eq if a_eq.shape[0] else None,
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs",
+    )
+    if res.status == 2:
+        return LpSolution(INFEASIBLE, None, None)
+    if res.status == 3:
+        return LpSolution(UNBOUNDED, None, None)
+    if res.status != 0:
+        raise SolverError(f"HiGHS failed: status {res.status} ({res.message})")
+    x = np.asarray(res.x, dtype=float)
+    obj = float(c @ x)
+    if abs(obj - res.fun) > FEASIBILITY_TOL * max(1.0, abs(obj)):
+        raise SolverError("objective value inconsistent with solution vector")
+    _check_primal(lp, x, a_ub, b_ub, a_eq, b_eq)
+    _check_dual(lp, c, obj, res, a_ub, b_ub, a_eq, b_eq)
+    return LpSolution(OPTIMAL, x, float(sign * res.fun))
 
 
-def _check_solution(lp: LinearProgram, sol: LpSolution):
-    x = sol.values
+def _check_primal(lp, x, a_ub, b_ub, a_eq, b_eq):
     if np.any(x < lp.lower - FEASIBILITY_TOL) or np.any(x > lp.upper + FEASIBILITY_TOL):
         raise SolverError("solution violates variable bounds")
-    a_ub, b_ub, a_eq, b_eq = lp.matrix_form()
     excess = a_ub @ x - b_ub
     if excess.size and excess.max() > FEASIBILITY_TOL:
         i = int(np.argmax(excess))
@@ -157,197 +171,36 @@ def _check_solution(lp: LinearProgram, sol: LpSolution):
     if off.size and np.abs(off).max() > FEASIBILITY_TOL:
         i = int(np.argmax(np.abs(off)))
         raise SolverError(f"row {i} of A_eq (=) off by {off[i]:.3e}")
-    obj = float(lp.objective @ x)
-    if abs(obj - sol.objective_value) > FEASIBILITY_TOL * max(1.0, abs(obj)):
-        raise SolverError("objective value inconsistent with solution vector")
 
 
-# --- scipy/HiGHS adapter -----------------------------------------------------
+def _check_dual(lp, c, obj, res, a_ub, b_ub, a_eq, b_eq):
+    """Dual certificate of ``min c x`` from the HiGHS marginals."""
+    y_ub = _marginals(res, "ineqlin", b_ub.size)
+    y_eq = _marginals(res, "eqlin", b_eq.size)
+    z_l = _marginals(res, "lower", lp.n_var)
+    z_u = _marginals(res, "upper", lp.n_var)
+    tol = FEASIBILITY_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
+
+    stationarity = c - a_ub.T @ y_ub - a_eq.T @ y_eq - z_l - z_u
+    if stationarity.size and np.abs(stationarity).max() > tol:
+        i = int(np.argmax(np.abs(stationarity)))
+        raise SolverError(f"dual stationarity off by {stationarity[i]:.3e}"
+                          f" at variable {i}")
+    for name, wrong in (("A_ub row", y_ub), ("lower bound", -z_l), ("upper bound", z_u)):
+        if wrong.size and wrong.max() > tol:
+            i = int(np.argmax(wrong))
+            raise SolverError(f"{name} {i} marginal has the wrong sign ({wrong[i]:.3e})")
+    lo, hi = np.isfinite(lp.lower), np.isfinite(lp.upper)
+    if np.any(np.abs(z_l[~lo]) > tol) or np.any(np.abs(z_u[~hi]) > tol):
+        raise SolverError("nonzero marginal on an infinite bound")
+
+    dual = b_ub @ y_ub + b_eq @ y_eq + lp.lower[lo] @ z_l[lo] + lp.upper[hi] @ z_u[hi]
+    if abs(obj - dual) > FEASIBILITY_TOL * max(1.0, abs(obj)):
+        raise SolverError(f"primal-dual gap {obj - dual:.3e} at objective {obj:.6g}")
 
 
-def _solve_highs(lp: LinearProgram) -> LpSolution:
-    from scipy.optimize import linprog
-
-    sign = -1.0 if lp.sense == "max" else 1.0
-    a_ub, b_ub, a_eq, b_eq = lp.matrix_form()
-    res = linprog(
-        c=sign * lp.objective,
-        A_ub=a_ub if a_ub.shape[0] else None,
-        b_ub=b_ub if a_ub.shape[0] else None,
-        A_eq=a_eq if a_eq.shape[0] else None,
-        b_eq=b_eq if a_eq.shape[0] else None,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-    )
-    if res.status == 0:
-        return LpSolution(OPTIMAL, np.asarray(res.x), float(sign * res.fun))
-    if res.status == 2:
-        return LpSolution(INFEASIBLE, None, None)
-    if res.status == 3:
-        return LpSolution(UNBOUNDED, None, None)
-    raise SolverError(f"HiGHS failed: status {res.status} ({res.message})")
-
-
-# --- built-in dense simplex --------------------------------------------------
-#
-# Variables are shifted/flipped/split to nonnegative form, x = base + S u,
-# finite upper bounds become rows, and the resulting
-#     min c.x  s.t.  A x {<=,=} b,  x >= 0
-# is solved by a two-phase tableau simplex on the densified blocks.  Bland's
-# rule (lowest eligible index enters, lowest basic index leaves on ties) makes
-# every pivot sequence deterministic and cycling impossible.
-
-
-def _solve_simplex(lp: LinearProgram) -> LpSolution:
-    n = lp.n_var
-    sign = -1.0 if lp.sense == "max" else 1.0
-    c_orig = sign * lp.objective
-
-    # Nonnegative substitution per variable, x = base + S u: u = x - lo
-    # (capped at hi - lo when hi is finite), u = hi - x, or x = u+ - u-.
-    base = np.zeros(n)
-    cols = []            # columns of S, one per u
-    caps = []            # (u index, hi - lo) per finite cap
-    for j in range(n):
-        lo, hi = lp.lower[j], lp.upper[j]
-        e = np.zeros(n)
-        e[j] = 1.0
-        if np.isfinite(lo):
-            base[j] = lo
-            if np.isfinite(hi):
-                caps.append((len(cols), hi - lo))
-            cols.append(e)
-        elif np.isfinite(hi):
-            base[j] = hi
-            cols.append(-e)
-        else:
-            cols += [e, -e]
-    s = np.column_stack(cols)
-    cap_cols = [k for k, _ in caps]
-
-    a_ub, b_ub, a_eq, b_eq = lp.matrix_form()
-    a = np.vstack([a_ub.toarray(), a_eq.toarray()])
-    rows = np.vstack([a @ s, np.eye(s.shape[1])[cap_cols]])
-    rels = [LE] * a_ub.shape[0] + [EQ] * a_eq.shape[0] + [LE] * len(caps)
-    rhs = np.concatenate([np.concatenate([b_ub, b_eq]) - a @ base,
-                          [cap for _, cap in caps]])
-
-    status, u = _two_phase(rows, rels, rhs, c_orig @ s)
-    if status != OPTIMAL:
-        return LpSolution(status, None, None)
-
-    x = base + s @ u
-    obj = float(c_orig @ x)
-    return LpSolution(OPTIMAL, x, sign * obj if lp.sense == "max" else obj)
-
-
-def _two_phase(a, rels, b, c):
-    m, n = a.shape
-    a = a.copy()
-    b = b.copy()
-    rels = list(rels)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] *= -1.0
-            b[i] *= -1.0
-            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
-
-    slack_cols = sum(1 for r in rels if r in (LE, GE))
-    art_cols = sum(1 for r in rels if r in (EQ, GE))
-    total = n + slack_cols + art_cols
-    t = np.zeros((m, total + 1))
-    t[:, :n] = a
-    t[:, -1] = b
-
-    basis = np.empty(m, dtype=int)
-    s_at, a_at = n, n + slack_cols
-    artificials = []
-    for i, rel in enumerate(rels):
-        if rel == LE:
-            t[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif rel == GE:
-            t[i, s_at] = -1.0
-            s_at += 1
-            t[i, a_at] = 1.0
-            basis[i] = a_at
-            artificials.append(a_at)
-            a_at += 1
-        else:
-            t[i, a_at] = 1.0
-            basis[i] = a_at
-            artificials.append(a_at)
-            a_at += 1
-
-    if artificials:
-        phase1 = np.zeros(total)
-        phase1[artificials] = 1.0
-        value = _run_simplex(t, basis, phase1, allow_cols=total)
-        if value > FEASIBILITY_TOL:
-            return INFEASIBLE, None
-        _expel_artificials(t, basis, n + slack_cols)
-
-    full_c = np.zeros(total)
-    full_c[:n] = c
-    value = _run_simplex(t, basis, full_c, allow_cols=n + slack_cols)
-    if value is None:
-        return UNBOUNDED, None
-    x = np.zeros(total)
-    x[basis] = t[:, -1]
-    return OPTIMAL, x[:n]
-
-
-def _run_simplex(t, basis, c, allow_cols):
-    """Bland-rule simplex on tableau ``t``; returns objective or None (unbounded)."""
-    m = t.shape[0]
-    max_iter = 2000 + 200 * (m + allow_cols)
-    for _ in range(max_iter):
-        # Reduced costs for the current basis.
-        y = c[basis]
-        reduced = c[:allow_cols] - y @ t[:, :allow_cols]
-        entering = -1
-        for j in range(allow_cols):
-            if reduced[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return float(y @ t[:, -1])
-        col = t[:, entering]
-        best, leave = np.inf, -1
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = t[i, -1] / col[i]
-                if ratio < best - _PIVOT_TOL or (
-                    abs(ratio - best) <= _PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best, leave = ratio, i
-        if leave < 0:
-            return None
-        _pivot(t, leave, entering)
-        basis[leave] = entering
-    raise SolverError("simplex iteration limit exceeded")
-
-
-def _expel_artificials(t, basis, real_cols):
-    """Pivot zero-level artificial variables out of the basis when possible."""
-    m = t.shape[0]
-    for i in range(m):
-        if basis[i] >= real_cols:
-            pivot_col = -1
-            for j in range(real_cols):
-                if abs(t[i, j]) > _PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(t, i, pivot_col)
-                basis[i] = pivot_col
-            # else: redundant row, the artificial stays basic at zero level
-
-
-def _pivot(t, row, col):
-    t[row] /= t[row, col]
-    for i in range(t.shape[0]):
-        if i != row and abs(t[i, col]) > 0:
-            t[i] -= t[i, col] * t[row]
+def _marginals(res, name, size):
+    y = getattr(getattr(res, name, None), "marginals", None)
+    if y is None or np.shape(y) != (size,):
+        raise SolverError(f"HiGHS returned no {name} marginals of length {size}")
+    return np.asarray(y, dtype=float)

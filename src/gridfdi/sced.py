@@ -52,7 +52,7 @@ def _dispatch_lp(net, ptdf, d_pu, enforce_limits=True, soft_penalty=None,
     gens = net.generators
     base = net.base_mva
     problem = lp.LinearProgram(sense="min")
-    gs = problem.add_variables("p", len(gens))
+    gs = problem.add_variables(len(gens))
     problem.lower[gs] = np.array([g.p_min for g in gens]) / base
     problem.upper[gs] = np.array([g.p_max for g in gens]) / base
     if limit_costs:
@@ -60,7 +60,7 @@ def _dispatch_lp(net, ptdf, d_pu, enforce_limits=True, soft_penalty=None,
 
     vs = None
     if enforce_limits and soft_penalty is not None:
-        vs = problem.add_variables("v", ptdf.n_branches, lower=0.0)
+        vs = problem.add_variables(ptdf.n_branches, lower=0.0)
         problem.objective[vs] = soft_penalty * base
 
     balance = np.zeros((1, problem.n_var))

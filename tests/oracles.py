@@ -2,9 +2,10 @@
 
 The LP oracle enumerates basic feasible points directly from the constraint
 geometry (equalities always active, every choice of remaining active
-inequalities), so it shares no code path with either solver engine.
+inequalities), so it shares no code path with the HiGHS solver.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -39,23 +40,40 @@ def enumerate_vertices(problem: lp.LinearProgram):
 
     n_free = n - len(eq_rows)
     candidates = []
-    for picks in itertools.combinations(range(len(ineq_rows)), n_free):
-        a = np.array(eq_rows + [ineq_rows[i] for i in picks])
-        b = np.array(eq_rhs + [ineq_rhs[i] for i in picks])
-        if a.shape[0] != n:
-            break
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            continue
+    if n_free < 0:   # more equalities than variables: at most one point
+        x = np.linalg.lstsq(np.array(eq_rows), np.array(eq_rhs), rcond=None)[0]
         if _feasible(problem, x):
             candidates.append(x)
+    else:
+        for picks in itertools.combinations(range(len(ineq_rows)), n_free):
+            a = np.array(eq_rows + [ineq_rows[i] for i in picks])
+            b = np.array(eq_rhs + [ineq_rhs[i] for i in picks])
+            try:
+                x = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                continue
+            if _feasible(problem, x):
+                candidates.append(x)
 
     if not candidates:
         return None, None
     objs = [float(problem.objective @ x) for x in candidates]
     best = int(np.argmax(objs)) if problem.sense == "max" else int(np.argmin(objs))
     return candidates[best], objs[best]
+
+
+def boxed_vertex_verdict(problem: lp.LinearProgram, box: float = 1e3):
+    """(status, objective) from vertex enumeration with every bound clipped
+    to +-box: no feasible vertex means infeasible, a best vertex on the box
+    means unbounded, anything else is the optimum."""
+    boxed = dataclasses.replace(problem, lower=np.clip(problem.lower, -box, box),
+                                upper=np.clip(problem.upper, -box, box))
+    x, best = enumerate_vertices(boxed)
+    if x is None:
+        return lp.INFEASIBLE, None
+    if np.any(np.abs(x) >= box - 1e-6):
+        return lp.UNBOUNDED, None
+    return lp.OPTIMAL, best
 
 
 def _feasible(problem, x):
@@ -78,7 +96,7 @@ def random_bounded_lp(rng, n_var=None, n_con=None):
     n = n_var or int(rng.integers(2, 7))
     m = n_con or int(rng.integers(1, 7))
     problem = lp.LinearProgram(sense="max")
-    problem.add_variables("x", n, lower=0.0, upper=float(rng.uniform(0.5, 3.0)))
+    problem.add_variables(n, lower=0.0, upper=float(rng.uniform(0.5, 3.0)))
     problem.objective[:] = rng.uniform(-1.0, 1.0, n)
     for _ in range(m):
         row = rng.uniform(-1.0, 1.0, n)
@@ -128,7 +146,7 @@ def dispatch_lp_rows(net, ptdf, d_pu, soft_penalty=None):
     gens = net.generators
     base = net.base_mva
     problem = lp.LinearProgram(sense="min")
-    gs = problem.add_variables("p", len(gens))
+    gs = problem.add_variables(len(gens))
     for i, g in enumerate(gens):
         problem.lower[gs][i] = g.p_min / base
         problem.upper[gs][i] = g.p_max / base
@@ -136,7 +154,7 @@ def dispatch_lp_rows(net, ptdf, d_pu, soft_penalty=None):
 
     vs = None
     if soft_penalty is not None:
-        vs = problem.add_variables("v", ptdf.n_branches, lower=0.0)
+        vs = problem.add_variables(ptdf.n_branches, lower=0.0)
         problem.objective[vs] = soft_penalty * base
 
     balance = np.zeros(problem.n_var)
@@ -169,9 +187,9 @@ def attack_lp_rows(net, spec):
     sgn = float(np.sign(spec.target_flow(net)))
 
     problem = lp.LinearProgram(sense="max")
-    cs = problem.add_variables("c", n)
-    ss = problem.add_variables("s", n, lower=0.0)
-    dps = problem.add_variables("dp", m)
+    cs = problem.add_variables(n)
+    ss = problem.add_variables(n, lower=0.0)
+    dps = problem.add_variables(m)
     problem.fix_variable(cs.start + net.reference_bus, 0.0)
     problem.objective[dps.start + target_pos] = sgn
 

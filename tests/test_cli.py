@@ -126,13 +126,3 @@ def test_gen_scenarios_outage_grid(case118_path, tmp_path):
     suite = _read(suite_file)["scenarios"]
     assert len(suite) == 72
     assert all(s["outages"] == [71] for s in suite)
-
-
-def test_gen_scenarios_rts96_grid(case118_path, tmp_path):
-    suite_file = tmp_path / "rts.json"
-    main(["gen-scenarios", "--paper-rts96", "--case", str(case118_path),
-          "--out", str(suite_file)])
-    suite = _read(suite_file)["scenarios"]
-    assert len(suite) == 80
-    targets = {s["attack"]["target_branch"] for s in suite if s["attack"]}
-    assert targets == {62, 99}

@@ -11,7 +11,6 @@ from gridfdi.harness import (
     gen_fluctuation,
     outage_robustness_suite,
     study_118_suite,
-    study_rts96_suite,
     run_experiment,
     run_scenario,
     run_timeline,
@@ -169,11 +168,6 @@ def test_suite_shapes(case118_path):
     )
     assert len({c.group for c in full}) == 8
     assert len({tuple(c.seed) for c in full}) == 240
-
-    rts = study_rts96_suite(case118_path)
-    assert len(rts) == 80
-    assert {c.attack_params.target_branch
-            for c in rts if c.mode == "attack"} == {62, 99}
 
     mini = outage_robustness_suite(case118_path, 71)
     assert len(mini) == 72

@@ -1,94 +1,86 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from gridfdi import lp
 
-from oracles import enumerate_vertices, random_bounded_lp
-
-ENGINES = ("highs", "simplex")
+from oracles import boxed_vertex_verdict, enumerate_vertices, random_bounded_lp
 
 
 def _single_var():
     p = lp.LinearProgram(sense="max")
-    p.add_variables("x", 1, lower=0.0, upper=1.0)
+    p.add_variables(1, lower=0.0, upper=1.0)
     p.objective[:] = [1.0]
     return p
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_single_bound(engine):
-    sol = lp.solve_lp(_single_var(), engine=engine)
+def test_single_bound():
+    sol = lp.solve_lp(_single_var())
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
     assert sol.values[0] == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_simplex_on_triangle(engine):
+def test_simplex_on_triangle():
     p = lp.LinearProgram(sense="max")
-    p.add_variables("x", 2, lower=0.0)
+    p.add_variables(2, lower=0.0)
     p.objective[:] = [1.0, 1.0]
     p.add_constraint([1.0, 1.0], lp.LE, 1.0)
-    sol = lp.solve_lp(p, engine=engine)
+    sol = lp.solve_lp(p)
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_infeasible(engine):
+def test_infeasible():
     p = lp.LinearProgram(sense="max")
-    p.add_variables("x", 1)
+    p.add_variables(1)
     p.objective[:] = [1.0]
     p.add_constraint([1.0], lp.GE, 2.0)
     p.add_constraint([1.0], lp.LE, 1.0)
-    sol = lp.solve_lp(p, engine=engine)
+    sol = lp.solve_lp(p)
     assert sol.status == lp.INFEASIBLE
     assert sol.values is None
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_unbounded(engine):
+def test_unbounded():
     p = lp.LinearProgram(sense="max")
-    p.add_variables("x", 1, lower=0.0)
+    p.add_variables(1, lower=0.0)
     p.objective[:] = [1.0]
-    sol = lp.solve_lp(p, engine=engine)
+    sol = lp.solve_lp(p)
     assert sol.status == lp.UNBOUNDED
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_equality_and_negative_bounds(engine):
+def test_equality_and_negative_bounds():
     # min x + y st x + y = 1, -2 <= x <= 0.25, y free
     p = lp.LinearProgram(sense="min")
-    p.add_variables("x", 1, lower=-2.0, upper=0.25)
-    p.add_variables("y", 1)
+    p.add_variables(1, lower=-2.0, upper=0.25)
+    p.add_variables(1)
     p.objective[:] = [2.0, 1.0]
     p.add_constraint([1.0, 1.0], lp.EQ, 1.0)
-    sol = lp.solve_lp(p, engine=engine)
+    sol = lp.solve_lp(p)
     assert sol.status == lp.OPTIMAL
     # cheapest: push expensive x to its lower bound
     assert sol.values[0] == pytest.approx(-2.0, abs=1e-9)
     assert sol.values[1] == pytest.approx(3.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_fixed_variable(engine):
+def test_fixed_variable():
     p = lp.LinearProgram(sense="max")
-    p.add_variables("x", 2, lower=0.0, upper=5.0)
+    p.add_variables(2, lower=0.0, upper=5.0)
     p.fix_variable(0, 2.0)
     p.objective[:] = [1.0, 1.0]
     p.add_constraint([1.0, 1.0], lp.LE, 4.0)
-    sol = lp.solve_lp(p, engine=engine)
+    sol = lp.solve_lp(p)
     assert sol.values[0] == pytest.approx(2.0, abs=1e-9)
     assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_matches_vertex_enumeration(engine, rng):
+def test_matches_vertex_enumeration(rng):
     for _ in range(25):
         p = random_bounded_lp(rng)
         _, best = enumerate_vertices(p)
         assert best is not None
-        sol = lp.solve_lp(p, engine=engine)
+        sol = lp.solve_lp(p)
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(best, abs=1e-6)
 
@@ -107,18 +99,17 @@ def test_relaxation_monotonicity(rng):
         assert wider >= relaxed - 1e-9
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_deterministic(engine, rng):
+def test_deterministic(rng):
     p = random_bounded_lp(rng, n_var=5, n_con=5)
-    a = lp.solve_lp(p, engine=engine)
-    b = lp.solve_lp(p, engine=engine)
+    a = lp.solve_lp(p)
+    b = lp.solve_lp(p)
     assert np.array_equal(a.values, b.values)
     assert a.objective_value == b.objective_value
 
 
 def test_validation_errors():
     p = lp.LinearProgram(sense="max")
-    p.add_variables("x", 2)
+    p.add_variables(2)
     with pytest.raises(ValueError):
         p.add_constraint([1.0, 0.0], "<", 1.0)
     p.add_constraint([1.0], lp.LE, 1.0)   # wrong width caught at validate
@@ -126,23 +117,23 @@ def test_validation_errors():
         p.validate()
 
     q = lp.LinearProgram(sense="max")
-    q.add_variables("x", 1, lower=2.0, upper=1.0)
+    q.add_variables(1, lower=2.0, upper=1.0)
     with pytest.raises(ValueError):
         q.validate()
 
     r = lp.LinearProgram(sense="upward")
-    r.add_variables("x", 1)
+    r.add_variables(1)
     with pytest.raises(ValueError):
         r.validate()
 
 
-def test_engines_agree_on_mixed_structures():
+def test_mixed_structures_match_boxed_vertex_enumeration():
     # free / one-sided / fixed variables with <=, >=, = rows in all senses
     rng = np.random.default_rng(777)
     for _ in range(60):
         n = int(rng.integers(1, 7))
         p = lp.LinearProgram(sense="max" if rng.random() < 0.5 else "min")
-        p.add_variables("x", n)
+        p.add_variables(n)
         for j in range(n):
             kind = rng.integers(0, 5)
             if kind == 1:
@@ -158,20 +149,76 @@ def test_engines_agree_on_mixed_structures():
         for _ in range(int(rng.integers(1, 6))):
             rel = (lp.LE, lp.GE, lp.EQ)[rng.integers(0, 3)]
             p.add_constraint(rng.uniform(-1, 1, n), rel, float(rng.uniform(-1, 2)))
-        a = lp.solve_lp(p, engine="highs")
-        b = lp.solve_lp(p, engine="simplex")
-        assert a.status == b.status
-        if a.status == lp.OPTIMAL:
-            assert b.objective_value == pytest.approx(a.objective_value, abs=1e-6)
+        status, best = boxed_vertex_verdict(p)
+        sol = lp.solve_lp(p)
+        assert sol.status == status
+        if status == lp.OPTIMAL:
+            assert sol.objective_value == pytest.approx(best, abs=1e-6)
+
+
+def _fake_linprog(monkeypatch, edit):
+    """Route solve_lp through the real HiGHS call, then let ``edit`` change
+    the returned result."""
+    real = scipy.optimize.linprog
+
+    def fake(*args, **kwargs):
+        res = real(*args, **kwargs)
+        edit(res)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", fake)
 
 
 def test_solution_audit_catches_bad_engine(monkeypatch):
     p = _single_var()
     p.add_constraint([1.0], lp.LE, 0.5)
 
-    def fake(problem):
-        return lp.LpSolution(lp.OPTIMAL, np.array([1.0]), 1.0)
+    def infeasible_x(res):
+        res.x, res.fun = np.array([1.0]), -1.0
 
-    monkeypatch.setattr(lp, "_solve_highs", fake)
-    with pytest.raises(lp.SolverError):
-        lp.solve_lp(p, engine="highs")
+    _fake_linprog(monkeypatch, infeasible_x)
+    with pytest.raises(lp.SolverError, match="A_ub"):
+        lp.solve_lp(p)
+
+
+def test_certificate_rejects_feasible_non_optimal_point(monkeypatch):
+    # max x + y st x + y <= 1: (0.25, 0.25) is feasible, its objective is
+    # consistent, the optimal marginals are stationary and correctly signed;
+    # only the primal-dual gap of 0.5 shows that it is not optimal.
+    p = lp.LinearProgram(sense="max")
+    p.add_variables(2, lower=0.0)
+    p.objective[:] = [1.0, 1.0]
+    p.add_constraint([1.0, 1.0], lp.LE, 1.0)
+
+    def worse_x(res):
+        res.x, res.fun = np.array([0.25, 0.25]), -0.5
+
+    _fake_linprog(monkeypatch, worse_x)
+    with pytest.raises(lp.SolverError, match="gap"):
+        lp.solve_lp(p)
+
+
+@pytest.mark.parametrize("y_ub, z_l, z_u, message", [
+    (0.0, 0.5, 0.0, "stationarity"),     # 1 + y_ub - z_l - z_u = 0.5
+    (1.0, 2.0, 0.0, "wrong sign"),       # row marginal > 0
+    (-2.0, -1.0, 0.0, "wrong sign"),     # lower-bound marginal < 0
+    (0.0, 2.0, -1.0, "infinite bound"),  # marginal on x <= inf
+], ids=["stationarity", "row", "lower", "infinite-upper"])
+def test_certificate_rejects_bad_marginal(monkeypatch, y_ub, z_l, z_u, message):
+    # min x st x >= 0 as a row and as a bound: optimum x = 0, objective 0.
+    # Every edited marginal set has a zero gap; all but the first stay
+    # stationary (1 + y_ub - z_l - z_u = 0), so only one check can fail.
+    p = lp.LinearProgram(sense="min")
+    p.add_variables(1, lower=0.0)
+    p.objective[:] = [1.0]
+    p.add_constraint([1.0], lp.GE, 0.0)
+
+    def bad_marginals(res):
+        res.ineqlin.marginals = np.array([y_ub])
+        res.lower.marginals = np.array([z_l])
+        res.upper.marginals = np.array([z_u])
+
+    assert lp.solve_lp(p).objective_value == pytest.approx(0.0, abs=1e-12)
+    _fake_linprog(monkeypatch, bad_marginals)
+    with pytest.raises(lp.SolverError, match=message):
+        lp.solve_lp(p)
