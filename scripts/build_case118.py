@@ -10,8 +10,12 @@ terms, so this script synthesizes both:
     stay in service; the 35 synchronous condensers are marked status 0.
     Linear costs follow unit size (largest unit cheapest) for a well-defined
     merit order.
-  * Thermal limits come from an unconstrained merit-order dispatch of this
-    package's own SCED: every branch gets headroom over its base flow except
+  * Thermal limits come from a merit-order dispatch of this package's own
+    SCED on a copy of the case rated 9,900 MW per branch.  No such rating
+    can bind: every |PTDF| entry is at most 1, so a branch carries at most
+    the sum of all |injections|, generation plus load, 2 x 4,242 = 8,484 MW;
+    the dispatch is therefore the unconstrained one, and the script stops if
+    any branch binds.  Every branch gets headroom over its base flow except
     a small set of deliberately congested corridors (branches 111 and 118
     among them) that are rated just below their unconstrained flow.
 
@@ -248,14 +252,16 @@ def case_text(limits_mw):
 
 
 def calibrated_limits(tmp_path):
-    """Rate every branch from the unconstrained merit-order dispatch."""
+    """Rate every branch from the merit-order dispatch of the
+    placeholder-rated case, where no limit binds."""
     from gridfdi.cases import load_case
-    from gridfdi.powerflow import compute_ptdf
     from gridfdi.sced import run_sced
 
     net = load_case(tmp_path)
-    ptdf = compute_ptdf(net)
-    dispatch = run_sced(net, net.load_mw, ptdf=ptdf, enforce_limits=False)
+    dispatch = run_sced(net, net.load_mw)
+    if dispatch.binding_branches:
+        raise SystemExit("placeholder ratings bind on branches"
+                         f" {dispatch.binding_branches}")
     base = abs(dispatch.scheduled_flows) * net.base_mva
 
     limits = []

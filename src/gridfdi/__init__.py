@@ -25,7 +25,6 @@ from .detect import (
     AlertLevel,
     DetectionReport,
     Snapshot,
-    combine_alert,
     run_two_stage,
     smldi,
 )

@@ -66,9 +66,6 @@ class RawCase:
     gen_rows: list[list[float]]
     gencost_rows: list[list[float]]
 
-    def counts(self):
-        return len(self.bus_rows), len(self.branch_rows), len(self.gen_rows)
-
 
 @dataclass(frozen=True)
 class Bus:
@@ -125,8 +122,9 @@ class Network:
 
     @cached_property
     def operators(self) -> dict:
-        """Per-topology operators other modules derive from this network,
-        keyed by the module that builds them."""
+        """Per-topology operators derived from this network, each built on
+        first use: ``"topology"`` and ``"ptdf"`` (powerflow), ``"wls"``
+        (estimation) and ``"base_dispatch"`` (harness)."""
         return {}
 
     @property
@@ -387,21 +385,3 @@ def load_case(path, outages: tuple[int, ...] = ()) -> Network:
         raw = parse_matpower(fh.read())
     return validate_case(raw, tuple(outages))
 
-
-def serialize_case(raw: RawCase, name: str = "case") -> str:
-    """Emit case text that parses back to value-identical numeric rows."""
-    lines = [f"function mpc = {name}", "mpc.version = '2';",
-             f"mpc.baseMVA = {raw.base_mva!r};"]
-    for block, rows in (
-        ("bus", raw.bus_rows),
-        ("gen", raw.gen_rows),
-        ("branch", raw.branch_rows),
-        ("gencost", raw.gencost_rows),
-    ):
-        if block == "gencost" and not rows:
-            continue
-        lines.append(f"mpc.{block} = [")
-        for row in rows:
-            lines.append("\t" + "\t".join(repr(v) for v in row) + ";")
-        lines.append("];")
-    return "\n".join(lines) + "\n"

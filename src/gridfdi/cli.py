@@ -203,19 +203,6 @@ def _cmd_detect(args):
     _write_json(args.out, payload)
 
 
-def snapshot_to_dict(config: ScenarioConfig, snap: Snapshot) -> dict:
-    return {
-        "case": config.case_path,
-        "outages": list(config.outages),
-        "top_n": config.top_n,
-        "prev_flows": snap.prev_flows,
-        "prev_loads": snap.prev_loads,
-        "measured_flows": snap.measured_flows,
-        "measured_loads": snap.measured_loads,
-        "sced_flows": snap.sced_flows,
-    }
-
-
 def _config_to_dict(c: ScenarioConfig) -> dict:
     return {
         "case": c.case_path,
@@ -375,10 +362,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("gen-scenarios", help="emit a canonical scenario grid")
-    p.add_argument("--paper-118", action="store_true",
-                   help="the 240-scenario 118-bus study grid (the default)")
     p.add_argument("--outage", type=int,
-                   help="emit the outage robustness mini-grid instead")
+                   help="emit the outage robustness mini-grid instead of the"
+                   " 240-scenario 118-bus study grid")
     p.add_argument("--case", help="case file the scenarios reference")
     p.add_argument("--seed", type=int, default=2018)
     p.add_argument("--out", required=True)

@@ -53,31 +53,14 @@ COMBINED_ALERT = (
     (_W, _W, _D, _D),
 )
 
-
-def combine_alert(flow_level: AlertLevel, load_level: AlertLevel) -> AlertLevel:
-    """Single comprehensive level from the flow-risk and load-deviation levels."""
-    return COMBINED_ALERT[int(flow_level)][int(load_level)]
-
-
 _LEVELS = tuple(AlertLevel)
 _COMBINED_INDEX = np.array(COMBINED_ALERT, dtype=int)
 
 
 def _levels(values: np.ndarray, thresholds) -> np.ndarray:
     """Alert level index per value: the number of (ascending) thresholds it
-    strictly exceeds, the vector form of :func:`_level`."""
+    strictly exceeds."""
     return (np.asarray(values)[:, None] > np.asarray(thresholds)).sum(axis=1)
-
-
-def _level(value: float, thresholds) -> AlertLevel:
-    lo, mid, hi = thresholds
-    if value > hi:
-        return AlertLevel.DANGER
-    if value > mid:
-        return AlertLevel.WARNING
-    if value > lo:
-        return AlertLevel.MONITOR
-    return AlertLevel.NORMAL
 
 
 @dataclass(frozen=True)
@@ -223,7 +206,7 @@ def smldi(mldi_values: np.ndarray, eligible: np.ndarray, top_n: int = TOP_N):
     order = np.lexsort((idx, -values))
     pool = values[order[: min(top_n, len(idx))]]
     value = float(pool.mean())
-    return value, _level(value, INDEX_THRESHOLDS)
+    return value, _LEVELS[_levels([value], INDEX_THRESHOLDS)[0]]
 
 
 def cai_ranking(emldi_values: np.ndarray, bori_values: np.ndarray,

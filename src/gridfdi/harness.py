@@ -14,7 +14,7 @@ score plus detection and identification counts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,26 +107,28 @@ class TimelineResult:
 
 
 class NetworkCache:
-    """Per-(case, outages) network and sensitivity reuse across scenarios."""
+    """Per-(case, outages) network reuse across scenarios; each network keeps
+    its own operators, the PTDF among them."""
 
     def __init__(self):
-        self._entries: dict = {}
+        self._nets: dict = {}
 
     def get(self, case_path: str, outages: tuple[int, ...]):
+        """``(network, its PTDF)``, loading the case on first use."""
         key = (str(case_path), tuple(outages))
-        if key not in self._entries:
-            net = load_case(case_path, outages)
-            self._entries[key] = (net, compute_ptdf(net))
-        return self._entries[key]
+        net = self._nets.get(key)
+        if net is None:
+            net = self._nets[key] = load_case(case_path, outages)
+        return net, compute_ptdf(net)
 
 
-def _base_dispatch(net: Network, ptdf) -> Dispatch:
+def _base_dispatch(net: Network) -> Dispatch:
     """Interval-1 dispatch on the case loads.  It depends on the network
     alone, so it is solved once per instance, kept in ``net.operators`` and
     shared read-only by every timeline on that network."""
     dispatch = net.operators.get("base_dispatch")
     if dispatch is None:
-        dispatch = run_sced(net, net.load_mw, ptdf=ptdf, soft_limits=True)
+        dispatch = run_sced(net, net.load_mw, soft_limits=True)
         for arr in (dispatch.gen_output, dispatch.scheduled_flows,
                     dispatch.violations_mw):
             arr.setflags(write=False)
@@ -157,7 +159,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
 
     # Interval 1: trusted loads, dispatch, actual flows.
     loads_prev = net.load_mw
-    dispatch_prev = _base_dispatch(net, ptdf)
+    dispatch_prev = _base_dispatch(net)
     gen_prev = _gen_by_bus(net, dispatch_prev)
 
     # Loads drift into interval 2; the old dispatch rides through, imbalance
@@ -199,7 +201,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
     measured_loads = _loads_from_measurements(net, meas, gen_prev)
 
     # Interval 2 dispatch runs on the estimated picture.
-    dispatch_next = run_sced(net, measured_loads, ptdf=ptdf, soft_limits=True)
+    dispatch_next = run_sced(net, measured_loads, soft_limits=True)
     gen_next = _gen_by_bus(net, dispatch_next)
 
     # Ground truth: the new dispatch against the *real* loads.
@@ -333,8 +335,7 @@ def run_scenario(config: ScenarioConfig, cache: NetworkCache | None = None) -> S
     )
 
 
-def run_experiment(suite, cache: NetworkCache | None = None,
-                   keep_reports: bool = True) -> ExperimentReport:
+def run_experiment(suite, cache: NetworkCache | None = None) -> ExperimentReport:
     """Run every scenario (failures recorded, not fatal) and aggregate per
     group; the outcome order follows the suite order regardless of how the
     scenarios were executed."""
@@ -350,8 +351,6 @@ def run_experiment(suite, cache: NetworkCache | None = None,
                 target_cai_top=None, target_danger=None,
                 target_overload_mw=None, error=f"{type(exc).__name__}: {exc}",
             )
-        if not keep_reports and outcome.report is not None:
-            outcome = replace(outcome, report=None)
         outcomes.append(outcome)
 
     group_names = []

@@ -81,10 +81,6 @@ class LinearProgram:
             rhs=np.asarray(rhs, dtype=float),
         ))
 
-    def add_constraint(self, row, relation: str, rhs: float):
-        """Append one row ``row @ x (relation) rhs``."""
-        self.add_rows(np.atleast_2d(np.asarray(row, dtype=float)), relation, [rhs])
-
     def validate(self):
         n = self.n_var
         if self.objective.shape != (n,):

@@ -138,12 +138,21 @@ def solve_dc(net: Network, injections: np.ndarray) -> DcSolution:
 
 
 def compute_ptdf(net: Network) -> Ptdf:
-    """Transfer sensitivities of every in-service branch to every bus.
+    """The network's cached transfer sensitivities of every in-service branch
+    to every bus; the first call builds them, later calls return the same
+    read-only :class:`Ptdf`.
 
-    One LU factorization of the reduced susceptance matrix is reused for all
-    columns.  Critical sets collect the load buses whose absolute sensitivity
-    reaches ``CRITICAL_PTDF``.
+    The build reuses the topology's LU factor of reduced B for all columns.
+    Critical sets collect the load buses whose absolute sensitivity reaches
+    ``CRITICAL_PTDF``.
     """
+    ptdf = net.operators.get("ptdf")
+    if ptdf is None:
+        ptdf = net.operators["ptdf"] = _build_ptdf(net)
+    return ptdf
+
+
+def _build_ptdf(net: Network) -> Ptdf:
     topo = topology(net)
     keep = topo.keep
     # Response of non-reference angles to a unit injection at each kept bus.
@@ -154,21 +163,14 @@ def compute_ptdf(net: Network) -> Ptdf:
     load_buses = net.load_buses
     critical = np.abs(matrix[:, load_buses]) >= CRITICAL_PTDF
     nl_sizes = critical.sum(axis=1)
+    critical_sets = tuple(load_buses[row] for row in critical)
+    eligible = nl_sizes >= MIN_CRITICAL_SET
+    for arr in (matrix, nl_sizes, eligible, *critical_sets):
+        arr.setflags(write=False)
     return Ptdf(
         matrix=matrix,
         reference_bus=net.reference_bus,
-        critical_sets=tuple(load_buses[row] for row in critical),
+        critical_sets=critical_sets,
         nl_sizes=nl_sizes,
-        eligible=nl_sizes >= MIN_CRITICAL_SET,
+        eligible=eligible,
     )
-
-
-def flows_from_ptdf(ptdf: Ptdf, injections: np.ndarray) -> np.ndarray:
-    """Branch flows for a balanced injection vector via the PTDF identity."""
-    return ptdf.matrix @ np.asarray(injections, dtype=float)
-
-
-def nodal_imbalance(net: Network, injections: np.ndarray, flows: np.ndarray) -> float:
-    """Max-norm of injection minus branch-flow divergence (conservation check)."""
-    div = topology(net).incidence.T @ np.asarray(flows)
-    return float(np.max(np.abs(np.asarray(injections) - div)))

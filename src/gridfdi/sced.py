@@ -1,8 +1,8 @@
 """DC security-constrained economic dispatch.
 
 Minimizes linear generation cost subject to power balance, generator bounds
-and two-sided thermal limits on every in-service branch (flows via the PTDF
-identity).  Scheduled flows are what the detector later compares against.
+and two-sided thermal limits on every in-service branch (flows via the
+network's cached PTDF).  Scheduled flows are what the detector later compares against.
 
 With ``soft_limits`` the branch constraints become elastic at a penalty price
 far above any generation cost, the way production dispatch engines keep
@@ -20,7 +20,7 @@ from scipy import sparse
 
 from . import lp
 from .cases import Network
-from .powerflow import Ptdf, compute_ptdf
+from .powerflow import compute_ptdf
 
 BINDING_TOL = 1e-6
 VIOLATION_PENALTY = 2000.0   # $/MWh on limit violations in soft mode
@@ -43,12 +43,11 @@ class Dispatch:
     violations_mw: np.ndarray     # MW over the limit per branch; soft limits only
 
 
-def _dispatch_lp(net, ptdf, d_pu, enforce_limits=True, soft_penalty=None,
-                 limit_costs=True):
-    """The SCED LP over [p, v]: the balance row, then (with
-    ``enforce_limits``) a +- limit row pair per in-service branch,
-    ``+-(PTDF_gen p - PTDF d) - v <= limit``, the elastic ``v >= 0`` present
-    only when ``soft_penalty`` prices it."""
+def _dispatch_lp(net, d_pu, soft_penalty=None, limit_costs=True):
+    """The SCED LP over [p, v]: the balance row, then a +- limit row pair per
+    in-service branch, ``+-(PTDF_gen p - PTDF d) - v <= limit``, the elastic
+    ``v >= 0`` present only when ``soft_penalty`` prices it."""
+    ptdf = compute_ptdf(net)
     gens = net.generators
     base = net.base_mva
     problem = lp.LinearProgram(sense="min")
@@ -59,15 +58,13 @@ def _dispatch_lp(net, ptdf, d_pu, enforce_limits=True, soft_penalty=None,
         problem.objective[gs] = np.array([g.linear_cost for g in gens]) * base
 
     vs = None
-    if enforce_limits and soft_penalty is not None:
+    if soft_penalty is not None:
         vs = problem.add_variables(ptdf.n_branches, lower=0.0)
         problem.objective[vs] = soft_penalty * base
 
     balance = np.zeros((1, problem.n_var))
     balance[0, gs] = 1.0
     problem.add_rows(balance, lp.EQ, [d_pu.sum()])
-    if not enforce_limits:
-        return problem, gs, vs
 
     m = ptdf.n_branches
     sens = ptdf.matrix[:, [g.bus for g in gens]]
@@ -86,18 +83,13 @@ def _dispatch_lp(net, ptdf, d_pu, enforce_limits=True, soft_penalty=None,
     return problem, gs, vs
 
 
-def run_sced(
-    net: Network,
-    loads_mw: np.ndarray,
-    ptdf: Ptdf | None = None,
-    enforce_limits: bool = True,
-    soft_limits: bool = False,
-) -> Dispatch:
-    """Cost-minimal dispatch serving ``loads_mw`` (per bus).
+def run_sced(net: Network, loads_mw: np.ndarray,
+             soft_limits: bool = False) -> Dispatch:
+    """Cost-minimal dispatch serving ``loads_mw`` (per bus) within every
+    in-service branch limit, flows taken through the network's cached PTDF.
 
-    ``enforce_limits=False`` drops the branch constraints entirely (merit
-    order only); ``soft_limits=True`` prices violations instead of failing
-    and reports them in ``Dispatch.violations_mw``.
+    ``soft_limits=True`` prices violations instead of failing and reports
+    them in ``Dispatch.violations_mw``.
     """
     loads_mw = np.asarray(loads_mw, dtype=float)
     if loads_mw.shape != (net.n_bus,):
@@ -116,33 +108,25 @@ def run_sced(
 
     base = net.base_mva
     d_pu = loads_mw / base
-    if ptdf is None:
-        ptdf = compute_ptdf(net)
-
     problem, gs, vs = _dispatch_lp(
-        net, ptdf, d_pu, enforce_limits=enforce_limits,
-        soft_penalty=VIOLATION_PENALTY if soft_limits else None,
+        net, d_pu, soft_penalty=VIOLATION_PENALTY if soft_limits else None,
     )
     sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
-        binding = _diagnose_infeasibility(net, ptdf, d_pu) if enforce_limits else ()
         raise DispatchError(
-            f"dispatch {sol.status} for load {total_load:.1f} MW", binding=binding
+            f"dispatch {sol.status} for load {total_load:.1f} MW",
+            binding=_diagnose_infeasibility(net, d_pu),
         )
 
     p = sol.values[gs]
     inj = -d_pu.copy()
     np.add.at(inj, [g.bus for g in gens], p)
-    flows = ptdf.matrix @ inj
-
-    binding = ()
-    if enforce_limits:
-        limits = net.limits_pu()
-        binding = tuple(
-            net.in_service_branches[k].ordinal
-            for k in np.flatnonzero(np.abs(flows) >= limits - BINDING_TOL)
-        )
-    violations = np.zeros(ptdf.n_branches) if vs is None else sol.values[vs] * base
+    flows = compute_ptdf(net).matrix @ inj
+    binding = tuple(
+        net.in_service_branches[k].ordinal
+        for k in np.flatnonzero(np.abs(flows) >= net.limits_pu() - BINDING_TOL)
+    )
+    violations = np.zeros(len(flows)) if vs is None else sol.values[vs] * base
     return Dispatch(
         gen_output=p * base,
         scheduled_flows=flows,
@@ -152,10 +136,9 @@ def run_sced(
     )
 
 
-def _diagnose_infeasibility(net, ptdf, d_pu):
+def _diagnose_infeasibility(net, d_pu):
     """Re-solve with elastic limits; the stretched branches are the culprits."""
-    problem, _, vs = _dispatch_lp(net, ptdf, d_pu, soft_penalty=1.0,
-                                  limit_costs=False)
+    problem, _, vs = _dispatch_lp(net, d_pu, soft_penalty=1.0, limit_costs=False)
     try:
         sol = lp.solve_lp(problem)
     except lp.SolverError:

@@ -38,28 +38,36 @@ def enumerate_vertices(problem: lp.LinearProgram):
             ineq_rows.append(-e)
             ineq_rhs.append(-lo)
 
+    # Dependent equalities would make every square system singular; keep an
+    # independent set (a dropped row that contradicts it fails _feasible).
+    eq_rows, eq_rhs = _independent_rows(eq_rows, eq_rhs)
     n_free = n - len(eq_rows)
     candidates = []
-    if n_free < 0:   # more equalities than variables: at most one point
-        x = np.linalg.lstsq(np.array(eq_rows), np.array(eq_rhs), rcond=None)[0]
+    for picks in itertools.combinations(range(len(ineq_rows)), n_free):
+        a = np.array(eq_rows + [ineq_rows[i] for i in picks])
+        b = np.array(eq_rhs + [ineq_rhs[i] for i in picks])
+        try:
+            x = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            continue
         if _feasible(problem, x):
             candidates.append(x)
-    else:
-        for picks in itertools.combinations(range(len(ineq_rows)), n_free):
-            a = np.array(eq_rows + [ineq_rows[i] for i in picks])
-            b = np.array(eq_rhs + [ineq_rhs[i] for i in picks])
-            try:
-                x = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                continue
-            if _feasible(problem, x):
-                candidates.append(x)
 
     if not candidates:
         return None, None
     objs = [float(problem.objective @ x) for x in candidates]
     best = int(np.argmax(objs)) if problem.sense == "max" else int(np.argmin(objs))
     return candidates[best], objs[best]
+
+
+def _independent_rows(rows, rhs):
+    """Greedy rank test: keep each row that raises the rank of those kept."""
+    kept, kept_rhs = [], []
+    for row, b in zip(rows, rhs):
+        if np.linalg.matrix_rank(np.array(kept + [row])) > len(kept):
+            kept.append(row)
+            kept_rhs.append(b)
+    return kept, kept_rhs
 
 
 def boxed_vertex_verdict(problem: lp.LinearProgram, box: float = 1e3):
@@ -101,7 +109,7 @@ def random_bounded_lp(rng, n_var=None, n_con=None):
     for _ in range(m):
         row = rng.uniform(-1.0, 1.0, n)
         # keep the origin feasible so the region is never empty
-        problem.add_constraint(row, lp.LE, float(rng.uniform(0.1, 2.0)))
+        problem.add_rows([row], lp.LE, [float(rng.uniform(0.1, 2.0))])
     return problem
 
 
@@ -159,7 +167,7 @@ def dispatch_lp_rows(net, ptdf, d_pu, soft_penalty=None):
 
     balance = np.zeros(problem.n_var)
     balance[gs] = 1.0
-    problem.add_constraint(balance, lp.EQ, d_pu.sum())
+    problem.add_rows([balance], lp.EQ, [d_pu.sum()])
 
     sens = np.zeros((ptdf.n_branches, len(gens)))
     for i, g in enumerate(gens):
@@ -172,7 +180,7 @@ def dispatch_lp_rows(net, ptdf, d_pu, soft_penalty=None):
             row[gs] = sign * sens[k]
             if vs is not None:
                 row[vs.start + k] = -1.0
-            problem.add_constraint(row, lp.LE, limits[k] + sign * shift[k])
+            problem.add_rows([row], lp.LE, [limits[k] + sign * shift[k]])
     return problem, gs, vs
 
 
@@ -199,7 +207,7 @@ def attack_lp_rows(net, spec):
         row[cs.start + br.from_bus] += 1.0 / br.reactance
         row[cs.start + br.to_bus] -= 1.0 / br.reactance
         row[dps.start + k] = 1.0
-        problem.add_constraint(row, lp.EQ, 0.0)
+        problem.add_rows([row], lp.EQ, [0.0])
 
     for bus in net.buses:
         row = np.zeros(width)
@@ -210,21 +218,21 @@ def attack_lp_rows(net, spec):
                 row[dps.start + k] -= 1.0
         if bus.is_load_bus:
             bound = spec.load_shift_factor * d0_pu[bus.internal_index]
-            problem.add_constraint(row, lp.LE, bound)
-            problem.add_constraint(-row, lp.LE, bound)
+            problem.add_rows([row], lp.LE, [bound])
+            problem.add_rows([-row], lp.LE, [bound])
         else:
-            problem.add_constraint(row, lp.EQ, 0.0)
+            problem.add_rows([row], lp.EQ, [0.0])
 
     for i in range(n):
         row = np.zeros(width)
         row[cs.start + i] = -1.0
         row[ss.start + i] = -1.0
-        problem.add_constraint(row, lp.LE, 0.0)
+        problem.add_rows([row], lp.LE, [0.0])
         row = np.zeros(width)
         row[cs.start + i] = 1.0
         row[ss.start + i] = -1.0
-        problem.add_constraint(row, lp.LE, 0.0)
+        problem.add_rows([row], lp.LE, [0.0])
     budget = np.zeros(width)
     budget[ss] = 1.0
-    problem.add_constraint(budget, lp.LE, spec.l1_limit)
+    problem.add_rows([budget], lp.LE, [spec.l1_limit])
     return problem

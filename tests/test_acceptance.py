@@ -14,8 +14,8 @@ from gridfdi import bundled_case
 from gridfdi.attack import AttackSpec, build_attack_lp, solve_attack
 from gridfdi.detect import (
     AlertLevel,
+    COMBINED_ALERT,
     Snapshot,
-    combine_alert,
     mldi_all,
     emldi_all,
     smldi,
@@ -47,7 +47,7 @@ def cache():
 def suite_run(cache):
     suite = study_118_suite(bundled_case())
     start = time.monotonic()
-    report = run_experiment(suite, cache, keep_reports=True)
+    report = run_experiment(suite, cache)
     runtime = time.monotonic() - start
     attacks = [o for o in report.outcomes if o.config.mode == "attack"]
     flucts = [o for o in report.outcomes if o.config.mode == "fluctuation_only"]
@@ -90,7 +90,7 @@ def test_criterion_02_unobservability(suite_run, net118, ptdf118):
     worst_lnr = max(o.lnr_value for o in solved)
 
     # positive control: one gross random error must trip the screen
-    dispatch = run_sced(net118, net118.load_mw, ptdf=ptdf118)
+    dispatch = run_sced(net118, net118.load_mw)
     gen = np.zeros(net118.n_bus)
     for g, mw in zip(net118.generators, dispatch.gen_output):
         gen[g.bus] += mw
@@ -233,7 +233,7 @@ def test_criterion_06_combined_alert_table():
     }
     mismatches = [
         pair for pair, want in printed.items()
-        if combine_alert(*pair) != want
+        if COMBINED_ALERT[pair[0]][pair[1]] != want
     ]
     _criterion(
         6, not mismatches,
@@ -349,7 +349,7 @@ def test_criterion_12_outage_robustness(cache):
     ok = True
     for outage in (1, 71, 141):
         suite = outage_robustness_suite(bundled_case(), outage)
-        report = run_experiment(suite, cache, keep_reports=False)
+        report = run_experiment(suite, cache)
         attacks = [o for o in report.outcomes if o.config.mode == "attack"]
         flucts = [o for o in report.outcomes
                   if o.config.mode == "fluctuation_only"]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gridfdi.cli import main, snapshot_to_dict
+from gridfdi.cli import main
 from gridfdi.harness import (
     AttackParams,
     NetworkCache,
@@ -76,9 +76,14 @@ def test_detect_command_roundtrip(case118_path, tmp_path):
     )
     timeline = run_timeline(config, NetworkCache())
     snap_file = tmp_path / "snapshot.json"
+    snap = timeline.snapshot
     with open(snap_file, "w") as fh:
-        json.dump(snapshot_to_dict(config, timeline.snapshot), fh,
-                  default=lambda o: o.tolist())
+        json.dump({
+            "case": config.case_path, "outages": list(config.outages),
+            "top_n": config.top_n, "prev_flows": snap.prev_flows,
+            "prev_loads": snap.prev_loads, "measured_flows": snap.measured_flows,
+            "measured_loads": snap.measured_loads, "sced_flows": snap.sced_flows,
+        }, fh, default=lambda o: o.tolist())
     out = tmp_path / "report.json"
     main(["detect", "--snapshot", str(snap_file), "--out", str(out)])
     report = _read(out)
@@ -90,7 +95,7 @@ def test_detect_command_roundtrip(case118_path, tmp_path):
 
 def test_gen_scenarios_and_run_experiment(case118_path, tmp_path):
     suite_file = tmp_path / "suite.json"
-    main(["gen-scenarios", "--paper-118", "--case", str(case118_path),
+    main(["gen-scenarios", "--case", str(case118_path),
           "--out", str(suite_file)])
     suite = _read(suite_file)["scenarios"]
     assert len(suite) == 240

@@ -4,22 +4,38 @@ import pytest
 from gridfdi.detect import (
     AlertLevel,
     BORI_THRESHOLDS,
+    COMBINED_ALERT,
     ConfigError,
     DEAD_BAND,
     INDEX_THRESHOLDS,
     Snapshot,
     bori_all,
     cai_ranking,
-    combine_alert,
     emldi_all,
     mldi_all,
     run_two_stage,
     smldi,
     _indicators,
-    _level,
     _levels,
 )
 from gridfdi.powerflow import CRITICAL_PTDF, MIN_CRITICAL_SET, Ptdf
+
+
+def _level(value, thresholds):
+    """Scalar reference for the detector's vector ``_levels``."""
+    lo, mid, hi = thresholds
+    if value > hi:
+        return AlertLevel.DANGER
+    if value > mid:
+        return AlertLevel.WARNING
+    if value > lo:
+        return AlertLevel.MONITOR
+    return AlertLevel.NORMAL
+
+
+def combine_alert(flow_level, load_level):
+    """Scalar reference for the detector's combined-alert lookup."""
+    return COMBINED_ALERT[int(flow_level)][int(load_level)]
 
 
 def bori(k, snap):
@@ -365,6 +381,14 @@ def test_smldi_zero_and_alerts():
     assert level == AlertLevel.NORMAL
 
 
+def test_smldi_level_matches_scalar():
+    edges = np.array(INDEX_THRESHOLDS)
+    for v in np.concatenate([edges, np.nextafter(edges, np.inf),
+                             np.nextafter(edges, -np.inf), [0.0, 1.0]]):
+        _, level = smldi(np.array([v]), np.array([True]), top_n=1)
+        assert level is _level(v, INDEX_THRESHOLDS)
+
+
 def test_smldi_requires_eligible():
     with pytest.raises(ConfigError):
         smldi(np.ones(4), np.zeros(4, dtype=bool))
@@ -375,7 +399,7 @@ def test_smldi_top_pool_and_ties():
     eligible = np.array([True, True, True, True, False])
     value, level = smldi(values, eligible, top_n=2)
     assert value == pytest.approx(0.9)
-    assert level == AlertLevel.DANGER
+    assert type(level) is AlertLevel and level == AlertLevel.DANGER
     # pool larger than the eligible set: plain mean of eligible values
     value, _ = smldi(values, eligible, top_n=10)
     assert value == pytest.approx(np.mean([0.9, 0.5, 0.9, 0.1]))

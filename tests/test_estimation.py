@@ -157,6 +157,10 @@ def test_outage_networks_never_share_operators(case118_path, rng):
         wls_estimate(_noisy(net, {}, seed=None), net)
     assert topology(nets[0]) is not topology(nets[1])
     assert nets[0].operators["wls"] is not nets[1].operators["wls"]
+    assert compute_ptdf(nets[0]) is not compute_ptdf(nets[1])
+    for net in nets:
+        assert compute_ptdf(net) is compute_ptdf(net)
+        assert not compute_ptdf(net).matrix.flags.writeable
     for net in nets:
         # dense oracle: rows of H give Bf (flows) and B (injections)
         meas = _noisy(net, {}, seed=None)

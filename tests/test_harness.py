@@ -143,6 +143,29 @@ def test_truth_equals_schedule_plus_hidden_deviation(case118_path, cache):
     )
 
 
+@pytest.mark.parametrize("target", [118, 111])
+@pytest.mark.parametrize("fluctuation", [None, FluctuationSpec(0.0, 0.03)],
+                         ids=["constant", "fluct"])
+@pytest.mark.parametrize("sigma", [0.0, 0.005], ids=["noiseless", "noisy"])
+def test_zero_budget_attack_equals_fluctuation_only(case118_path, cache,
+                                                    target, fluctuation, sigma):
+    # with no angle budget the attacker forges nothing, so the timeline must
+    # be the fluctuation-only one drawn from the same seed, bit for bit
+    noise = {"flow": sigma, "injection": sigma} if sigma else {}
+    plain = run_timeline(_config(case118_path, seed=(11, 7), noise_sigma=noise,
+                                 fluctuation=fluctuation), cache)
+    zero = run_timeline(_config(
+        case118_path, mode="attack", seed=(11, 7), noise_sigma=noise,
+        fluctuation=fluctuation, attack_params=AttackParams(target, 0.10, 0.0),
+    ), cache)
+    assert not np.any(zero.attack.delta_d)
+    for name in ("prev_flows", "prev_loads", "measured_flows", "measured_loads",
+                 "sced_flows"):
+        a, b = getattr(zero.snapshot, name), getattr(plain.snapshot, name)
+        assert a.tobytes() == b.tobytes(), name
+    assert zero.true_flows_next.tobytes() == plain.true_flows_next.tobytes()
+
+
 def test_scenario_failure_recorded(case118_path, cache):
     config = _config(
         case118_path, mode="attack",
@@ -187,8 +210,8 @@ def test_experiment_reproducible(case118_path, cache):
                 seed=(11, i), index=i, group="fluct")
         for i in range(3)
     ]
-    first = run_experiment(suite, cache, keep_reports=False)
-    second = run_experiment(suite, cache, keep_reports=False)
+    first = run_experiment(suite, cache)
+    second = run_experiment(suite, cache)
     assert [o.smldi for o in first.outcomes] == [o.smldi for o in second.outcomes]
     g1, g2 = first.groups[0], second.groups[0]
     assert g1 == g2
@@ -198,14 +221,14 @@ def test_base_dispatch_solved_once_per_network(case118_path):
     cache = NetworkCache()
     kept = []
     for outages in ((), (71,), (30,)):
-        net, ptdf = cache.get(case118_path, outages)
+        net, _ = cache.get(case118_path, outages)
         first = run_timeline(_config(case118_path, outages=outages), cache)
         second = run_timeline(_config(case118_path, outages=outages,
                                       seed=(11, 1), index=1), cache)
         base = net.operators["base_dispatch"]
         assert first.dispatch_prev is base and second.dispatch_prev is base
 
-        fresh = run_sced(net, net.load_mw, ptdf=ptdf, soft_limits=True)
+        fresh = run_sced(net, net.load_mw, soft_limits=True)
         for name in ("gen_output", "scheduled_flows", "violations_mw"):
             cached = getattr(base, name)
             assert np.array_equal(cached, getattr(fresh, name))

@@ -25,7 +25,7 @@ def test_simplex_on_triangle():
     p = lp.LinearProgram(sense="max")
     p.add_variables(2, lower=0.0)
     p.objective[:] = [1.0, 1.0]
-    p.add_constraint([1.0, 1.0], lp.LE, 1.0)
+    p.add_rows([[1.0, 1.0]], lp.LE, [1.0])
     sol = lp.solve_lp(p)
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
@@ -35,8 +35,8 @@ def test_infeasible():
     p = lp.LinearProgram(sense="max")
     p.add_variables(1)
     p.objective[:] = [1.0]
-    p.add_constraint([1.0], lp.GE, 2.0)
-    p.add_constraint([1.0], lp.LE, 1.0)
+    p.add_rows([[1.0]], lp.GE, [2.0])
+    p.add_rows([[1.0]], lp.LE, [1.0])
     sol = lp.solve_lp(p)
     assert sol.status == lp.INFEASIBLE
     assert sol.values is None
@@ -56,7 +56,7 @@ def test_equality_and_negative_bounds():
     p.add_variables(1, lower=-2.0, upper=0.25)
     p.add_variables(1)
     p.objective[:] = [2.0, 1.0]
-    p.add_constraint([1.0, 1.0], lp.EQ, 1.0)
+    p.add_rows([[1.0, 1.0]], lp.EQ, [1.0])
     sol = lp.solve_lp(p)
     assert sol.status == lp.OPTIMAL
     # cheapest: push expensive x to its lower bound
@@ -69,7 +69,7 @@ def test_fixed_variable():
     p.add_variables(2, lower=0.0, upper=5.0)
     p.fix_variable(0, 2.0)
     p.objective[:] = [1.0, 1.0]
-    p.add_constraint([1.0, 1.0], lp.LE, 4.0)
+    p.add_rows([[1.0, 1.0]], lp.LE, [4.0])
     sol = lp.solve_lp(p)
     assert sol.values[0] == pytest.approx(2.0, abs=1e-9)
     assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
@@ -111,8 +111,8 @@ def test_validation_errors():
     p = lp.LinearProgram(sense="max")
     p.add_variables(2)
     with pytest.raises(ValueError):
-        p.add_constraint([1.0, 0.0], "<", 1.0)
-    p.add_constraint([1.0], lp.LE, 1.0)   # wrong width caught at validate
+        p.add_rows([[1.0, 0.0]], "<", [1.0])
+    p.add_rows([[1.0]], lp.LE, [1.0])   # wrong width caught at validate
     with pytest.raises(ValueError):
         p.validate()
 
@@ -148,12 +148,29 @@ def test_mixed_structures_match_boxed_vertex_enumeration():
         p.objective[:] = rng.uniform(-1, 1, n)
         for _ in range(int(rng.integers(1, 6))):
             rel = (lp.LE, lp.GE, lp.EQ)[rng.integers(0, 3)]
-            p.add_constraint(rng.uniform(-1, 1, n), rel, float(rng.uniform(-1, 2)))
+            p.add_rows([rng.uniform(-1, 1, n)], rel, [float(rng.uniform(-1, 2))])
         status, best = boxed_vertex_verdict(p)
         sol = lp.solve_lp(p)
         assert sol.status == status
         if status == lp.OPTIMAL:
             assert sol.objective_value == pytest.approx(best, abs=1e-6)
+
+
+def test_vertex_oracle_handles_dependent_equalities():
+    # max x0 st x0 + x1 = 1 and 2x0 + 2x1 = 2 over the unit box: the second
+    # row repeats the first, and the optimum is x = (1, 0)
+    p = lp.LinearProgram(sense="max")
+    p.add_variables(2, lower=0.0, upper=1.0)
+    p.objective[:] = [1.0, 0.0]
+    p.add_rows([[1.0, 1.0], [2.0, 2.0]], lp.EQ, [1.0, 2.0])
+    x, best = enumerate_vertices(p)
+    assert best == pytest.approx(1.0, abs=1e-12)
+    assert x == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert lp.solve_lp(p).objective_value == pytest.approx(best, abs=1e-9)
+    # a dependent row that contradicts the others leaves nothing feasible
+    p.constraints[-1].rhs[1] = 3.0
+    assert enumerate_vertices(p) == (None, None)
+    assert lp.solve_lp(p).status == lp.INFEASIBLE
 
 
 def _fake_linprog(monkeypatch, edit):
@@ -171,7 +188,7 @@ def _fake_linprog(monkeypatch, edit):
 
 def test_solution_audit_catches_bad_engine(monkeypatch):
     p = _single_var()
-    p.add_constraint([1.0], lp.LE, 0.5)
+    p.add_rows([[1.0]], lp.LE, [0.5])
 
     def infeasible_x(res):
         res.x, res.fun = np.array([1.0]), -1.0
@@ -188,7 +205,7 @@ def test_certificate_rejects_feasible_non_optimal_point(monkeypatch):
     p = lp.LinearProgram(sense="max")
     p.add_variables(2, lower=0.0)
     p.objective[:] = [1.0, 1.0]
-    p.add_constraint([1.0, 1.0], lp.LE, 1.0)
+    p.add_rows([[1.0, 1.0]], lp.LE, [1.0])
 
     def worse_x(res):
         res.x, res.fun = np.array([0.25, 0.25]), -0.5
@@ -211,7 +228,7 @@ def test_certificate_rejects_bad_marginal(monkeypatch, y_ub, z_l, z_u, message):
     p = lp.LinearProgram(sense="min")
     p.add_variables(1, lower=0.0)
     p.objective[:] = [1.0]
-    p.add_constraint([1.0], lp.GE, 0.0)
+    p.add_rows([[1.0]], lp.GE, [0.0])
 
     def bad_marginals(res):
         res.ineqlin.marginals = np.array([y_ub])

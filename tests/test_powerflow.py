@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from gridfdi.cases import parse_matpower, validate_case
+from gridfdi.cases import IslandError, parse_matpower, validate_case
 from gridfdi.powerflow import (
     MIN_CRITICAL_SET,
     MIN_PIVOT_RATIO,
     NumericError,
-    flows_from_ptdf,
-    nodal_imbalance,
+    compute_ptdf,
     solve_dc,
     topology,
 )
@@ -44,13 +43,14 @@ def test_unbalanced_rejected(net3):
         solve_dc(net3, np.array([1.0, 0.0, 0.0]))
 
 
-def test_nodal_balance_118(net118, ptdf118):
-    dispatch = run_sced(net118, net118.load_mw, ptdf=ptdf118)
+def test_nodal_balance_118(net118):
+    dispatch = run_sced(net118, net118.load_mw)
     inj = -net118.load_mw / net118.base_mva
     for g, mw in zip(net118.generators, dispatch.gen_output):
         inj[g.bus] += mw / net118.base_mva
     sol = solve_dc(net118, inj)
-    assert nodal_imbalance(net118, inj, sol.flows) < 1e-8
+    divergence = topology(net118).incidence.T @ sol.flows
+    assert np.max(np.abs(inj - divergence)) < 1e-8
 
 
 def test_linearity(net118, rng):
@@ -92,7 +92,41 @@ def test_ptdf_flow_identity(net118, ptdf118, rng):
     inj = rng.normal(size=net118.n_bus)
     inj -= inj.mean()
     direct = solve_dc(net118, inj).flows
-    assert np.allclose(flows_from_ptdf(ptdf118, inj), direct, atol=1e-8)
+    assert np.allclose(ptdf118.matrix @ inj, direct, atol=1e-8)
+
+
+def test_ptdf_cached_read_only(net118, ptdf118):
+    assert compute_ptdf(net118) is ptdf118
+    assert net118.operators["ptdf"] is ptdf118
+    for arr in (ptdf118.matrix, ptdf118.nl_sizes, ptdf118.eligible,
+                ptdf118.critical_mask, *ptdf118.critical_sets):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        ptdf118.matrix[0, 0] = 1.0
+
+
+def test_outage_ptdf_matches_lodf_update(case118_path, net118, ptdf118):
+    # Guo, Fu, Li & Shahidehpour, "Direct calculation of line outage
+    # distribution factors", IEEE TPWRS 2009: removing branch l (bus i to
+    # bus j) moves lodf[k] * P[l] onto every other branch k.
+    with open(case118_path) as fh:
+        raw = parse_matpower(fh.read())
+    p = ptdf118.matrix
+    checked = islanding = 0
+    worst = 0.0
+    for l, br in enumerate(net118.in_service_branches):
+        try:
+            net = validate_case(raw, (br.ordinal,))
+        except IslandError:
+            islanding += 1
+            continue
+        i, j = br.from_bus, br.to_bus
+        lodf = (p[:, i] - p[:, j]) / (1.0 - (p[l, i] - p[l, j]))
+        want = np.delete(p + np.outer(lodf, p[l]), l, axis=0)
+        worst = max(worst, np.abs(compute_ptdf(net).matrix - want).max())
+        checked += 1
+    assert (checked, islanding) == (177, 9)
+    assert worst <= 1e-10
 
 
 def test_ptdf_magnitude_bound(ptdf118):

@@ -57,25 +57,26 @@ def test_congestion_forces_expensive_unit():
     assert abs(dispatch.scheduled_flows[0]) <= 0.5 + 1e-6
 
 
-def test_power_balance(net118, ptdf118):
-    dispatch = run_sced(net118, net118.load_mw, ptdf=ptdf118)
+def test_power_balance(net118):
+    dispatch = run_sced(net118, net118.load_mw)
     assert dispatch.gen_output.sum() == pytest.approx(
         net118.load_mw.sum(), abs=1e-6 * net118.base_mva
     )
 
 
-def test_limits_respected_118(net118, ptdf118):
-    dispatch = run_sced(net118, net118.load_mw, ptdf=ptdf118)
+def test_limits_respected_118(net118):
+    dispatch = run_sced(net118, net118.load_mw)
     limits = net118.limits_pu()
     assert np.all(np.abs(dispatch.scheduled_flows) <= limits + 1e-6)
     assert 111 in dispatch.binding_branches
     assert 118 in dispatch.binding_branches
 
 
-def test_dropping_limits_never_costs_more(net118, ptdf118):
-    limited = run_sced(net118, net118.load_mw, ptdf=ptdf118)
-    free = run_sced(net118, net118.load_mw, ptdf=ptdf118, enforce_limits=False)
-    assert free.total_cost <= limited.total_cost + 1e-6
+def test_softening_limits_never_costs_more(net118):
+    # the soft LP's feasible set contains the hard one's (v = 0)
+    hard = run_sced(net118, net118.load_mw)
+    soft = run_sced(net118, net118.load_mw, soft_limits=True)
+    assert soft.total_cost <= hard.total_cost + 1e-6
 
 
 def test_infeasible_reports_binding_set():
@@ -116,13 +117,12 @@ def test_soft_limit_violations_reported():
     assert dispatch.violations_mw == pytest.approx(over, abs=1e-6)
 
 
-def test_violations_zero_unless_soft(net118, ptdf118):
+def test_violations_zero_unless_soft(net118):
     net = _two_gen(rate=50)
-    for kwargs in ({}, {"enforce_limits": False}):
-        dispatch = run_sced(net, net.load_mw, **kwargs)
-        assert np.array_equal(dispatch.violations_mw, np.zeros(1))
+    dispatch = run_sced(net, net.load_mw)
+    assert np.array_equal(dispatch.violations_mw, np.zeros(1))
     # servable within ratings: the elastic variables stay at zero
-    soft = run_sced(net118, net118.load_mw, ptdf=ptdf118, soft_limits=True)
+    soft = run_sced(net118, net118.load_mw, soft_limits=True)
     assert soft.violations_mw.shape == (len(net118.in_service_branches),)
     assert np.all(np.abs(soft.violations_mw) <= 1e-6)
 
@@ -131,7 +131,7 @@ def test_violations_zero_unless_soft(net118, ptdf118):
 @pytest.mark.parametrize("soft", [False, True])
 def test_cost_matches_row_oracle_118(net118, ptdf118, scale, soft):
     loads = net118.load_mw * scale
-    dispatch = run_sced(net118, loads, ptdf=ptdf118, soft_limits=soft)
+    dispatch = run_sced(net118, loads, soft_limits=soft)
     problem, _, _ = dispatch_lp_rows(
         net118, ptdf118, loads / net118.base_mva,
         soft_penalty=VIOLATION_PENALTY if soft else None,
