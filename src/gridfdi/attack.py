@@ -65,7 +65,7 @@ class AttackSpec:
 @dataclass(frozen=True)
 class AttackResult:
     c: np.ndarray              # rad per bus (angle bias)
-    s: np.ndarray              # absolute-value auxiliaries per bus
+    s: np.ndarray              # c+ + c- per bus, at least |c|
     delta_p: np.ndarray        # p.u. per in-service branch (hidden flow deltas)
     delta_d: np.ndarray        # MW per bus (malicious load deviations)
     objective: float           # sgn(target base flow) * delta_p on the target
@@ -85,55 +85,56 @@ def _flow_deltas(net: Network, c: np.ndarray) -> np.ndarray:
     return (c[topo.to_bus] - c[topo.from_bus]) / topo.x
 
 
+def _attack_rows(net: Network):
+    """The attack LP's row blocks over [c+, c-], built once per network and
+    read-only: per load bus the pair ``+-(-B)(c+ - c-)``, then the budget
+    row ``sum(c+ + c-)``; and ``(-B)(c+ - c-) = 0`` at buses without load."""
+    rows = net.operators.get("attack_rows")
+    if rows is None:
+        deviation = -topology(net).b
+        is_load = net.load_bus_mask
+        shift = (np.repeat(deviation[is_load], 2, axis=0)
+                 * np.tile([1.0, -1.0], int(is_load.sum()))[:, None])
+        quiet = deviation[~is_load]
+        n = net.n_bus
+        rows = (
+            sparse.csr_array(np.vstack([np.hstack([shift, -shift]), np.ones((1, 2 * n))])),
+            sparse.csr_array(np.hstack([quiet, -quiet])),
+        )
+        for a in rows:
+            for arr in (a.data, a.indices, a.indptr):
+                arr.setflags(write=False)
+        net.operators["attack_rows"] = rows
+    return rows
+
+
 def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
-    """Assemble the attack LP over variables [c, s].
+    """Assemble the attack LP in split form over variables [c+, c-], both
+    nonnegative and fixed to zero at the reference bus: ``c = c+ - c-`` and
+    ``s = c+ + c-``.
 
     The flow deltas ``dp = -Bf c`` are substituted out: the objective is
     ``sgn * dp[target] = -sgn * Bf[target] c`` and the malicious load
     deviation per bus, the dp divergence, is ``-B c``.  Rows: per load bus
-    that deviation bounded by +-L_S * d_n0; zero deviation at non-load buses;
-    |c| <= s elementwise with sum(s) capped by the l1 budget; c fixed to zero
-    at the reference bus.
+    that deviation bounded by +-L_S * d_n0; sum(s) capped by the l1 budget;
+    zero deviation at non-load buses.  Only the right-hand sides and the
+    objective depend on ``spec``.
     """
     spec.validate(net)
-    topo = topology(net)
     n = net.n_bus
     d0_pu = np.asarray(spec.base_loads, dtype=float) / net.base_mva
     target_pos = net.branch_position(spec.target_branch)
     sgn = float(np.sign(spec.target_flow(net)))
+    a_ub, a_eq = _attack_rows(net)
 
-    problem = lp.LinearProgram(sense="max")
-    cs = problem.add_variables(n)
-    problem.add_variables(n, lower=0.0)
-    problem.fix_variable(cs.start + net.reference_bus, 0.0)
-    problem.objective[cs] = -sgn * topo.bf[target_pos]
-
-    is_load = np.array([b.is_load_bus for b in net.buses])
-    load = np.flatnonzero(is_load)
-    deviation = -topo.b
-    # <= rows, as COO triplets: per load bus the pair +-deviation <= bound,
-    # then -c - s <= 0 and c - s <= 0 per bus, then sum(s) <= N1.
-    shift_rows = (np.repeat(deviation[load], 2, axis=0)
-                  * np.tile([1.0, -1.0], len(load))[:, None])
-    r, col = np.nonzero(shift_rows)
-    k = len(shift_rows)
-    abs_rows = k + np.arange(2 * n)
-    bus = np.repeat(np.arange(n), 2)
-    rows = np.concatenate([r, abs_rows, abs_rows, np.full(n, k + 2 * n)])
-    cols = np.concatenate([col, bus, n + bus, n + np.arange(n)])
-    data = np.concatenate([shift_rows[r, col], np.tile([-1.0, 1.0], n),
-                           -np.ones(2 * n), np.ones(n)])
-    b_ub = np.concatenate([
-        np.repeat(spec.load_shift_factor * d0_pu[load], 2),
-        np.zeros(2 * n),
-        [spec.l1_limit],
-    ])
-    problem.add_rows(sparse.csr_array((data, (rows, cols)), shape=(k + 2 * n + 1, 2 * n)),
-                     lp.LE, b_ub)
-
-    quiet = deviation[~is_load]
-    problem.add_rows(sparse.csr_array(np.hstack([quiet, np.zeros_like(quiet)])),
-                     lp.EQ, np.zeros(len(quiet)))
+    gain = -sgn * topology(net).bf[target_pos]
+    upper = np.full(2 * n, np.inf)
+    upper[[net.reference_bus, n + net.reference_bus]] = 0.0
+    problem = lp.LinearProgram(sense="max", objective=np.concatenate([gain, -gain]),
+                               lower=np.zeros(2 * n), upper=upper)
+    bound = spec.load_shift_factor * d0_pu[net.load_bus_mask]
+    problem.add_rows(a_ub, lp.LE, np.concatenate([np.repeat(bound, 2), [spec.l1_limit]]))
+    problem.add_rows(a_eq, lp.EQ, np.zeros(a_eq.shape[0]))
     return problem
 
 
@@ -150,12 +151,12 @@ def solve_attack(net: Network, spec: AttackSpec) -> AttackResult:
         raise lp.SolverError(f"attack LP terminated {sol.status}")
 
     n = net.n_bus
-    c = sol.values[0:n]
-    s = sol.values[n : 2 * n]
+    c_plus, c_minus = sol.values[:n], sol.values[n:]
+    c = c_plus - c_minus
+    s = c_plus + c_minus
     delta_p = _flow_deltas(net, c)
     div_pu = _divergence(net, delta_p)
-    is_load = np.array([b.is_load_bus for b in net.buses])
-    delta_d = np.where(is_load, div_pu, 0.0) * net.base_mva
+    delta_d = np.where(net.load_bus_mask, div_pu, 0.0) * net.base_mva
 
     target_pos = net.branch_position(spec.target_branch)
     sgn = float(np.sign(spec.target_flow(net)))
@@ -186,7 +187,7 @@ def audit_attack(net: Network, spec: AttackSpec, result: AttackResult,
         raise AuditError(f"flow-delta equation violated on branch {ordinal}")
 
     div_pu = _divergence(net, dp)
-    is_load = np.array([b.is_load_bus for b in net.buses])
+    is_load = net.load_bus_mask
     bound = spec.load_shift_factor * np.asarray(spec.base_loads) / net.base_mva
     checks = (
         (is_load & (np.abs(div_pu) > bound + tol), "load shift bound violated at bus"),

@@ -124,8 +124,22 @@ class Network:
     def operators(self) -> dict:
         """Per-topology operators derived from this network, each built on
         first use: ``"topology"`` and ``"ptdf"`` (powerflow), ``"wls"``
-        (estimation) and ``"base_dispatch"`` (harness)."""
+        (estimation), ``"sced"`` and ``"base_dispatch"`` (sced) and
+        ``"attack_rows"`` (attack)."""
         return {}
+
+    @cached_property
+    def load_bus_mask(self) -> np.ndarray:
+        """Per bus: whether it carries load (read-only)."""
+        mask = np.array([b.is_load_bus for b in self.buses], dtype=bool)
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def _limits_pu(self) -> np.ndarray:
+        limits = np.array([b.limit_mw for b in self.in_service_branches]) / self.base_mva
+        limits.setflags(write=False)
+        return limits
 
     @property
     def load_mw(self) -> np.ndarray:
@@ -133,7 +147,7 @@ class Network:
 
     @property
     def load_buses(self) -> np.ndarray:
-        return np.array([b.internal_index for b in self.buses if b.is_load_bus])
+        return np.flatnonzero(self.load_bus_mask)
 
     def branch_position(self, ordinal: int) -> int:
         """Position of a 1-based file ordinal inside the in-service vector."""
@@ -143,7 +157,8 @@ class Network:
         raise DataError(f"branch {ordinal} is not in service")
 
     def limits_pu(self) -> np.ndarray:
-        return np.array([b.limit_mw for b in self.in_service_branches]) / self.base_mva
+        """Thermal limit per in-service branch, p.u. (read-only)."""
+        return self._limits_pu
 
 
 _BLOCK_RE = re.compile(r"^\s*mpc\.(\w+)\s*=\s*(.*)$")

@@ -157,24 +157,17 @@ def _indicators(snap: Snapshot, dead_band: float) -> np.ndarray:
     return ind
 
 
-def mldi_all(snap: Snapshot, dead_band: float = DEAD_BAND) -> np.ndarray:
-    """Mean directional consensus of critical-load changes, per branch,
-    signed so that positive means 'loads conspire to shrink this flow'."""
-    return _mldi(snap, _indicators(snap, dead_band))
-
-
 def _mldi(snap: Snapshot, ind: np.ndarray) -> np.ndarray:
+    """Mean directional consensus of critical-load changes, per branch,
+    signed so that positive means 'loads conspire to shrink this flow';
+    ``ind`` is the :func:`_indicators` matrix."""
     sizes = np.maximum(snap.ptdf.nl_sizes, 1)
     return np.sign(snap.prev_flows) * ind.sum(axis=1) / sizes
 
 
-def emldi_all(snap: Snapshot, dead_band: float = DEAD_BAND) -> np.ndarray:
-    """Like :func:`mldi_all` but weighting each critical load by its share of
-    |load change x sensitivity|; zero when no critical load moved at all."""
-    return _emldi(snap, _indicators(snap, dead_band))
-
-
 def _emldi(snap: Snapshot, ind: np.ndarray) -> np.ndarray:
+    """Like :func:`_mldi` but weighting each critical load by its share of
+    |load change x sensitivity|; zero when no critical load moved at all."""
     delta = snap.measured_loads - snap.prev_loads
     weight = np.abs(delta[None, :] * snap.ptdf.matrix)
     weight[~snap.ptdf.critical_mask] = 0.0

@@ -29,7 +29,7 @@ from .estimation import (
     wls_estimate,
 )
 from .powerflow import compute_ptdf, solve_dc
-from .sced import Dispatch, run_sced
+from .sced import Dispatch, base_dispatch, run_sced
 
 FLUCTUATION_CUTOFF = 1.96   # clip standard-normal draws; 95% two-sided band
 
@@ -122,20 +122,6 @@ class NetworkCache:
         return net, compute_ptdf(net)
 
 
-def _base_dispatch(net: Network) -> Dispatch:
-    """Interval-1 dispatch on the case loads.  It depends on the network
-    alone, so it is solved once per instance, kept in ``net.operators`` and
-    shared read-only by every timeline on that network."""
-    dispatch = net.operators.get("base_dispatch")
-    if dispatch is None:
-        dispatch = run_sced(net, net.load_mw, soft_limits=True)
-        for arr in (dispatch.gen_output, dispatch.scheduled_flows,
-                    dispatch.violations_mw):
-            arr.setflags(write=False)
-        net.operators["base_dispatch"] = dispatch
-    return dispatch
-
-
 def _gen_by_bus(net: Network, dispatch: Dispatch) -> np.ndarray:
     out = np.zeros(net.n_bus)
     np.add.at(out, [g.bus for g in net.generators], dispatch.gen_output)
@@ -159,7 +145,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
 
     # Interval 1: trusted loads, dispatch, actual flows.
     loads_prev = net.load_mw
-    dispatch_prev = _base_dispatch(net)
+    dispatch_prev = base_dispatch(net)
     gen_prev = _gen_by_bus(net, dispatch_prev)
 
     # Loads drift into interval 2; the old dispatch rides through, imbalance
@@ -262,7 +248,6 @@ class ScenarioOutcome:
     under_attack: bool | None
     target_in_suspects: bool | None
     target_cai_rank: int | None
-    target_cai_top: bool | None
     target_danger: bool | None
     target_overload_mw: float | None
     attack_objective_pu: float | None = None
@@ -301,16 +286,14 @@ def run_scenario(config: ScenarioConfig, cache: NetworkCache | None = None) -> S
         timeline.snapshot, top_n=config.top_n, dead_band=config.dead_band
     )
 
-    in_suspects = rank = top = danger = None
+    in_suspects = rank = danger = None
     if config.mode == "attack":
         target = config.attack_params.target_branch
         in_suspects = False
         danger = False
-        top = False
         if report.stage2 is not None:
             pos = int(np.nonzero(report.branch_ordinals == target)[0][0])
             rank = int(report.stage2.cai_rank[pos])
-            top = rank <= 3 and report.stage2.cai[pos] > 0
             danger = report.stage2.combined_alerts[pos].name == "DANGER"
             in_suspects = any(s.ordinal == target for s in report.stage2.suspects)
     tampered_count = None
@@ -323,7 +306,6 @@ def run_scenario(config: ScenarioConfig, cache: NetworkCache | None = None) -> S
         under_attack=report.under_attack,
         target_in_suspects=in_suspects,
         target_cai_rank=rank,
-        target_cai_top=top,
         target_danger=danger,
         target_overload_mw=timeline.target_overload_mw,
         attack_objective_pu=(
@@ -347,8 +329,7 @@ def run_experiment(suite, cache: NetworkCache | None = None) -> ExperimentReport
         except Exception as exc:  # per-scenario isolation
             outcome = ScenarioOutcome(
                 config=config, report=None, smldi=None, under_attack=None,
-                target_in_suspects=None, target_cai_rank=None,
-                target_cai_top=None, target_danger=None,
+                target_in_suspects=None, target_cai_rank=None, target_danger=None,
                 target_overload_mw=None, error=f"{type(exc).__name__}: {exc}",
             )
         outcomes.append(outcome)

@@ -4,6 +4,14 @@ Constraints are kept as blocks of rows, ``A x (relation) b``, with ``A`` a
 scipy CSR matrix; a builder adds each family of rows as one block.
 :func:`solve_lp` hands the stacked blocks to scipy's HiGHS adapter unchanged.
 
+Inequality rows may be *lazy*: they start outside the working set that is
+handed to HiGHS.  After each solve every lazy row the point violates joins
+the working set and the LP is solved again, until no row is violated.  The
+reduced LP is a relaxation of the full one, so its infeasibility is the full
+LP's; an unbounded reduced LP is re-solved with every row.  The final answer
+is certified against *all* rows, the marginals of rows left outside padded
+with zeros, so a certified point is optimal for the full LP.
+
 Every optimal answer is certified before it is returned.  The primal check
 re-tests all bounds and rows at ``FEASIBILITY_TOL``.  The dual certificate
 reads the HiGHS marginals ``y`` (rows) and ``z`` (bounds) of the minimisation
@@ -43,6 +51,7 @@ class Constraint:
     a: sparse.csr_array
     relation: str
     rhs: np.ndarray
+    lazy: np.ndarray          # per row: starts outside the working set
 
 
 @dataclass
@@ -71,14 +80,18 @@ class LinearProgram:
         self.lower[index] = value
         self.upper[index] = value
 
-    def add_rows(self, a, relation: str, rhs):
+    def add_rows(self, a, relation: str, rhs, lazy=False):
         """Append the block ``a @ x (relation) rhs``; ``a`` is 2-D, sparse or
-        dense, with one entry of ``rhs`` per row."""
+        dense, with one entry of ``rhs`` per row.  ``lazy`` (one flag, or one
+        per row) keeps inequality rows out of the first working set."""
         if relation not in (LE, EQ, GE):
             raise ValueError(f"unknown relation {relation!r}")
+        a = sparse.csr_array(a, dtype=float)
+        lazy = np.broadcast_to(np.asarray(lazy, dtype=bool), (a.shape[0],)).copy()
+        if relation == EQ and lazy.any():
+            raise ValueError("equality rows cannot be lazy")
         self.constraints.append(Constraint(
-            a=sparse.csr_array(a, dtype=float), relation=relation,
-            rhs=np.asarray(rhs, dtype=float),
+            a=a, relation=relation, rhs=np.asarray(rhs, dtype=float), lazy=lazy,
         ))
 
     def validate(self):
@@ -91,9 +104,10 @@ class LinearProgram:
             if con.a.shape[1] != n:
                 raise ValueError(f"constraint block {i} shape {con.a.shape} has not"
                                  f" {n} columns")
-            if con.rhs.shape != (con.a.shape[0],):
+            if con.rhs.shape != (con.a.shape[0],) or con.lazy.shape != con.rhs.shape:
                 raise ValueError(f"constraint block {i} has {con.a.shape[0]} rows"
-                                 f" but rhs shape {con.rhs.shape}")
+                                 f" but rhs shape {con.rhs.shape} and lazy shape"
+                                 f" {con.lazy.shape}")
         if self.sense not in ("max", "min"):
             raise ValueError(f"unknown sense {self.sense!r}")
 
@@ -104,6 +118,11 @@ class LinearProgram:
               for c in self.constraints if c.relation != EQ]
         eq = [(c.a, c.rhs) for c in self.constraints if c.relation == EQ]
         return (*_stack(ub, self.n_var), *_stack(eq, self.n_var))
+
+    def lazy_rows(self) -> np.ndarray:
+        """Per row of ``a_ub`` in :meth:`matrix_form`: whether it is lazy."""
+        return np.concatenate([c.lazy for c in self.constraints if c.relation != EQ]
+                              + [np.zeros(0, dtype=bool)])
 
 
 def _stack(blocks, n):
@@ -120,11 +139,14 @@ class LpSolution:
     status: str
     values: np.ndarray | None
     objective_value: float | None
+    rounds: int = 1                     # HiGHS solves, one per working set
+    working: np.ndarray | None = None   # final working set over the rows of a_ub
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve an LP with HiGHS and certify an optimal answer; deterministic
-    for identical input."""
+    """Solve an LP with HiGHS, adding violated lazy rows until none is left,
+    and certify an optimal answer against every row; deterministic for
+    identical input."""
     # Looked up at call time, so a wrapper installed on scipy.optimize is used.
     from scipy.optimize import linprog
 
@@ -132,28 +154,45 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     sign = -1.0 if lp.sense == "max" else 1.0
     c = sign * lp.objective
     a_ub, b_ub, a_eq, b_eq = lp.matrix_form()
-    res = linprog(
-        c=c,
-        A_ub=a_ub if a_ub.shape[0] else None,
-        b_ub=b_ub if a_ub.shape[0] else None,
-        A_eq=a_eq if a_eq.shape[0] else None,
-        b_eq=b_eq if a_eq.shape[0] else None,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-    )
-    if res.status == 2:
-        return LpSolution(INFEASIBLE, None, None)
-    if res.status == 3:
-        return LpSolution(UNBOUNDED, None, None)
-    if res.status != 0:
-        raise SolverError(f"HiGHS failed: status {res.status} ({res.message})")
-    x = np.asarray(res.x, dtype=float)
+    working = ~lp.lazy_rows()
+    bounds = np.column_stack([lp.lower, lp.upper])
+    rounds = 0
+    while True:
+        rounds += 1
+        rows = np.flatnonzero(working)
+        a_work = a_ub if rows.size == b_ub.size else a_ub[rows]
+        res = linprog(
+            c=c,
+            A_ub=a_work if rows.size else None,
+            b_ub=b_ub[rows] if rows.size else None,
+            A_eq=a_eq if a_eq.shape[0] else None,
+            b_eq=b_eq if a_eq.shape[0] else None,
+            bounds=bounds,
+            method="highs",
+        )
+        if res.status == 2:
+            return LpSolution(INFEASIBLE, None, None, rounds, working)
+        if res.status == 3:
+            if working.all():
+                return LpSolution(UNBOUNDED, None, None, rounds, working)
+            working[:] = True
+            continue
+        if res.status != 0:
+            raise SolverError(f"HiGHS failed: status {res.status} ({res.message})")
+        x = np.asarray(res.x, dtype=float)
+        violated = ~working & (a_ub @ x - b_ub > 0.0)
+        if not violated.any():
+            break
+        working |= violated
+
     obj = float(c @ x)
     if abs(obj - res.fun) > FEASIBILITY_TOL * max(1.0, abs(obj)):
         raise SolverError("objective value inconsistent with solution vector")
     _check_primal(lp, x, a_ub, b_ub, a_eq, b_eq)
-    _check_dual(lp, c, obj, res, a_ub, b_ub, a_eq, b_eq)
-    return LpSolution(OPTIMAL, x, float(sign * res.fun))
+    y_ub = np.zeros(b_ub.size)
+    y_ub[rows] = _marginals(res, "ineqlin", rows.size)
+    _check_dual(lp, c, obj, res, y_ub, a_ub, b_ub, a_eq, b_eq)
+    return LpSolution(OPTIMAL, x, float(sign * res.fun), rounds, working)
 
 
 def _check_primal(lp, x, a_ub, b_ub, a_eq, b_eq):
@@ -169,9 +208,9 @@ def _check_primal(lp, x, a_ub, b_ub, a_eq, b_eq):
         raise SolverError(f"row {i} of A_eq (=) off by {off[i]:.3e}")
 
 
-def _check_dual(lp, c, obj, res, a_ub, b_ub, a_eq, b_eq):
-    """Dual certificate of ``min c x`` from the HiGHS marginals."""
-    y_ub = _marginals(res, "ineqlin", b_ub.size)
+def _check_dual(lp, c, obj, res, y_ub, a_ub, b_ub, a_eq, b_eq):
+    """Dual certificate of ``min c x`` from the HiGHS marginals; ``y_ub``
+    holds the row marginals over every row of ``a_ub``."""
     y_eq = _marginals(res, "eqlin", b_eq.size)
     z_l = _marginals(res, "lower", lp.n_var)
     z_u = _marginals(res, "upper", lp.n_var)

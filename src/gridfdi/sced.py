@@ -9,6 +9,14 @@ far above any generation cost, the way production dispatch engines keep
 running when a load pattern is not servable within ratings; violations then
 show up in the schedule and in ``Dispatch.violations_mw`` instead of an
 exception.
+
+Soft-limit dispatches generate their limit rows (Zhai, Guan, Cheng & Wu,
+"Fast identification of inactive security constraints in SCUC problems",
+IEEE TPWRS 2010): nearly all limits never bind, so the rows are lazy
+(:mod:`gridfdi.lp`) and each solve starts from the rows that the network's
+base dispatch (:func:`base_dispatch`, case loads) ended with.  That seed
+depends on the network alone, so answers do not depend on call order.  The
+hard-limit path keeps every row.
 """
 
 from __future__ import annotations
@@ -43,44 +51,83 @@ class Dispatch:
     violations_mw: np.ndarray     # MW over the limit per branch; soft limits only
 
 
-def _dispatch_lp(net, d_pu, soft_penalty=None, limit_costs=True):
-    """The SCED LP over [p, v]: the balance row, then a +- limit row pair per
-    in-service branch, ``+-(PTDF_gen p - PTDF d) - v <= limit``, the elastic
-    ``v >= 0`` present only when ``soft_penalty`` prices it."""
+@dataclass(frozen=True)
+class _Operators:
+    """The SCED LP's constants over [p, v] for one network, read-only:
+    generator buses, bounds and costs, the balance row, and the limit block,
+    a +- row pair per in-service branch, ``+-PTDF_gen p - v_k``."""
+
+    gen_bus: np.ndarray
+    p_min: np.ndarray        # p.u.
+    p_max: np.ndarray        # p.u.
+    cost: np.ndarray         # $/h per p.u.
+    balance: sparse.csr_array
+    limit_rows: sparse.csr_array
+    sign: np.ndarray         # +1, -1, +1, ... per limit row
+
+
+@dataclass(frozen=True)
+class _Base:
+    dispatch: Dispatch
+    seed: np.ndarray         # limit rows in the final working set
+
+
+def _operators(net: Network) -> _Operators:
+    ops = net.operators.get("sced")
+    if ops is not None:
+        return ops
     ptdf = compute_ptdf(net)
     gens = net.generators
     base = net.base_mva
-    problem = lp.LinearProgram(sense="min")
-    gs = problem.add_variables(len(gens))
-    problem.lower[gs] = np.array([g.p_min for g in gens]) / base
-    problem.upper[gs] = np.array([g.p_max for g in gens]) / base
-    if limit_costs:
-        problem.objective[gs] = np.array([g.linear_cost for g in gens]) * base
-
-    vs = None
-    if soft_penalty is not None:
-        vs = problem.add_variables(ptdf.n_branches, lower=0.0)
-        problem.objective[vs] = soft_penalty * base
-
-    balance = np.zeros((1, problem.n_var))
-    balance[0, gs] = 1.0
-    problem.add_rows(balance, lp.EQ, [d_pu.sum()])
-
-    m = ptdf.n_branches
-    sens = ptdf.matrix[:, [g.bus for g in gens]]
-    shift = ptdf.matrix @ d_pu
+    ng, m = len(gens), ptdf.n_branches
+    gen_bus = np.array([g.bus for g in gens], dtype=int)
     sign = np.tile([1.0, -1.0], m)
-    rows = np.repeat(sens, 2, axis=0) * sign[:, None]
+    rows = np.repeat(ptdf.matrix[:, gen_bus], 2, axis=0) * sign[:, None]
     r, c = np.nonzero(rows)
-    data = rows[r, c]
-    if vs is not None:   # -v_k in both rows of branch k
-        r = np.concatenate([r, np.arange(2 * m)])
-        c = np.concatenate([c, vs.start + np.repeat(np.arange(m), 2)])
-        data = np.concatenate([data, -np.ones(2 * m)])
-    rhs = np.repeat(net.limits_pu(), 2) + sign * np.repeat(shift, 2)
-    problem.add_rows(sparse.csr_array((data, (r, c)), shape=(2 * m, problem.n_var)),
-                     lp.LE, rhs)
-    return problem, gs, vs
+    limit_rows = sparse.csr_array(
+        (np.concatenate([rows[r, c], -np.ones(2 * m)]),
+         (np.concatenate([r, np.arange(2 * m)]),
+          np.concatenate([c, ng + np.repeat(np.arange(m), 2)]))),
+        shape=(2 * m, ng + m),
+    )
+    balance = sparse.csr_array((np.ones(ng), (np.zeros(ng, dtype=int), np.arange(ng))),
+                               shape=(1, ng + m))
+    ops = _Operators(
+        gen_bus=gen_bus,
+        p_min=np.array([g.p_min for g in gens]) / base,
+        p_max=np.array([g.p_max for g in gens]) / base,
+        cost=np.array([g.linear_cost for g in gens]) * base,
+        balance=balance,
+        limit_rows=limit_rows,
+        sign=sign,
+    )
+    for arr in (ops.gen_bus, ops.p_min, ops.p_max, ops.cost, ops.sign,
+                balance.data, balance.indices, balance.indptr,
+                limit_rows.data, limit_rows.indices, limit_rows.indptr):
+        arr.setflags(write=False)
+    net.operators["sced"] = ops
+    return ops
+
+
+def _dispatch_lp(net, d_pu, penalty, gen_costs=True, lazy=False):
+    """The SCED LP over [p, v]: the balance row, then the limit block with
+    right-hand sides ``limit +- PTDF d``.  ``penalty`` prices the elastic
+    ``v >= 0``; ``None`` fixes ``v`` at zero (hard limits)."""
+    ops = _operators(net)
+    m = ops.limit_rows.shape[0] // 2
+    problem = lp.LinearProgram(
+        sense="min",
+        objective=np.concatenate([ops.cost if gen_costs else np.zeros(ops.cost.size),
+                                  np.full(m, 0.0 if penalty is None
+                                          else penalty * net.base_mva)]),
+        lower=np.concatenate([ops.p_min, np.zeros(m)]),
+        upper=np.concatenate([ops.p_max, np.full(m, 0.0 if penalty is None else np.inf)]),
+    )
+    problem.add_rows(ops.balance, lp.EQ, [d_pu.sum()])
+    shift = compute_ptdf(net).matrix @ d_pu
+    rhs = np.repeat(net.limits_pu(), 2) + ops.sign * np.repeat(shift, 2)
+    problem.add_rows(ops.limit_rows, lp.LE, rhs, lazy=lazy)
+    return problem
 
 
 def run_sced(net: Network, loads_mw: np.ndarray,
@@ -89,15 +136,47 @@ def run_sced(net: Network, loads_mw: np.ndarray,
     in-service branch limit, flows taken through the network's cached PTDF.
 
     ``soft_limits=True`` prices violations instead of failing and reports
-    them in ``Dispatch.violations_mw``.
+    them in ``Dispatch.violations_mw``; its limit rows are generated from the
+    base dispatch's seed and the answer certified against all of them.
     """
     loads_mw = np.asarray(loads_mw, dtype=float)
     if loads_mw.shape != (net.n_bus,):
         raise ValueError(f"expected {net.n_bus} bus loads, got {loads_mw.shape}")
+    return _solve(net, loads_mw, soft_limits, _lazy_rows(net) if soft_limits else False)[0]
+
+
+def base_dispatch(net: Network) -> Dispatch:
+    """Soft-limit dispatch on the case loads.  It depends on the network
+    alone, so it is solved once per instance, from an empty working set, and
+    shared read-only by every caller on that network."""
+    return _base(net).dispatch
+
+
+def _lazy_rows(net: Network):
+    """Limit rows outside the seed: all of them when the case loads have no
+    dispatch (over capacity), so such a network still serves other loads."""
+    try:
+        return ~_base(net).seed
+    except DispatchError:
+        return True
+
+
+def _base(net: Network) -> _Base:
+    base = net.operators.get("base_dispatch")
+    if base is None:
+        dispatch, working = _solve(net, net.load_mw, True, True)
+        for arr in (dispatch.gen_output, dispatch.scheduled_flows,
+                    dispatch.violations_mw, working):
+            arr.setflags(write=False)
+        base = net.operators["base_dispatch"] = _Base(dispatch, working)
+    return base
+
+
+def _solve(net, loads_mw, soft_limits, lazy):
+    """``(dispatch, final working set of the limit rows)``."""
     gens = net.generators
     if not gens:
         raise DispatchError("network has no in-service generators")
-
     total_load = float(loads_mw.sum())
     total_cap = sum(g.p_max for g in gens)
     if total_cap < total_load - 1e-9:
@@ -108,9 +187,8 @@ def run_sced(net: Network, loads_mw: np.ndarray,
 
     base = net.base_mva
     d_pu = loads_mw / base
-    problem, gs, vs = _dispatch_lp(
-        net, d_pu, soft_penalty=VIOLATION_PENALTY if soft_limits else None,
-    )
+    problem = _dispatch_lp(net, d_pu, VIOLATION_PENALTY if soft_limits else None,
+                           lazy=lazy)
     sol = lp.solve_lp(problem)
     if sol.status != lp.OPTIMAL:
         raise DispatchError(
@@ -118,34 +196,37 @@ def run_sced(net: Network, loads_mw: np.ndarray,
             binding=_diagnose_infeasibility(net, d_pu),
         )
 
-    p = sol.values[gs]
+    ops = _operators(net)
+    ng = ops.gen_bus.size
+    p = sol.values[:ng]
     inj = -d_pu.copy()
-    np.add.at(inj, [g.bus for g in gens], p)
+    np.add.at(inj, ops.gen_bus, p)
     flows = compute_ptdf(net).matrix @ inj
     binding = tuple(
         net.in_service_branches[k].ordinal
         for k in np.flatnonzero(np.abs(flows) >= net.limits_pu() - BINDING_TOL)
     )
-    violations = np.zeros(len(flows)) if vs is None else sol.values[vs] * base
-    return Dispatch(
+    violations = sol.values[ng:] * base if soft_limits else np.zeros(len(flows))
+    dispatch = Dispatch(
         gen_output=p * base,
         scheduled_flows=flows,
         total_cost=float(sol.objective_value),
         binding_branches=binding,
         violations_mw=violations,
     )
+    return dispatch, sol.working
 
 
 def _diagnose_infeasibility(net, d_pu):
     """Re-solve with elastic limits; the stretched branches are the culprits."""
-    problem, _, vs = _dispatch_lp(net, d_pu, soft_penalty=1.0, limit_costs=False)
+    problem = _dispatch_lp(net, d_pu, penalty=1.0, gen_costs=False)
     try:
         sol = lp.solve_lp(problem)
     except lp.SolverError:
         return ()
     if sol.status != lp.OPTIMAL:
         return ()
-    stretched = sol.values[vs]
+    stretched = sol.values[_operators(net).gen_bus.size:]
     return tuple(
         net.in_service_branches[k].ordinal
         for k in np.nonzero(stretched > BINDING_TOL)[0]

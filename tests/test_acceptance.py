@@ -16,8 +16,6 @@ from gridfdi.detect import (
     AlertLevel,
     COMBINED_ALERT,
     Snapshot,
-    mldi_all,
-    emldi_all,
     smldi,
 )
 from gridfdi.estimation import build_measurements, wls_estimate
@@ -31,6 +29,7 @@ from gridfdi.powerflow import solve_dc
 from gridfdi.sced import run_sced
 
 from oracles import enumerate_vertices
+from test_detect import emldi_all, mldi_all
 
 
 def _criterion(num, ok, detail):

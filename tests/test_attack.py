@@ -224,10 +224,17 @@ def test_objective_matches_row_oracle_118(net118, target):
 def test_lp_structure(net3):
     loads, _, flows = _base_state(net3)
     problem = build_attack_lp(net3, AttackSpec(1, 0.5, 10.0, flows, loads))
-    # variables: c per bus, s per bus (the flow deltas are substituted out)
+    # variables: c+ and c- per bus (the flow deltas are substituted out),
+    # both nonnegative and fixed to zero at the reference bus
     assert problem.n_var == 3 + 3
-    assert problem.lower[net3.reference_bus] == 0.0
-    assert problem.upper[net3.reference_bus] == 0.0
+    assert np.all(problem.lower == 0.0)
+    for ref in (net3.reference_bus, 3 + net3.reference_bus):
+        assert problem.upper[ref] == 0.0
+    assert np.sum(np.isinf(problem.upper)) == 4
     a_ub, _, a_eq, _ = problem.matrix_form()
     assert a_eq.shape[0] == 1                 # the no-load bus
-    assert a_ub.shape[0] == 2 * 2 + 2 * 3 + 1  # load-bus pairs, |c| pairs, budget
+    assert a_ub.shape[0] == 2 * 2 + 1         # load-bus pairs, budget
+    # c- enters every row with the opposite sign of c+, except the budget
+    a = a_ub.toarray()
+    assert np.array_equal(a[:-1, 3:], -a[:-1, :3])
+    assert np.array_equal(a[-1], np.ones(6))

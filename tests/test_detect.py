@@ -11,14 +11,24 @@ from gridfdi.detect import (
     Snapshot,
     bori_all,
     cai_ranking,
-    emldi_all,
-    mldi_all,
     run_two_stage,
     smldi,
+    _emldi,
     _indicators,
     _levels,
+    _mldi,
 )
 from gridfdi.powerflow import CRITICAL_PTDF, MIN_CRITICAL_SET, Ptdf
+
+
+def mldi_all(snap, dead_band=DEAD_BAND):
+    """MLDI of every branch from one snapshot."""
+    return _mldi(snap, _indicators(snap, dead_band))
+
+
+def emldi_all(snap, dead_band=DEAD_BAND):
+    """EMLDI of every branch from one snapshot."""
+    return _emldi(snap, _indicators(snap, dead_band))
 
 
 def _level(value, thresholds):

@@ -12,6 +12,8 @@ from gridfdi.estimation import (
     wls_estimate,
 )
 from gridfdi.powerflow import compute_ptdf, solve_dc, topology
+from gridfdi.attack import AttackSpec, build_attack_lp
+from gridfdi.sced import base_dispatch
 
 from oracles import estimated_flows_loop, measurement_matrix_loop
 
@@ -161,6 +163,28 @@ def test_outage_networks_never_share_operators(case118_path, rng):
     for net in nets:
         assert compute_ptdf(net) is compute_ptdf(net)
         assert not compute_ptdf(net).matrix.flags.writeable
+    lp_blocks = []
+    for net in nets:
+        # the SCED limit block and the attack row blocks: built once per
+        # network, read-only, and what every LP on that network uses
+        base = base_dispatch(net)
+        spec = AttackSpec(118, 0.1, 5.0, base.scheduled_flows, net.load_mw)
+        problem = build_attack_lp(net, spec)
+        again = build_attack_lp(net, spec)
+        blocks = [net.operators["sced"].limit_rows, net.operators["sced"].balance,
+                  *net.operators["attack_rows"]]
+        assert np.shares_memory(problem.constraints[0].a.data, blocks[2].data)
+        assert np.shares_memory(again.constraints[0].a.data, blocks[2].data)
+        for block in blocks:
+            for arr in (block.data, block.indices, block.indptr):
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                block.data[0] = 0.0
+        lp_blocks.append(blocks)
+    for a, b in zip(*lp_blocks):
+        assert not np.shares_memory(a.data, b.data)
+    assert not [a for a in nets[0].operators.values()
+                if any(a is b for b in nets[1].operators.values())]
     for net in nets:
         # dense oracle: rows of H give Bf (flows) and B (injections)
         meas = _noisy(net, {}, seed=None)

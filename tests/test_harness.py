@@ -15,7 +15,7 @@ from gridfdi.harness import (
     run_scenario,
     run_timeline,
 )
-from gridfdi.sced import run_sced
+from gridfdi.sced import base_dispatch, run_sced
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +225,7 @@ def test_base_dispatch_solved_once_per_network(case118_path):
         first = run_timeline(_config(case118_path, outages=outages), cache)
         second = run_timeline(_config(case118_path, outages=outages,
                                       seed=(11, 1), index=1), cache)
-        base = net.operators["base_dispatch"]
+        base = base_dispatch(net)
         assert first.dispatch_prev is base and second.dispatch_prev is base
 
         fresh = run_sced(net, net.load_mw, soft_limits=True)

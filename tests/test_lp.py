@@ -239,3 +239,108 @@ def test_certificate_rejects_bad_marginal(monkeypatch, y_ub, z_l, z_u, message):
     _fake_linprog(monkeypatch, bad_marginals)
     with pytest.raises(lp.SolverError, match=message):
         lp.solve_lp(p)
+
+
+def _chained_lazy_lp():
+    # max 2x + y over [0, 10]^2 with the lazy rows x + y <= 12 and x - y <= 1.
+    # Round 1 stops at (10, 10), which breaks only the first row; round 2 at
+    # (10, 2), which breaks the second; round 3 ends at (6.5, 5.5).
+    p = lp.LinearProgram(sense="max")
+    p.add_variables(2, lower=0.0, upper=10.0)
+    p.objective[:] = [2.0, 1.0]
+    p.add_rows([[1.0, 1.0], [1.0, -1.0]], lp.LE, [12.0, 1.0], lazy=True)
+    return p
+
+
+def test_lazy_rows_reach_the_all_rows_optimum():
+    p = _chained_lazy_lp()
+    x, best = enumerate_vertices(p)
+    sol = lp.solve_lp(p)
+    assert sol.status == lp.OPTIMAL
+    assert sol.rounds == 3
+    assert sol.working.tolist() == [True, True]
+    assert sol.objective_value == pytest.approx(best, abs=1e-9)
+    assert sol.values == pytest.approx(x, abs=1e-9)
+    assert best == pytest.approx(18.5, abs=1e-12)
+
+
+def test_rounds_count_working_sets():
+    eager = _chained_lazy_lp()
+    eager.constraints[0].lazy[:] = False
+    sol = lp.solve_lp(eager)
+    assert (sol.rounds, sol.working.tolist()) == (1, [True, True])
+    assert sol.objective_value == pytest.approx(18.5, abs=1e-9)
+
+    # an unviolated lazy row never joins: max -x over [0, 10] with x <= 5
+    p = lp.LinearProgram(sense="max")
+    p.add_variables(1, lower=0.0, upper=10.0)
+    p.objective[:] = [-1.0]
+    p.add_rows([[1.0]], lp.LE, [5.0], lazy=True)
+    sol = lp.solve_lp(p)
+    assert (sol.rounds, sol.working.tolist()) == (1, [False])
+    assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lazy_ge_rows_and_per_row_flags():
+    # min x + y st x + y >= 3 (lazy), x - y >= -1 (eager) over [0, 5]^2
+    p = lp.LinearProgram(sense="min")
+    p.add_variables(2, lower=0.0, upper=5.0)
+    p.objective[:] = [1.0, 1.0]
+    p.add_rows([[1.0, 1.0], [1.0, -1.0]], lp.GE, [3.0, -1.0], lazy=[True, False])
+    _, best = enumerate_vertices(p)
+    sol = lp.solve_lp(p)
+    assert sol.rounds == 2
+    assert sol.objective_value == pytest.approx(best, abs=1e-9)
+    assert best == pytest.approx(3.0, abs=1e-12)
+
+
+def test_lazy_rows_infeasible():
+    # x >= 2 holds in every working set; the lazy x <= 1 joins in round 2
+    p = lp.LinearProgram(sense="max")
+    p.add_variables(1, lower=0.0, upper=10.0)
+    p.objective[:] = [1.0]
+    p.add_rows([[1.0]], lp.GE, [2.0])
+    p.add_rows([[1.0]], lp.LE, [1.0], lazy=True)
+    sol = lp.solve_lp(p)
+    assert (sol.status, sol.rounds, sol.values) == (lp.INFEASIBLE, 2, None)
+    # an infeasible first working set ends the solve at once
+    p.constraints[-1].lazy[:] = False
+    p.add_rows([[1.0]], lp.LE, [20.0], lazy=True)
+    sol = lp.solve_lp(p)
+    assert (sol.status, sol.rounds) == (lp.INFEASIBLE, 1)
+
+
+def test_lazy_rows_unbounded_working_set():
+    # max x, x >= 0: unbounded without the lazy x <= 4, which then decides
+    p = lp.LinearProgram(sense="max")
+    p.add_variables(1, lower=0.0)
+    p.objective[:] = [1.0]
+    p.add_rows([[1.0], [-1.0]], lp.LE, [4.0, 0.0], lazy=True)
+    sol = lp.solve_lp(p)
+    assert (sol.status, sol.rounds) == (lp.OPTIMAL, 2)
+    assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
+    # and the full LP may be unbounded too: -x <= 1 and -x <= 0 cap nothing
+    q = lp.LinearProgram(sense="max")
+    q.add_variables(1, lower=0.0)
+    q.objective[:] = [1.0]
+    q.add_rows([[-1.0], [-1.0]], lp.LE, [1.0, 0.0], lazy=True)
+    sol = lp.solve_lp(q)
+    assert (sol.status, sol.rounds) == (lp.UNBOUNDED, 2)
+
+
+def test_lazy_equality_rows_rejected():
+    p = lp.LinearProgram(sense="max")
+    p.add_variables(1)
+    with pytest.raises(ValueError, match="lazy"):
+        p.add_rows([[1.0]], lp.EQ, [1.0], lazy=True)
+
+
+def test_random_lazy_rows_match_vertex_enumeration(rng):
+    for _ in range(25):
+        p = random_bounded_lp(rng)
+        _, best = enumerate_vertices(p)
+        for con in p.constraints:
+            con.lazy[:] = rng.random() < 0.7
+        sol = lp.solve_lp(p)
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(best, abs=1e-6)

@@ -3,7 +3,7 @@ import pytest
 
 from gridfdi import lp
 from gridfdi.cases import parse_matpower, validate_case
-from gridfdi.sced import VIOLATION_PENALTY, DispatchError, run_sced
+from gridfdi.sced import VIOLATION_PENALTY, DispatchError, base_dispatch, run_sced
 
 from oracles import dispatch_lp_rows
 
@@ -151,3 +151,40 @@ def test_capacity_shortfall():
 def test_loads_shape_checked(net3):
     with pytest.raises(ValueError):
         run_sced(net3, np.zeros(5))
+
+
+def test_seeded_soft_sced_matches_full_lp_118(net118, ptdf118, monkeypatch):
+    # Soft-limit dispatches start from the base dispatch's working set and
+    # generate the rest; each must equal the full LP built row by row.
+    rng = np.random.default_rng(2010)
+    solve = lp.solve_lp
+    rounds = []
+
+    def spy(problem):
+        sol = solve(problem)
+        rounds.append(sol.rounds)
+        return sol
+
+    base_dispatch(net118)
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    for _ in range(20):
+        loads = net118.load_mw * rng.uniform(0.9, 1.1) * (1 + rng.normal(0, 0.05, net118.n_bus))
+        dispatch = run_sced(net118, loads, soft_limits=True)
+        problem, gs, vs = dispatch_lp_rows(net118, ptdf118, loads / net118.base_mva,
+                                           soft_penalty=VIOLATION_PENALTY)
+        oracle = solve(problem)
+        assert oracle.status == lp.OPTIMAL
+        assert dispatch.total_cost == pytest.approx(oracle.objective_value, rel=1e-9)
+        assert dispatch.gen_output == pytest.approx(oracle.values[gs] * net118.base_mva,
+                                                    abs=1e-7)
+        inj = -loads / net118.base_mva
+        np.add.at(inj, [g.bus for g in net118.generators], oracle.values[gs])
+        flows = ptdf118.matrix @ inj
+        limits = net118.limits_pu()
+        assert dispatch.binding_branches == tuple(
+            net118.in_service_branches[k].ordinal
+            for k in np.flatnonzero(np.abs(flows) >= limits - 1e-6))
+        assert dispatch.violations_mw == pytest.approx(oracle.values[vs] * net118.base_mva,
+                                                       abs=1e-7)
+    assert len(rounds) == 20
+    assert max(rounds) > 1      # some load vector needed rows beyond the seed
