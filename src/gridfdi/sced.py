@@ -114,14 +114,14 @@ def _dispatch_lp(net, d_pu, penalty, gen_costs=True, lazy=False):
     right-hand sides ``limit +- PTDF d``.  ``penalty`` prices the elastic
     ``v >= 0``; ``None`` fixes ``v`` at zero (hard limits)."""
     ops = _operators(net)
-    m = ops.limit_rows.shape[0] // 2
+    ng, m = ops.gen_bus.size, ops.limit_rows.shape[0] // 2
+    hard = penalty is None
     problem = lp.LinearProgram(
         sense="min",
-        objective=np.concatenate([ops.cost if gen_costs else np.zeros(ops.cost.size),
-                                  np.full(m, 0.0 if penalty is None
-                                          else penalty * net.base_mva)]),
+        objective=np.concatenate([ops.cost if gen_costs else np.zeros(ng),
+                                  np.full(m, 0.0 if hard else penalty * net.base_mva)]),
         lower=np.concatenate([ops.p_min, np.zeros(m)]),
-        upper=np.concatenate([ops.p_max, np.full(m, 0.0 if penalty is None else np.inf)]),
+        upper=np.concatenate([ops.p_max, np.full(m, 0.0 if hard else np.inf)]),
     )
     problem.add_rows(ops.balance, lp.EQ, [d_pu.sum()])
     shift = compute_ptdf(net).matrix @ d_pu
@@ -142,7 +142,8 @@ def run_sced(net: Network, loads_mw: np.ndarray,
     loads_mw = np.asarray(loads_mw, dtype=float)
     if loads_mw.shape != (net.n_bus,):
         raise ValueError(f"expected {net.n_bus} bus loads, got {loads_mw.shape}")
-    return _solve(net, loads_mw, soft_limits, _lazy_rows(net) if soft_limits else False)[0]
+    lazy = _lazy_rows(net) if soft_limits else False
+    return _solve(net, loads_mw, soft_limits, lazy)[0]
 
 
 def base_dispatch(net: Network) -> Dispatch:
@@ -164,7 +165,7 @@ def _lazy_rows(net: Network):
 def _base(net: Network) -> _Base:
     base = net.operators.get("base_dispatch")
     if base is None:
-        dispatch, working = _solve(net, net.load_mw, True, True)
+        dispatch, working = _solve(net, net.load_mw, soft_limits=True, lazy=True)
         for arr in (dispatch.gen_output, dispatch.scheduled_flows,
                     dispatch.violations_mw, working):
             arr.setflags(write=False)

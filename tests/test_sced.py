@@ -146,6 +146,14 @@ def test_capacity_shortfall():
     with pytest.raises(DispatchError) as err:
         run_sced(net, net.load_mw * 100)
     assert "capacity" in err.value.binding
+    # case loads over capacity leave no base dispatch to seed from; a soft
+    # dispatch of servable loads starts from no limit rows instead
+    small = validate_case(parse_matpower(TWO_GEN.format(rate=500).replace(
+        "\t100\t1\t200\t0;", "\t100\t1\t50\t0;")))
+    with pytest.raises(DispatchError):
+        base_dispatch(small)
+    dispatch = run_sced(small, small.load_mw * 0.5, soft_limits=True)
+    assert dispatch.gen_output == pytest.approx([50.0, 10.0], abs=1e-6)
 
 
 def test_loads_shape_checked(net3):
