@@ -91,21 +91,32 @@ def _attack_rows(net: Network):
     row ``sum(c+ + c-)``; and ``(-B)(c+ - c-) = 0`` at buses without load."""
     rows = net.operators.get("attack_rows")
     if rows is None:
+        n = net.n_bus
         deviation = -topology(net).b
         is_load = net.load_bus_mask
         shift = (np.repeat(deviation[is_load], 2, axis=0)
                  * np.tile([1.0, -1.0], int(is_load.sum()))[:, None])
-        quiet = deviation[~is_load]
-        n = net.n_bus
-        rows = (
-            sparse.csr_array(np.vstack([np.hstack([shift, -shift]), np.ones((1, 2 * n))])),
-            sparse.csr_array(np.hstack([quiet, -quiet])),
-        )
+        rows = (_split_columns(shift, budget=True),
+                _split_columns(deviation[~is_load], budget=False))
         for a in rows:
             for arr in (a.data, a.indices, a.indptr):
                 arr.setflags(write=False)
         net.operators["attack_rows"] = rows
     return rows
+
+
+def _split_columns(block, budget):
+    """CSR of ``[block, -block]``, with a final row of ones if ``budget``."""
+    k, n = block.shape
+    r, c = np.nonzero(block)
+    v = block[r, c]
+    ones = 2 * n if budget else 0
+    return sparse.csr_array(
+        (np.concatenate([v, -v, np.ones(ones)]),
+         (np.concatenate([r, r, np.full(ones, k)]),
+          np.concatenate([c, n + c, np.arange(ones)]))),
+        shape=(k + budget, 2 * n),
+    )
 
 
 def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:

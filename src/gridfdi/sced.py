@@ -63,7 +63,6 @@ class _Operators:
     cost: np.ndarray         # $/h per p.u.
     balance: sparse.csr_array
     limit_rows: sparse.csr_array
-    sign: np.ndarray         # +1, -1, +1, ... per limit row
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,8 @@ def _operators(net: Network) -> _Operators:
         cost=np.array([g.linear_cost for g in gens]) * base,
         balance=balance,
         limit_rows=limit_rows,
-        sign=sign,
     )
-    for arr in (ops.gen_bus, ops.p_min, ops.p_max, ops.cost, ops.sign,
+    for arr in (ops.gen_bus, ops.p_min, ops.p_max, ops.cost,
                 balance.data, balance.indices, balance.indptr,
                 limit_rows.data, limit_rows.indices, limit_rows.indptr):
         arr.setflags(write=False)
@@ -125,7 +123,8 @@ def _dispatch_lp(net, d_pu, penalty, gen_costs=True, lazy=False):
     )
     problem.add_rows(ops.balance, lp.EQ, [d_pu.sum()])
     shift = compute_ptdf(net).matrix @ d_pu
-    rhs = np.repeat(net.limits_pu(), 2) + ops.sign * np.repeat(shift, 2)
+    limits = net.limits_pu()
+    rhs = np.column_stack([limits + shift, limits - shift]).ravel()
     problem.add_rows(ops.limit_rows, lp.LE, rhs, lazy=lazy)
     return problem
 
