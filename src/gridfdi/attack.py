@@ -18,8 +18,8 @@ import numpy as np
 from scipy import sparse
 
 from . import lp
-from .cases import Network
-from .estimation import FLOW, INJECTION, MeasurementSet, wls_estimate
+from .cases import Network, per_network
+from .estimation import FLOW, INJECTION, MeasurementSet, estimated_flows, wls_estimate
 from .powerflow import topology
 
 AUDIT_TOL = 1e-7
@@ -79,30 +79,17 @@ def _divergence(net: Network, delta_p: np.ndarray) -> np.ndarray:
     return topology(net).incidence.T @ delta_p
 
 
-def _flow_deltas(net: Network, c: np.ndarray) -> np.ndarray:
-    """Hidden flow delta per in-service branch for angle bias ``c``."""
-    topo = topology(net)
-    return (c[topo.to_bus] - c[topo.from_bus]) / topo.x
-
-
+@per_network("attack_rows")
 def _attack_rows(net: Network):
     """The attack LP's row blocks over [c+, c-], built once per network and
     read-only: per load bus the pair ``+-(-B)(c+ - c-)``, then the budget
     row ``sum(c+ + c-)``; and ``(-B)(c+ - c-) = 0`` at buses without load."""
-    rows = net.operators.get("attack_rows")
-    if rows is None:
-        n = net.n_bus
-        deviation = -topology(net).b
-        is_load = net.load_bus_mask
-        shift = (np.repeat(deviation[is_load], 2, axis=0)
-                 * np.tile([1.0, -1.0], int(is_load.sum()))[:, None])
-        rows = (_split_columns(shift, budget=True),
-                _split_columns(deviation[~is_load], budget=False))
-        for a in rows:
-            for arr in (a.data, a.indices, a.indptr):
-                arr.setflags(write=False)
-        net.operators["attack_rows"] = rows
-    return rows
+    deviation = -topology(net).b
+    is_load = net.load_bus_mask
+    shift = (np.repeat(deviation[is_load], 2, axis=0)
+             * np.tile([1.0, -1.0], int(is_load.sum()))[:, None])
+    return (_split_columns(shift, budget=True),
+            _split_columns(deviation[~is_load], budget=False))
 
 
 def _split_columns(block, budget):
@@ -141,12 +128,13 @@ def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
     gain = -sgn * topology(net).bf[target_pos]
     upper = np.full(2 * n, np.inf)
     upper[[net.reference_bus, n + net.reference_bus]] = 0.0
-    problem = lp.LinearProgram(sense="max", objective=np.concatenate([gain, -gain]),
-                               lower=np.zeros(2 * n), upper=upper)
     bound = spec.load_shift_factor * d0_pu[net.load_bus_mask]
-    problem.add_rows(a_ub, lp.LE, np.concatenate([np.repeat(bound, 2), [spec.l1_limit]]))
-    problem.add_rows(a_eq, lp.EQ, np.zeros(a_eq.shape[0]))
-    return problem
+    return lp.LinearProgram(
+        sense="max", objective=np.concatenate([gain, -gain]),
+        lower=np.zeros(2 * n), upper=upper,
+        a_ub=a_ub, b_ub=np.concatenate([np.repeat(bound, 2), [spec.l1_limit]]),
+        a_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+    )
 
 
 def solve_attack(net: Network, spec: AttackSpec) -> AttackResult:
@@ -165,7 +153,7 @@ def solve_attack(net: Network, spec: AttackSpec) -> AttackResult:
     c_plus, c_minus = sol.values[:n], sol.values[n:]
     c = c_plus - c_minus
     s = c_plus + c_minus
-    delta_p = _flow_deltas(net, c)
+    delta_p = -estimated_flows(net, c)
     div_pu = _divergence(net, delta_p)
     delta_d = np.where(net.load_bus_mask, div_pu, 0.0) * net.base_mva
 
@@ -192,7 +180,7 @@ def audit_attack(net: Network, spec: AttackSpec, result: AttackResult,
 
     if abs(c[net.reference_bus]) > tol:
         raise AuditError("reference-bus bias not zero")
-    bad = np.abs(dp - _flow_deltas(net, c)) > tol
+    bad = np.abs(dp + estimated_flows(net, c)) > tol
     if np.any(bad):
         ordinal = net.in_service_branches[np.argmax(bad)].ordinal
         raise AuditError(f"flow-delta equation violated on branch {ordinal}")

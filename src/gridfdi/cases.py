@@ -12,12 +12,14 @@ reports) are 1-based row positions in the case file.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 
@@ -122,24 +124,19 @@ class Network:
 
     @cached_property
     def operators(self) -> dict:
-        """Per-topology operators derived from this network, each built on
-        first use: ``"topology"`` and ``"ptdf"`` (powerflow), ``"wls"``
-        (estimation), ``"sced"`` and ``"base_dispatch"`` (sced) and
-        ``"attack_rows"`` (attack)."""
+        """Per-topology operators derived from this network, by name; each
+        is built on first use by a :func:`per_network` builder."""
         return {}
 
     @cached_property
     def load_bus_mask(self) -> np.ndarray:
         """Per bus: whether it carries load (read-only)."""
-        mask = np.array([b.is_load_bus for b in self.buses], dtype=bool)
-        mask.setflags(write=False)
-        return mask
+        return read_only(np.array([b.is_load_bus for b in self.buses], dtype=bool))
 
     @cached_property
     def _limits_pu(self) -> np.ndarray:
-        limits = np.array([b.limit_mw for b in self.in_service_branches]) / self.base_mva
-        limits.setflags(write=False)
-        return limits
+        return read_only(
+            np.array([b.limit_mw for b in self.in_service_branches]) / self.base_mva)
 
     @property
     def load_mw(self) -> np.ndarray:
@@ -159,6 +156,39 @@ class Network:
     def limits_pu(self) -> np.ndarray:
         """Thermal limit per in-service branch, p.u. (read-only)."""
         return self._limits_pu
+
+
+def read_only(value):
+    """Mark every array in ``value`` read-only and return ``value``: a bare
+    array, the arrays in a tuple or in dataclass fields (recursively) and the
+    ``data``/``indices``/``indptr`` of a sparse matrix."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif sparse.issparse(value):
+        read_only((value.data, value.indices, value.indptr))
+    elif isinstance(value, tuple):
+        for item in value:
+            read_only(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            read_only(getattr(value, f.name))
+    return value
+
+
+def per_network(name: str):
+    """Decorator for a builder ``build(net)`` of a per-topology operator: the
+    build runs once per :class:`Network` instance and its result, made
+    :func:`read_only`, is kept in ``net.operators[name]`` and returned by
+    every later call.  A build that raises stores nothing."""
+    def decorate(build):
+        @functools.wraps(build)
+        def get(net: Network):
+            ops = net.operators
+            if name not in ops:
+                ops[name] = read_only(build(net))
+            return ops[name]
+        return get
+    return decorate
 
 
 _BLOCK_RE = re.compile(r"^\s*mpc\.(\w+)\s*=\s*(.*)$")
@@ -382,7 +412,7 @@ def _check_connected(n_bus: int, active_branches) -> None:
         raise StructureError("case has no buses")
     rows = [b.from_bus for b in active_branches]
     cols = [b.to_bus for b in active_branches]
-    adj = coo_matrix(
+    adj = sparse.coo_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(n_bus, n_bus)
     )
     n_comp, labels = connected_components(adj, directed=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
-from .cases import Network
+from .cases import Network, per_network, read_only
 from .powerflow import topology
 
 LNR_THRESHOLD = 3.0
@@ -125,6 +125,12 @@ def measurement_matrix(meas: MeasurementSet, net: Network) -> np.ndarray:
     return np.vstack([topo.bf, topo.b])[np.where(is_flow, idx, m + idx)]
 
 
+@per_network("wls")
+def _wls_cache(net: Network) -> OrderedDict:
+    """The network's LRU of :func:`_wls_factors` entries."""
+    return OrderedDict()
+
+
 def _wls_factors(meas: MeasurementSet, net: Network):
     """H without the reference column, the gain G^-1 H'W (x_hat = gain @ z),
     and the residual standard deviations at the positions of the non-critical
@@ -133,7 +139,7 @@ def _wls_factors(meas: MeasurementSet, net: Network):
     weights = np.asarray(meas.weights, dtype=float)
     key = (tuple(meas.kinds), np.asarray(meas.indices, dtype=np.int64).tobytes(),
            weights.tobytes())
-    cache = net.operators.setdefault("wls", OrderedDict())
+    cache = _wls_cache(net)
     if key in cache:
         cache.move_to_end(key)
         return cache[key]
@@ -151,7 +157,8 @@ def _wls_factors(meas: MeasurementSet, net: Network):
     hg = linalg.cho_solve(cho, h.T)       # G^-1 H'
     omega = 1.0 / weights - np.einsum("ij,ji->i", h, hg)
     noncritical = np.flatnonzero(omega > CRITICAL_OMEGA / weights)
-    cache[key] = (h, hg * weights[None, :], np.sqrt(omega[noncritical]), noncritical)
+    cache[key] = read_only(
+        (h, hg * weights[None, :], np.sqrt(omega[noncritical]), noncritical))
     if len(cache) > _WLS_CACHE_SIZE:
         cache.popitem(last=False)
     return cache[key]

@@ -1,8 +1,8 @@
-"""Linear programs in matrix form for the dispatch and attack builders.
+"""Linear programs in the matrix form HiGHS receives.
 
-Constraints are kept as blocks of rows, ``A x (relation) b``, with ``A`` a
-scipy CSR matrix; a builder adds each family of rows as one block.
-:func:`solve_lp` hands the stacked blocks to scipy's HiGHS adapter unchanged.
+An LP is ``sense c x`` over ``lower <= x <= upper`` with ``a_ub x <= b_ub``
+and ``a_eq x = b_eq``; the dispatch and attack builders pass their
+per-network CSR blocks in as they are.
 
 Inequality rows may be *lazy*: they start outside the working set that is
 handed to HiGHS.  After each solve every lazy row the point violates joins
@@ -26,7 +26,7 @@ those tolerances, whatever produced it; a failure raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -37,101 +37,49 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-LE, EQ, GE = "<=", "=", ">="
-
 
 class SolverError(Exception):
     """Numeric breakdown or an unusable solver answer."""
 
 
 @dataclass
-class Constraint:
-    """A block of rows ``a @ x (relation) rhs``."""
-
-    a: sparse.csr_array
-    relation: str
-    rhs: np.ndarray
-    lazy: np.ndarray          # per row: starts outside the working set
-
-
-@dataclass
 class LinearProgram:
-    """An LP: ``sense`` objective over bounded variables and row blocks."""
+    """Maximise or minimise ``objective @ x`` over ``lower <= x <= upper``,
+    ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.  ``lazy`` is one flag, or
+    one per row of ``a_ub``, for rows that start outside the working set."""
 
-    sense: str = "max"                      # "max" | "min"
-    objective: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    lower: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    constraints: list[Constraint] = field(default_factory=list)
+    sense: str                              # "max" | "min"
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    a_ub: sparse.csr_array
+    b_ub: np.ndarray
+    a_eq: sparse.csr_array
+    b_eq: np.ndarray
+    lazy: bool | np.ndarray = False
 
     @property
     def n_var(self):
         return self.lower.size
 
-    def add_variables(self, count: int, lower=-np.inf, upper=np.inf):
-        """Append ``count`` variables; returns their index slice."""
-        start = self.n_var
-        self.lower = np.concatenate([self.lower, np.full(count, float(lower))])
-        self.upper = np.concatenate([self.upper, np.full(count, float(upper))])
-        self.objective = np.concatenate([self.objective, np.zeros(count)])
-        return slice(start, start + count)
-
-    def fix_variable(self, index: int, value: float):
-        self.lower[index] = value
-        self.upper[index] = value
-
-    def add_rows(self, a, relation: str, rhs, lazy=False):
-        """Append the block ``a @ x (relation) rhs``; ``a`` is 2-D, sparse or
-        dense, with one entry of ``rhs`` per row.  ``lazy`` (one flag, or one
-        per row) keeps inequality rows out of the first working set."""
-        if relation not in (LE, EQ, GE):
-            raise ValueError(f"unknown relation {relation!r}")
-        a = sparse.csr_array(a, dtype=float)
-        lazy = np.broadcast_to(np.asarray(lazy, dtype=bool), (a.shape[0],)).copy()
-        if relation == EQ and lazy.any():
-            raise ValueError("equality rows cannot be lazy")
-        self.constraints.append(Constraint(
-            a=a, relation=relation, rhs=np.asarray(rhs, dtype=float), lazy=lazy,
-        ))
-
     def validate(self):
-        n = self.n_var
-        if self.objective.shape != (n,):
-            raise ValueError("objective length does not match variable count")
-        if np.any(self.lower > self.upper + 1e-15):
-            raise ValueError("a variable has lower bound above its upper bound")
-        for i, con in enumerate(self.constraints):
-            if con.a.shape[1] != n:
-                raise ValueError(f"constraint block {i} shape {con.a.shape} has not"
-                                 f" {n} columns")
-            if con.rhs.shape != (con.a.shape[0],) or con.lazy.shape != con.rhs.shape:
-                raise ValueError(f"constraint block {i} has {con.a.shape[0]} rows"
-                                 f" but rhs shape {con.rhs.shape} and lazy shape"
-                                 f" {con.lazy.shape}")
         if self.sense not in ("max", "min"):
             raise ValueError(f"unknown sense {self.sense!r}")
-
-    def matrix_form(self):
-        """``(a_ub, b_ub, a_eq, b_eq)``: the blocks stacked in insertion order
-        as CSR matrices, ``>=`` rows negated into ``a_ub x <= b_ub``."""
-        ub = [(c.a, c.rhs) if c.relation == LE else (-c.a, -c.rhs)
-              for c in self.constraints if c.relation != EQ]
-        eq = [(c.a, c.rhs) for c in self.constraints if c.relation == EQ]
-        return (*_stack(ub, self.n_var), *_stack(eq, self.n_var))
-
-    def lazy_rows(self) -> np.ndarray:
-        """Per row of ``a_ub`` in :meth:`matrix_form`: whether it is lazy."""
-        return np.concatenate([c.lazy for c in self.constraints if c.relation != EQ]
-                              + [np.zeros(0, dtype=bool)])
-
-
-def _stack(blocks, n):
-    if not blocks:
-        return sparse.csr_array((0, n)), np.zeros(0)
-    a, b = zip(*blocks)
-    if len(a) == 1:
-        return a[0], b[0]
-    return sparse.vstack(a, format="csr"), np.concatenate(b)
+        n = self.n_var
+        if self.objective.shape != (n,) or self.upper.shape != (n,):
+            raise ValueError("objective or upper bound length does not match"
+                             " variable count")
+        if np.any(self.lower > self.upper + 1e-15):
+            raise ValueError("a variable has lower bound above its upper bound")
+        for name, a, b in (("a_ub", self.a_ub, self.b_ub), ("a_eq", self.a_eq, self.b_eq)):
+            if a.ndim != 2 or a.shape[1] != n:
+                raise ValueError(f"{name} shape {a.shape} has not {n} columns")
+            if b.shape != (a.shape[0],):
+                raise ValueError(f"{name} has {a.shape[0]} rows but its right-hand"
+                                 f" side has shape {b.shape}")
+        if np.shape(self.lazy) not in ((), self.b_ub.shape):
+            raise ValueError(f"lazy shape {np.shape(self.lazy)} matches neither one"
+                             f" flag nor the {self.b_ub.size} rows of a_ub")
 
 
 @dataclass(frozen=True)
@@ -153,20 +101,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     lp.validate()
     sign = -1.0 if lp.sense == "max" else 1.0
     c = sign * lp.objective
-    a_ub, b_ub, a_eq, b_eq = lp.matrix_form()
-    working = ~lp.lazy_rows()
+    working = ~np.broadcast_to(np.asarray(lp.lazy, dtype=bool), lp.b_ub.shape)
     bounds = np.column_stack([lp.lower, lp.upper])
     rounds = 0
     while True:
         rounds += 1
         rows = np.flatnonzero(working)
-        a_work = a_ub if rows.size == b_ub.size else a_ub[rows]
+        a_work = lp.a_ub if rows.size == lp.b_ub.size else lp.a_ub[rows]
         res = linprog(
             c=c,
             A_ub=a_work if rows.size else None,
-            b_ub=b_ub[rows] if rows.size else None,
-            A_eq=a_eq if a_eq.shape[0] else None,
-            b_eq=b_eq if a_eq.shape[0] else None,
+            b_ub=lp.b_ub[rows] if rows.size else None,
+            A_eq=lp.a_eq if lp.a_eq.shape[0] else None,
+            b_eq=lp.b_eq if lp.a_eq.shape[0] else None,
             bounds=bounds,
             method="highs",
         )
@@ -180,7 +127,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if res.status != 0:
             raise SolverError(f"HiGHS failed: status {res.status} ({res.message})")
         x = np.asarray(res.x, dtype=float)
-        violated = ~working & (a_ub @ x - b_ub > 0.0)
+        violated = ~working & (lp.a_ub @ x - lp.b_ub > 0.0)
         if not violated.any():
             break
         working |= violated
@@ -188,35 +135,35 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     obj = float(c @ x)
     if abs(obj - res.fun) > FEASIBILITY_TOL * max(1.0, abs(obj)):
         raise SolverError("objective value inconsistent with solution vector")
-    _check_primal(lp, x, a_ub, b_ub, a_eq, b_eq)
-    y_ub = np.zeros(b_ub.size)
+    _check_primal(lp, x)
+    y_ub = np.zeros(lp.b_ub.size)
     y_ub[rows] = _marginals(res, "ineqlin", rows.size)
-    _check_dual(lp, c, obj, res, y_ub, a_ub, b_ub, a_eq, b_eq)
+    _check_dual(lp, c, obj, res, y_ub)
     return LpSolution(OPTIMAL, x, float(sign * res.fun), rounds, working)
 
 
-def _check_primal(lp, x, a_ub, b_ub, a_eq, b_eq):
+def _check_primal(lp, x):
     if np.any(x < lp.lower - FEASIBILITY_TOL) or np.any(x > lp.upper + FEASIBILITY_TOL):
         raise SolverError("solution violates variable bounds")
-    excess = a_ub @ x - b_ub
+    excess = lp.a_ub @ x - lp.b_ub
     if excess.size and excess.max() > FEASIBILITY_TOL:
         i = int(np.argmax(excess))
         raise SolverError(f"row {i} of A_ub (<=) violated by {excess[i]:.3e}")
-    off = a_eq @ x - b_eq
+    off = lp.a_eq @ x - lp.b_eq
     if off.size and np.abs(off).max() > FEASIBILITY_TOL:
         i = int(np.argmax(np.abs(off)))
         raise SolverError(f"row {i} of A_eq (=) off by {off[i]:.3e}")
 
 
-def _check_dual(lp, c, obj, res, y_ub, a_ub, b_ub, a_eq, b_eq):
+def _check_dual(lp, c, obj, res, y_ub):
     """Dual certificate of ``min c x`` from the HiGHS marginals; ``y_ub``
     holds the row marginals over every row of ``a_ub``."""
-    y_eq = _marginals(res, "eqlin", b_eq.size)
+    y_eq = _marginals(res, "eqlin", lp.b_eq.size)
     z_l = _marginals(res, "lower", lp.n_var)
     z_u = _marginals(res, "upper", lp.n_var)
     tol = FEASIBILITY_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
 
-    stationarity = c - a_ub.T @ y_ub - a_eq.T @ y_eq - z_l - z_u
+    stationarity = c - lp.a_ub.T @ y_ub - lp.a_eq.T @ y_eq - z_l - z_u
     if stationarity.size and np.abs(stationarity).max() > tol:
         i = int(np.argmax(np.abs(stationarity)))
         raise SolverError(f"dual stationarity off by {stationarity[i]:.3e}"
@@ -229,7 +176,7 @@ def _check_dual(lp, c, obj, res, y_ub, a_ub, b_ub, a_eq, b_eq):
     if np.any(np.abs(z_l[~lo]) > tol) or np.any(np.abs(z_u[~hi]) > tol):
         raise SolverError("nonzero marginal on an infinite bound")
 
-    dual = b_ub @ y_ub + b_eq @ y_eq + lp.lower[lo] @ z_l[lo] + lp.upper[hi] @ z_u[hi]
+    dual = lp.b_ub @ y_ub + lp.b_eq @ y_eq + lp.lower[lo] @ z_l[lo] + lp.upper[hi] @ z_u[hi]
     if abs(obj - dual) > FEASIBILITY_TOL * max(1.0, abs(obj)):
         raise SolverError(f"primal-dual gap {obj - dual:.3e} at objective {obj:.6g}")
 

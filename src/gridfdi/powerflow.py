@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .cases import Network
+from .cases import Network, per_network, read_only
 
 # A load bus belongs to a branch's critical set when the magnitude of its
 # transfer sensitivity reaches this threshold.
@@ -61,8 +61,7 @@ class Ptdf:
         mask = np.zeros(self.matrix.shape, dtype=bool)
         for k, buses in enumerate(self.critical_sets):
             mask[k, buses] = True
-        mask.setflags(write=False)
-        return mask
+        return read_only(mask)
 
 
 @dataclass(frozen=True)
@@ -80,15 +79,9 @@ class Topology:
     factor: tuple          # LU factor of b[keep, keep]
 
 
+@per_network("topology")
 def topology(net: Network) -> Topology:
     """The network's cached DC operators; the first call builds them."""
-    topo = net.operators.get("topology")
-    if topo is None:
-        topo = net.operators["topology"] = _build_topology(net)
-    return topo
-
-
-def _build_topology(net: Network) -> Topology:
     branches = net.in_service_branches
     f = np.array([br.from_bus for br in branches], dtype=int)
     t = np.array([br.to_bus for br in branches], dtype=int)
@@ -112,8 +105,6 @@ def _build_topology(net: Network) -> Topology:
             "reduced susceptance matrix is numerically singular: pivot ratio"
             f" {pivots.min() / pivots.max():.1e} <= {MIN_PIVOT_RATIO:.0e}"
         )
-    for arr in (f, t, x, a, bf, b, keep, *factor):
-        arr.setflags(write=False)
     return Topology(from_bus=f, to_bus=t, x=x, incidence=a, bf=bf, b=b,
                     keep=keep, factor=factor)
 
@@ -137,6 +128,7 @@ def solve_dc(net: Network, injections: np.ndarray) -> DcSolution:
     return DcSolution(angles=angles, flows=topo.bf @ angles)
 
 
+@per_network("ptdf")
 def compute_ptdf(net: Network) -> Ptdf:
     """The network's cached transfer sensitivities of every in-service branch
     to every bus; the first call builds them, later calls return the same
@@ -146,13 +138,6 @@ def compute_ptdf(net: Network) -> Ptdf:
     Critical sets collect the load buses whose absolute sensitivity reaches
     ``CRITICAL_PTDF``.
     """
-    ptdf = net.operators.get("ptdf")
-    if ptdf is None:
-        ptdf = net.operators["ptdf"] = _build_ptdf(net)
-    return ptdf
-
-
-def _build_ptdf(net: Network) -> Ptdf:
     topo = topology(net)
     keep = topo.keep
     # Response of non-reference angles to a unit injection at each kept bus.
@@ -165,8 +150,6 @@ def _build_ptdf(net: Network) -> Ptdf:
     nl_sizes = critical.sum(axis=1)
     critical_sets = tuple(load_buses[row] for row in critical)
     eligible = nl_sizes >= MIN_CRITICAL_SET
-    for arr in (matrix, nl_sizes, eligible, *critical_sets):
-        arr.setflags(write=False)
     return Ptdf(
         matrix=matrix,
         reference_bus=net.reference_bus,

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from . import lp
-from .cases import Network
+from .cases import Network, per_network
 from .powerflow import compute_ptdf
 
 BINDING_TOL = 1e-6
@@ -71,10 +71,8 @@ class _Base:
     seed: np.ndarray         # limit rows in the final working set
 
 
+@per_network("sced")
 def _operators(net: Network) -> _Operators:
-    ops = net.operators.get("sced")
-    if ops is not None:
-        return ops
     ptdf = compute_ptdf(net)
     gens = net.generators
     base = net.base_mva
@@ -91,7 +89,7 @@ def _operators(net: Network) -> _Operators:
     )
     balance = sparse.csr_array((np.ones(ng), (np.zeros(ng, dtype=int), np.arange(ng))),
                                shape=(1, ng + m))
-    ops = _Operators(
+    return _Operators(
         gen_bus=gen_bus,
         p_min=np.array([g.p_min for g in gens]) / base,
         p_max=np.array([g.p_max for g in gens]) / base,
@@ -99,12 +97,6 @@ def _operators(net: Network) -> _Operators:
         balance=balance,
         limit_rows=limit_rows,
     )
-    for arr in (ops.gen_bus, ops.p_min, ops.p_max, ops.cost,
-                balance.data, balance.indices, balance.indptr,
-                limit_rows.data, limit_rows.indices, limit_rows.indptr):
-        arr.setflags(write=False)
-    net.operators["sced"] = ops
-    return ops
 
 
 def _dispatch_lp(net, d_pu, penalty, gen_costs=True, lazy=False):
@@ -114,19 +106,20 @@ def _dispatch_lp(net, d_pu, penalty, gen_costs=True, lazy=False):
     ops = _operators(net)
     ng, m = ops.gen_bus.size, ops.limit_rows.shape[0] // 2
     hard = penalty is None
-    problem = lp.LinearProgram(
+    shift = compute_ptdf(net).matrix @ d_pu
+    limits = net.limits_pu()
+    return lp.LinearProgram(
         sense="min",
         objective=np.concatenate([ops.cost if gen_costs else np.zeros(ng),
                                   np.full(m, 0.0 if hard else penalty * net.base_mva)]),
         lower=np.concatenate([ops.p_min, np.zeros(m)]),
         upper=np.concatenate([ops.p_max, np.full(m, 0.0 if hard else np.inf)]),
+        a_ub=ops.limit_rows,
+        b_ub=np.column_stack([limits + shift, limits - shift]).ravel(),
+        a_eq=ops.balance,
+        b_eq=np.array([d_pu.sum()]),
+        lazy=lazy,
     )
-    problem.add_rows(ops.balance, lp.EQ, [d_pu.sum()])
-    shift = compute_ptdf(net).matrix @ d_pu
-    limits = net.limits_pu()
-    rhs = np.column_stack([limits + shift, limits - shift]).ravel()
-    problem.add_rows(ops.limit_rows, lp.LE, rhs, lazy=lazy)
-    return problem
 
 
 def run_sced(net: Network, loads_mw: np.ndarray,
@@ -161,15 +154,9 @@ def _lazy_rows(net: Network):
         return True
 
 
+@per_network("base_dispatch")
 def _base(net: Network) -> _Base:
-    base = net.operators.get("base_dispatch")
-    if base is None:
-        dispatch, working = _solve(net, net.load_mw, soft_limits=True, lazy=True)
-        for arr in (dispatch.gen_output, dispatch.scheduled_flows,
-                    dispatch.violations_mw, working):
-            arr.setflags(write=False)
-        base = net.operators["base_dispatch"] = _Base(dispatch, working)
-    return base
+    return _Base(*_solve(net, net.load_mw, soft_limits=True, lazy=True))
 
 
 def _solve(net, loads_mw, soft_limits, lazy):

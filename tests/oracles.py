@@ -9,20 +9,37 @@ import dataclasses
 import itertools
 
 import numpy as np
+from scipy import sparse
 
 from gridfdi import lp
 
 _TOL = 1e-9
 
 
+def matrix_lp(sense, objective, lower, upper, a_ub=(), b_ub=(), a_eq=(), b_eq=(),
+              lazy=False):
+    """A :class:`lp.LinearProgram` from dense rows; a block left out has no
+    rows.  Every vector is a fresh float array, so tests may edit it."""
+    n = len(objective)
+
+    def block(rows):
+        return sparse.csr_array(np.asarray(rows, dtype=float).reshape(-1, n))
+
+    return lp.LinearProgram(
+        sense=sense, objective=np.array(objective, dtype=float),
+        lower=np.array(lower, dtype=float), upper=np.array(upper, dtype=float),
+        a_ub=block(a_ub), b_ub=np.array(b_ub, dtype=float),
+        a_eq=block(a_eq), b_eq=np.array(b_eq, dtype=float),
+        lazy=np.array(lazy, dtype=bool),
+    )
+
+
 def enumerate_vertices(problem: lp.LinearProgram):
     """All vertices of a bounded feasible region; returns (best_x, best_obj)
     for the problem's sense, or (None, None) when no vertex is feasible."""
     n = problem.n_var
-    a_ub, b_ub, a_eq, b_eq = problem.matrix_form()
-
-    eq_rows, eq_rhs = list(a_eq.toarray()), list(b_eq)
-    ineq_rows, ineq_rhs = list(a_ub.toarray()), list(b_ub)  # row @ x <= rhs
+    eq_rows, eq_rhs = list(problem.a_eq.toarray()), list(problem.b_eq)
+    ineq_rows, ineq_rhs = list(problem.a_ub.toarray()), list(problem.b_ub)  # row @ x <= rhs
     for j in range(n):
         lo, hi = problem.lower[j], problem.upper[j]
         e = np.zeros(n)
@@ -87,15 +104,9 @@ def boxed_vertex_verdict(problem: lp.LinearProgram, box: float = 1e3):
 def _feasible(problem, x):
     if np.any(x < problem.lower - 1e-7) or np.any(x > problem.upper + 1e-7):
         return False
-    for con in problem.constraints:
-        lhs = con.a.toarray() @ x
-        if con.relation == lp.LE and np.any(lhs > con.rhs + 1e-7):
-            return False
-        if con.relation == lp.GE and np.any(lhs < con.rhs - 1e-7):
-            return False
-        if con.relation == lp.EQ and np.any(np.abs(lhs - con.rhs) > 1e-7):
-            return False
-    return True
+    if np.any(problem.a_ub.toarray() @ x > problem.b_ub + 1e-7):
+        return False
+    return not np.any(np.abs(problem.a_eq.toarray() @ x - problem.b_eq) > 1e-7)
 
 
 def random_bounded_lp(rng, n_var=None, n_con=None):
@@ -103,14 +114,14 @@ def random_bounded_lp(rng, n_var=None, n_con=None):
     through the box interior, so 0-ish points stay feasible."""
     n = n_var or int(rng.integers(2, 7))
     m = n_con or int(rng.integers(1, 7))
-    problem = lp.LinearProgram(sense="max")
-    problem.add_variables(n, lower=0.0, upper=float(rng.uniform(0.5, 3.0)))
-    problem.objective[:] = rng.uniform(-1.0, 1.0, n)
+    upper = float(rng.uniform(0.5, 3.0))
+    objective = rng.uniform(-1.0, 1.0, n)
+    rows, rhs = [], []
     for _ in range(m):
-        row = rng.uniform(-1.0, 1.0, n)
+        rows.append(rng.uniform(-1.0, 1.0, n))
         # keep the origin feasible so the region is never empty
-        problem.add_rows([row], lp.LE, [float(rng.uniform(0.1, 2.0))])
-    return problem
+        rhs.append(float(rng.uniform(0.1, 2.0)))
+    return matrix_lp("max", objective, np.zeros(n), np.full(n, upper), rows, rhs)
 
 
 def measurement_matrix_loop(meas, net):
@@ -153,34 +164,35 @@ def dispatch_lp_rows(net, ptdf, d_pu, soft_penalty=None):
     mode).  Returns (problem, generator slice, elastic slice or None)."""
     gens = net.generators
     base = net.base_mva
-    problem = lp.LinearProgram(sense="min")
-    gs = problem.add_variables(len(gens))
+    gs = slice(0, len(gens))
+    vs = None if soft_penalty is None else slice(len(gens), len(gens) + ptdf.n_branches)
+    width = vs.stop if vs is not None else gs.stop
+    lower, upper, objective = np.zeros(width), np.full(width, np.inf), np.zeros(width)
     for i, g in enumerate(gens):
-        problem.lower[gs][i] = g.p_min / base
-        problem.upper[gs][i] = g.p_max / base
-        problem.objective[gs][i] = g.linear_cost * base
+        lower[i] = g.p_min / base
+        upper[i] = g.p_max / base
+        objective[i] = g.linear_cost * base
+    if vs is not None:
+        objective[vs] = soft_penalty * base
 
-    vs = None
-    if soft_penalty is not None:
-        vs = problem.add_variables(ptdf.n_branches, lower=0.0)
-        problem.objective[vs] = soft_penalty * base
-
-    balance = np.zeros(problem.n_var)
+    balance = np.zeros(width)
     balance[gs] = 1.0
-    problem.add_rows([balance], lp.EQ, [d_pu.sum()])
 
     sens = np.zeros((ptdf.n_branches, len(gens)))
     for i, g in enumerate(gens):
         sens[:, i] = ptdf.matrix[:, g.bus]
     shift = ptdf.matrix @ d_pu
     limits = net.limits_pu()
+    rows, rhs = [], []
     for k in range(ptdf.n_branches):
         for sign in (1.0, -1.0):
-            row = np.zeros(problem.n_var)
+            row = np.zeros(width)
             row[gs] = sign * sens[k]
             if vs is not None:
                 row[vs.start + k] = -1.0
-            problem.add_rows([row], lp.LE, [limits[k] + sign * shift[k]])
+            rows.append(row)
+            rhs.append(limits[k] + sign * shift[k])
+    problem = matrix_lp("min", objective, lower, upper, rows, rhs, [balance], [d_pu.sum()])
     return problem, gs, vs
 
 
@@ -194,20 +206,21 @@ def attack_lp_rows(net, spec):
     target_pos = net.branch_position(spec.target_branch)
     sgn = float(np.sign(spec.target_flow(net)))
 
-    problem = lp.LinearProgram(sense="max")
-    cs = problem.add_variables(n)
-    ss = problem.add_variables(n, lower=0.0)
-    dps = problem.add_variables(m)
-    problem.fix_variable(cs.start + net.reference_bus, 0.0)
-    problem.objective[dps.start + target_pos] = sgn
+    cs, ss, dps = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
+    width = dps.stop
+    lower, upper = np.full(width, -np.inf), np.full(width, np.inf)
+    lower[ss] = 0.0
+    lower[cs.start + net.reference_bus] = upper[cs.start + net.reference_bus] = 0.0
+    objective = np.zeros(width)
+    objective[dps.start + target_pos] = sgn
 
-    width = problem.n_var
+    ub, ub_rhs, eq = [], [], []
     for k, br in enumerate(branches):   # dp_k + (c_from - c_to)/x_k = 0
         row = np.zeros(width)
         row[cs.start + br.from_bus] += 1.0 / br.reactance
         row[cs.start + br.to_bus] -= 1.0 / br.reactance
         row[dps.start + k] = 1.0
-        problem.add_rows([row], lp.EQ, [0.0])
+        eq.append(row)
 
     for bus in net.buses:
         row = np.zeros(width)
@@ -218,21 +231,20 @@ def attack_lp_rows(net, spec):
                 row[dps.start + k] -= 1.0
         if bus.is_load_bus:
             bound = spec.load_shift_factor * d0_pu[bus.internal_index]
-            problem.add_rows([row], lp.LE, [bound])
-            problem.add_rows([-row], lp.LE, [bound])
+            ub += [row, -row]
+            ub_rhs += [bound, bound]
         else:
-            problem.add_rows([row], lp.EQ, [0.0])
+            eq.append(row)
 
     for i in range(n):
-        row = np.zeros(width)
-        row[cs.start + i] = -1.0
-        row[ss.start + i] = -1.0
-        problem.add_rows([row], lp.LE, [0.0])
-        row = np.zeros(width)
-        row[cs.start + i] = 1.0
-        row[ss.start + i] = -1.0
-        problem.add_rows([row], lp.LE, [0.0])
+        for sign in (-1.0, 1.0):    # sign * c_i - s_i <= 0
+            row = np.zeros(width)
+            row[cs.start + i] = sign
+            row[ss.start + i] = -1.0
+            ub.append(row)
+            ub_rhs.append(0.0)
     budget = np.zeros(width)
     budget[ss] = 1.0
-    problem.add_rows([budget], lp.LE, [spec.l1_limit])
-    return problem
+    ub.append(budget)
+    ub_rhs.append(spec.l1_limit)
+    return matrix_lp("max", objective, lower, upper, ub, ub_rhs, eq, np.zeros(len(eq)))

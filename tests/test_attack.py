@@ -231,10 +231,9 @@ def test_lp_structure(net3):
     for ref in (net3.reference_bus, 3 + net3.reference_bus):
         assert problem.upper[ref] == 0.0
     assert np.sum(np.isinf(problem.upper)) == 4
-    a_ub, _, a_eq, _ = problem.matrix_form()
-    assert a_eq.shape[0] == 1                 # the no-load bus
-    assert a_ub.shape[0] == 2 * 2 + 1         # load-bus pairs, budget
+    assert problem.a_eq.shape[0] == 1          # the no-load bus
+    assert problem.a_ub.shape[0] == 2 * 2 + 1  # load-bus pairs, budget
     # c- enters every row with the opposite sign of c+, except the budget
-    a = a_ub.toarray()
+    a = problem.a_ub.toarray()
     assert np.array_equal(a[:-1, 3:], -a[:-1, :3])
     assert np.array_equal(a[-1], np.ones(6))

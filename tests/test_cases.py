@@ -1,5 +1,8 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gridfdi.cases import (
     DataError,
@@ -8,8 +11,10 @@ from gridfdi.cases import (
     StructureError,
     load_case,
     parse_matpower,
+    per_network,
     validate_case,
 )
+from gridfdi.powerflow import compute_ptdf, topology
 
 TRIANGLE = """\
 function mpc = case3
@@ -172,3 +177,63 @@ def test_branch_position_out_of_service():
         net.branch_position(2)
     # positions shift past the outaged branch
     assert net.branch_position(3) == 1
+
+
+@dataclass(frozen=True)
+class _Nested:
+    vector: np.ndarray
+    block: sparse.csr_array
+    pair: tuple
+
+
+def test_per_network_builds_once_per_network():
+    calls = []
+
+    @per_network("test-counter")
+    def counter(net):
+        calls.append(net)
+        return np.arange(3.0)
+
+    nets = [validate_case(parse_matpower(TRIANGLE)) for _ in range(2)]
+    first = counter(nets[0])
+    assert counter(nets[0]) is first and nets[0].operators["test-counter"] is first
+    assert counter(nets[1]) is not first
+    assert [id(n) for n in calls] == [id(n) for n in nets]
+    assert not first.flags.writeable
+
+
+def test_per_network_results_are_read_only_all_the_way_down():
+    @per_network("test-nested")
+    def nested(net):
+        return (np.zeros(2), _Nested(np.ones(2), sparse.csr_array(np.eye(2)),
+                                     (np.zeros(1), (np.zeros(1),))))
+
+    bare, inner = nested(validate_case(parse_matpower(TRIANGLE)))
+    arrays = [bare, inner.vector, inner.block.data, inner.block.indices,
+              inner.block.indptr, inner.pair[0], inner.pair[1][0]]
+    assert not [a for a in arrays if a.flags.writeable]
+    with pytest.raises(ValueError):
+        inner.block.data[0] = 2.0
+
+
+def test_per_network_operators_are_read_only(net3):
+    topo, ptdf = topology(net3), compute_ptdf(net3)
+    for arr in (topo.incidence, topo.keep, *topo.factor, ptdf.matrix,
+                ptdf.eligible, *ptdf.critical_sets, ptdf.critical_mask,
+                net3.load_bus_mask, net3.limits_pu()):
+        assert not arr.flags.writeable
+
+
+def test_per_network_stores_nothing_when_the_build_raises():
+    calls = []
+
+    @per_network("test-failing")
+    def failing(net):
+        calls.append(net)
+        raise DataError("no operator")
+
+    net = validate_case(parse_matpower(TRIANGLE))
+    for _ in range(2):
+        with pytest.raises(DataError):
+            failing(net)
+    assert len(calls) == 2 and "test-failing" not in net.operators

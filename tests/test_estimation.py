@@ -173,8 +173,8 @@ def test_outage_networks_never_share_operators(case118_path, rng):
         again = build_attack_lp(net, spec)
         blocks = [net.operators["sced"].limit_rows, net.operators["sced"].balance,
                   *net.operators["attack_rows"]]
-        assert np.shares_memory(problem.constraints[0].a.data, blocks[2].data)
-        assert np.shares_memory(again.constraints[0].a.data, blocks[2].data)
+        assert problem.a_ub is blocks[2] and again.a_ub is blocks[2]
+        assert problem.a_eq is blocks[3] and again.a_eq is blocks[3]
         for block in blocks:
             for arr in (block.data, block.indices, block.indptr):
                 assert not arr.flags.writeable

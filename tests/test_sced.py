@@ -156,6 +156,20 @@ def test_capacity_shortfall():
     assert dispatch.gen_output == pytest.approx([50.0, 10.0], abs=1e-6)
 
 
+def test_failed_base_dispatch_is_not_memoised():
+    # the over-capacity base dispatch raises on every call and leaves no
+    # entry in the network's operators, while the SCED constants stay
+    small = validate_case(parse_matpower(TWO_GEN.format(rate=500).replace(
+        "\t100\t1\t200\t0;", "\t100\t1\t50\t0;")))
+    for _ in range(2):
+        with pytest.raises(DispatchError, match="capacity"):
+            base_dispatch(small)
+        assert "base_dispatch" not in small.operators
+    run_sced(small, small.load_mw * 0.5, soft_limits=True)
+    assert "base_dispatch" not in small.operators
+    assert not small.operators["sced"].limit_rows.data.flags.writeable
+
+
 def test_loads_shape_checked(net3):
     with pytest.raises(ValueError):
         run_sced(net3, np.zeros(5))
