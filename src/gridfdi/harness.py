@@ -98,6 +98,7 @@ class TimelineResult:
     dispatch_next: Dispatch
     loads_prev: np.ndarray       # MW
     loads_true: np.ndarray       # MW at t=0 (what physics sees)
+    gen_metered: np.ndarray      # MW per bus at t=0, the reference unit's drift included
     true_flows_t0: np.ndarray    # p.u. before re-dispatch
     true_flows_next: np.ndarray  # p.u. after re-dispatch, true loads
     violations_mw: np.ndarray    # per-branch |flow| - limit (positive = overload)
@@ -149,7 +150,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
     gen_prev = _gen_by_bus(net, dispatch_prev)
 
     # Loads drift into interval 2; the old dispatch rides through, imbalance
-    # lands on the reference unit.
+    # lands on the reference unit, and telemetry meters what it produces.
     if config.fluctuation is not None and (
         config.fluctuation.sigma > 0 or config.fluctuation.mu != 0
     ):
@@ -160,6 +161,8 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
     else:
         loads_true = loads_prev.copy()
     true_flows_t0 = _balanced_flows(net, gen_prev, loads_true)
+    gen_metered = gen_prev.copy()
+    gen_metered[net.reference_bus] += loads_true.sum() - gen_prev.sum()
 
     # The attacker observes the real t=0 state and forges the telemetry.
     attack = None
@@ -174,7 +177,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
         attack = solve_attack(net, spec)
 
     clean = build_measurements(
-        net, true_flows_t0, loads_true, gen_prev,
+        net, true_flows_t0, loads_true, gen_metered,
         noise_sigma=config.noise_sigma, seed=noise_seed,
     )
     meas = apply_attack(clean, attack) if attack is not None else clean
@@ -184,7 +187,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
     if attack is not None:
         residual_delta = check_unobservability(net, attack, clean)
     measured_flows = estimated_flows(net, se.angles)
-    measured_loads = _loads_from_measurements(net, meas, gen_prev)
+    measured_loads = _loads_from_measurements(net, meas, gen_metered)
 
     # Interval 2 dispatch runs on the estimated picture.
     dispatch_next = run_sced(net, measured_loads, soft_limits=True)
@@ -219,6 +222,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
         dispatch_next=dispatch_next,
         loads_prev=loads_prev,
         loads_true=loads_true,
+        gen_metered=gen_metered,
         true_flows_t0=true_flows_t0,
         true_flows_next=true_flows_next,
         violations_mw=violations_mw,

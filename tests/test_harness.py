@@ -111,6 +111,20 @@ def test_conservation_both_intervals(case118_path, cache):
     )
 
 
+@pytest.mark.parametrize("index", [0, 30, 50, 79, 100, 150, 200, 239])
+def test_noiseless_telemetry_fits_the_true_state(case118_path, cache, index):
+    # The reference unit's metered output carries the load drift, so the
+    # noiseless measurements fit one state: the estimate returns the flows
+    # the EMS should see and leaves no residual.
+    config = study_118_suite(case118_path)[index]
+    result = run_timeline(config, cache)
+    expected = (result.true_flows_t0 if result.attack is None
+                else result.attack.cyber_flows)
+    assert np.max(np.abs(result.snapshot.measured_flows - expected)) <= 1e-9
+    assert result.lnr_value <= 1e-9
+    assert result.gen_metered.sum() == pytest.approx(result.loads_true.sum(), abs=1e-9)
+
+
 def test_attack_timeline_detects_and_overloads(case118_path, cache):
     config = _config(
         case118_path, mode="attack",
