@@ -281,13 +281,17 @@ def _cmd_run_experiment(args):
             "target_cai_rank": outcome.target_cai_rank,
             "target_danger": outcome.target_danger,
             "target_overload_mw": outcome.target_overload_mw,
+            "attack_objective_pu": outcome.attack_objective_pu,
+            "tampered_load_count": outcome.tampered_load_count,
+            "lnr_value": outcome.lnr_value,
+            "residual_delta": outcome.residual_delta,
             "report": None if outcome.report is None else report_to_dict(outcome.report),
         }
         name = f"scenario_{outcome.config.index:03d}.json"
         with open(out_dir / name, "w") as fh:
             json.dump(payload, fh, indent=1, default=_jsonify)
 
-    net = load_case(suite[0].case_path, suite[0].outages) if suite else None
+    net = cache.get(suite[0].case_path, suite[0].outages)[0] if suite else None
     summary = {
         "n_scenarios": len(report.outcomes),
         "assumptions": {

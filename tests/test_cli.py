@@ -93,7 +93,7 @@ def test_detect_command_roundtrip(case118_path, tmp_path):
     assert 118 in suspects
 
 
-def test_gen_scenarios_and_run_experiment(case118_path, tmp_path):
+def test_gen_scenarios_and_run_experiment(case118_path, tmp_path, monkeypatch):
     suite_file = tmp_path / "suite.json"
     main(["gen-scenarios", "--case", str(case118_path),
           "--out", str(suite_file)])
@@ -105,9 +105,12 @@ def test_gen_scenarios_and_run_experiment(case118_path, tmp_path):
     small_file = tmp_path / "small.json"
     small_file.write_text(json.dumps(small))
     out_dir = tmp_path / "results"
+    # the summary reads the reference bus off the experiment's own network
+    monkeypatch.delattr("gridfdi.cli.load_case")
     main(["run-experiment", "--suite", str(small_file), "--out", str(out_dir)])
 
-    assert (out_dir / "summary.json").exists()
+    summary = _read(out_dir / "summary.json")
+    assert summary["assumptions"]["reference_bus"] == 69
     with open(out_dir / "aggregate.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["group"] for r in rows} == {"N(0,0.03)", "attack-118-constant"}
@@ -122,6 +125,17 @@ def test_gen_scenarios_and_run_experiment(case118_path, tmp_path):
     assert payload["report"]["stage1_alert"] in (
         "Normal", "Monitor", "Warning", "Danger"
     )
+    # noiseless telemetry: no residual; the attack's own figures are kept
+    payloads = [_read(f) for f in scenario_files]
+    for payload in payloads:
+        assert payload["error"] is None
+        assert 0.0 <= payload["lnr_value"] <= 1e-9
+    fluct, attack = payloads[0], payloads[2]
+    assert (fluct["attack_objective_pu"], fluct["tampered_load_count"],
+            fluct["residual_delta"]) == (None, None, None)
+    assert attack["attack_objective_pu"] > 0
+    assert attack["tampered_load_count"] > 0
+    assert 0.0 <= attack["residual_delta"] < 1e-8
 
 
 def test_gen_scenarios_outage_grid(case118_path, tmp_path):
