@@ -12,11 +12,9 @@ reports) are 1-based row positions in the case file.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property, wraps
 
 import numpy as np
 from scipy import sparse
@@ -169,8 +167,8 @@ def read_only(value):
     elif isinstance(value, tuple):
         for item in value:
             read_only(item)
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for f in dataclasses.fields(value):
+    elif is_dataclass(value):
+        for f in fields(value):
             read_only(getattr(value, f.name))
     return value
 
@@ -181,7 +179,7 @@ def per_network(name: str):
     :func:`read_only`, is kept in ``net.operators[name]`` and returned by
     every later call.  A build that raises stores nothing."""
     def decorate(build):
-        @functools.wraps(build)
+        @wraps(build)
         def get(net: Network):
             ops = net.operators
             if name not in ops:
