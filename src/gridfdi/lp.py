@@ -12,6 +12,13 @@ LP's; an unbounded reduced LP is re-solved with every row.  The final answer
 is certified against *all* rows, the marginals of rows left outside padded
 with zeros, so a certified point is optimal for the full LP.
 
+Each working set is one call into HiGHS, Huangfu & Hall's dual revised
+simplex (Math. Prog. Comp. 2018), through the bindings scipy ships as
+``scipy.optimize._highspy._core``.  Every call builds a fresh solver with the
+same fixed options (presolve on, dual simplex, no output, no debug checks),
+so answers do not depend on call order.  The working rows of ``a_ub`` and
+then the rows of ``a_eq`` go in row-wise, their CSR arrays concatenated.
+
 Every optimal answer is certified before it is returned.  The primal check
 re-tests all bounds and rows at ``FEASIBILITY_TOL``.  The dual certificate
 reads the HiGHS marginals ``y`` (rows) and ``z`` (bounds) of the minimisation
@@ -21,7 +28,8 @@ bounds, and a primal-dual gap within ``FEASIBILITY_TOL``.  Residuals are
 relative: stationarity and signs to ``max(1, |c|_inf)``, the gap to
 ``max(1, |objective|)``.  A primal point that passes both is optimal up to
 those tolerances, whatever produced it; a failure raises
-:class:`SolverError` rather than returning a silently wrong answer.
+:class:`SolverError` rather than returning a silently wrong answer.  So does
+a non-finite point or marginal, which every comparison would let through.
 """
 
 from __future__ import annotations
@@ -30,6 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+
+try:
+    from scipy.optimize._highspy import _core as highs
+except ImportError as exc:   # scipy before 1.17
+    raise ImportError("gridfdi needs scipy>=1.17, whose scipy.optimize._highspy._core"
+                      " binds the HiGHS solver") from exc
 
 FEASIBILITY_TOL = 1e-7
 
@@ -72,6 +86,8 @@ class LinearProgram:
         if np.any(self.lower > self.upper + 1e-15):
             raise ValueError("a variable has lower bound above its upper bound")
         for name, a, b in (("a_ub", self.a_ub, self.b_ub), ("a_eq", self.a_eq, self.b_eq)):
+            if getattr(a, "format", None) != "csr":
+                raise ValueError(f"{name} is not a CSR matrix")
             if a.ndim != 2 or a.shape[1] != n:
                 raise ValueError(f"{name} shape {a.shape} has not {n} columns")
             if b.shape != (a.shape[0],):
@@ -89,57 +105,128 @@ class LpSolution:
     objective_value: float | None
     rounds: int = 1                     # HiGHS solves, one per working set
     working: np.ndarray | None = None   # final working set over the rows of a_ub
+    iterations: int = 0                 # HiGHS simplex iterations over all rounds
+    stationarity: float | None = None   # worst relative stationarity residual
+    gap: float | None = None            # relative primal-dual gap
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an LP with HiGHS, adding violated lazy rows until none is left,
     and certify an optimal answer against every row; deterministic for
     identical input."""
-    # Looked up at call time, so a wrapper installed on scipy.optimize is used.
-    from scipy.optimize import linprog
-
     lp.validate()
     sign = -1.0 if lp.sense == "max" else 1.0
     c = sign * lp.objective
     working = ~np.broadcast_to(np.asarray(lp.lazy, dtype=bool), lp.b_ub.shape)
-    bounds = np.column_stack([lp.lower, lp.upper])
-    rounds = 0
+    rounds = iterations = 0
     while True:
         rounds += 1
         rows = np.flatnonzero(working)
         a_work = lp.a_ub if rows.size == lp.b_ub.size else lp.a_ub[rows]
-        res = linprog(
-            c=c,
-            A_ub=a_work if rows.size else None,
-            b_ub=lp.b_ub[rows] if rows.size else None,
-            A_eq=lp.a_eq if lp.a_eq.shape[0] else None,
-            b_eq=lp.b_eq if lp.a_eq.shape[0] else None,
-            bounds=bounds,
-            method="highs",
-        )
-        if res.status == 2:
-            return LpSolution(INFEASIBLE, None, None, rounds, working)
-        if res.status == 3:
+        ans = _run_highs(c, lp.lower, lp.upper, a_work, lp.b_ub[rows], lp.a_eq, lp.b_eq)
+        iterations += ans.iterations
+        if ans.status == INFEASIBLE:
+            return LpSolution(INFEASIBLE, None, None, rounds, working, iterations)
+        if ans.status == UNBOUNDED:
             if working.all():
-                return LpSolution(UNBOUNDED, None, None, rounds, working)
+                return LpSolution(UNBOUNDED, None, None, rounds, working, iterations)
             working[:] = True
             continue
-        if res.status != 0:
-            raise SolverError(f"HiGHS failed: status {res.status} ({res.message})")
-        x = np.asarray(res.x, dtype=float)
+        x = ans.x
         violated = ~working & (lp.a_ub @ x - lp.b_ub > 0.0)
         if not violated.any():
             break
         working |= violated
 
     obj = float(c @ x)
-    if abs(obj - res.fun) > FEASIBILITY_TOL * max(1.0, abs(obj)):
+    # written so that a NaN, and so any non-finite x, fails it too
+    if not abs(obj - ans.fun) <= FEASIBILITY_TOL * max(1.0, abs(obj)):
         raise SolverError("objective value inconsistent with solution vector")
     _check_primal(lp, x)
     y_ub = np.zeros(lp.b_ub.size)
-    y_ub[rows] = _marginals(res, "ineqlin", rows.size)
-    _check_dual(lp, c, obj, res, y_ub)
-    return LpSolution(OPTIMAL, x, float(sign * res.fun), rounds, working)
+    y_ub[rows] = ans.row_dual[:rows.size]
+    stationarity, gap = _check_dual(lp, c, obj, y_ub, ans.row_dual[rows.size:],
+                                    ans.z_lower, ans.z_upper)
+    return LpSolution(OPTIMAL, x, float(sign * ans.fun), rounds, working, iterations,
+                      stationarity, gap)
+
+
+def _highs_options():
+    """Presolve on, dual simplex, no output and no debug checks: the
+    settings of scipy's ``method="highs"``."""
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    return options
+
+
+_OPTIONS = _highs_options()
+_STATUS = {
+    highs.HighsModelStatus.kOptimal: OPTIMAL,
+    highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+_AT_LOWER = int(highs.HighsBasisStatus.kLower)
+_AT_UPPER = int(highs.HighsBasisStatus.kUpper)
+
+
+@dataclass
+class _Answer:
+    """One HiGHS solve of ``min c x``; the solution fields are set only when
+    ``status`` is optimal."""
+
+    status: str
+    iterations: int
+    x: np.ndarray | None = None
+    fun: float | None = None
+    row_dual: np.ndarray | None = None   # the a_ub rows passed, then a_eq's
+    z_lower: np.ndarray | None = None
+    z_upper: np.ndarray | None = None
+
+
+def _run_highs(c, lower, upper, a_ub, b_ub, a_eq, b_eq) -> _Answer:
+    """Solve ``min c x`` over the bounds, ``a_ub x <= b_ub`` and
+    ``a_eq x = b_eq`` (both CSR) with a fresh HiGHS instance."""
+    n, m = c.size, b_ub.size + b_eq.size
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = n, m
+    model.col_cost_, model.col_lower_, model.col_upper_ = c, lower, upper
+    model.row_lower_ = np.concatenate([np.full(b_ub.size, -highs.kHighsInf), b_eq])
+    model.row_upper_ = np.concatenate([b_ub, b_eq])
+    matrix = model.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = n, m
+    matrix.start_ = np.concatenate([a_ub.indptr, a_ub.indptr[-1] + a_eq.indptr[1:]])
+    matrix.index_ = np.concatenate([a_ub.indices, a_eq.indices])
+    matrix.value_ = np.concatenate([a_ub.data, a_eq.data])
+
+    solver = highs._Highs()
+    error = highs.HighsStatus.kError
+    failed = (solver.passOptions(_OPTIONS) == error or solver.passModel(model) == error
+              or solver.run() == error)
+    model_status = solver.getModelStatus()
+    status = None if failed else _STATUS.get(model_status)
+    if status is None:
+        raise SolverError(f"HiGHS failed: {solver.modelStatusToString(model_status)}")
+    info = solver.getInfo()
+    answer = _Answer(status, int(info.simplex_iteration_count))
+    if status != OPTIMAL:
+        return answer
+
+    solution = solver.getSolution()
+    if not (solution.value_valid and solution.dual_valid):
+        raise SolverError("HiGHS reported an optimum without primal and dual values")
+    col_status = np.fromiter(map(int, solver.getBasis().col_status), dtype=int, count=n)
+    z = np.array(solution.col_dual)
+    answer.x = np.array(solution.col_value)
+    answer.fun = info.objective_function_value
+    answer.row_dual = np.array(solution.row_dual)
+    answer.z_lower = np.where(col_status == _AT_LOWER, z, 0.0)
+    answer.z_upper = np.where(col_status == _AT_UPPER, z, 0.0)
+    return answer
 
 
 def _check_primal(lp, x):
@@ -155,16 +242,18 @@ def _check_primal(lp, x):
         raise SolverError(f"row {i} of A_eq (=) off by {off[i]:.3e}")
 
 
-def _check_dual(lp, c, obj, res, y_ub):
+def _check_dual(lp, c, obj, y_ub, y_eq, z_l, z_u):
     """Dual certificate of ``min c x`` from the HiGHS marginals; ``y_ub``
-    holds the row marginals over every row of ``a_ub``."""
-    y_eq = _marginals(res, "eqlin", lp.b_eq.size)
-    z_l = _marginals(res, "lower", lp.n_var)
-    z_u = _marginals(res, "upper", lp.n_var)
-    tol = FEASIBILITY_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
+    holds the row marginals over every row of ``a_ub``.  Returns the worst
+    relative stationarity residual and the relative primal-dual gap."""
+    if not all(np.isfinite(v).all() for v in (y_ub, y_eq, z_l, z_u)):
+        raise SolverError("HiGHS returned a non-finite marginal")
+    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+    tol = FEASIBILITY_TOL * scale
 
     stationarity = c - lp.a_ub.T @ y_ub - lp.a_eq.T @ y_eq - z_l - z_u
-    if stationarity.size and np.abs(stationarity).max() > tol:
+    worst = float(np.abs(stationarity).max(initial=0.0))
+    if worst > tol:
         i = int(np.argmax(np.abs(stationarity)))
         raise SolverError(f"dual stationarity off by {stationarity[i]:.3e}"
                           f" at variable {i}")
@@ -179,10 +268,4 @@ def _check_dual(lp, c, obj, res, y_ub):
     dual = lp.b_ub @ y_ub + lp.b_eq @ y_eq + lp.lower[lo] @ z_l[lo] + lp.upper[hi] @ z_u[hi]
     if abs(obj - dual) > FEASIBILITY_TOL * max(1.0, abs(obj)):
         raise SolverError(f"primal-dual gap {obj - dual:.3e} at objective {obj:.6g}")
-
-
-def _marginals(res, name, size):
-    y = getattr(getattr(res, name, None), "marginals", None)
-    if y is None or np.shape(y) != (size,):
-        raise SolverError(f"HiGHS returned no {name} marginals of length {size}")
-    return np.asarray(y, dtype=float)
+    return worst / scale, abs(obj - dual) / max(1.0, abs(obj))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from gridfdi import lp
+from gridfdi import attack, lp, sced
 
 from oracles import boxed_vertex_verdict, enumerate_vertices, matrix_lp, random_bounded_lp
 
@@ -184,26 +184,26 @@ def test_vertex_oracle_handles_dependent_equalities():
     assert lp.solve_lp(p).status == lp.INFEASIBLE
 
 
-def _fake_linprog(monkeypatch, edit):
+def _fake_highs(monkeypatch, edit):
     """Route solve_lp through the real HiGHS call, then let ``edit`` change
-    the returned result."""
-    real = scipy.optimize.linprog
+    the returned answer."""
+    real = lp._run_highs
 
     def fake(*args, **kwargs):
-        res = real(*args, **kwargs)
-        edit(res)
-        return res
+        ans = real(*args, **kwargs)
+        edit(ans)
+        return ans
 
-    monkeypatch.setattr(scipy.optimize, "linprog", fake)
+    monkeypatch.setattr(lp, "_run_highs", fake)
 
 
 def test_solution_audit_catches_bad_engine(monkeypatch):
     p = _single_var([[1.0]], [0.5])
 
-    def infeasible_x(res):
-        res.x, res.fun = np.array([1.0]), -1.0
+    def infeasible_x(ans):
+        ans.x, ans.fun = np.array([1.0]), -1.0
 
-    _fake_linprog(monkeypatch, infeasible_x)
+    _fake_highs(monkeypatch, infeasible_x)
     with pytest.raises(lp.SolverError, match="A_ub"):
         lp.solve_lp(p)
 
@@ -214,10 +214,10 @@ def test_certificate_rejects_feasible_non_optimal_point(monkeypatch):
     # only the primal-dual gap of 0.5 shows that it is not optimal.
     p = matrix_lp("max", [1.0, 1.0], [0.0, 0.0], [INF, INF], [[1.0, 1.0]], [1.0])
 
-    def worse_x(res):
-        res.x, res.fun = np.array([0.25, 0.25]), -0.5
+    def worse_x(ans):
+        ans.x, ans.fun = np.array([0.25, 0.25]), -0.5
 
-    _fake_linprog(monkeypatch, worse_x)
+    _fake_highs(monkeypatch, worse_x)
     with pytest.raises(lp.SolverError, match="gap"):
         lp.solve_lp(p)
 
@@ -235,15 +235,49 @@ def test_certificate_rejects_bad_marginal(monkeypatch, y_ub, z_l, z_u, message):
     # can fail.
     p = matrix_lp("min", [1.0], [0.0], [INF], [[-1.0]], [0.0])
 
-    def bad_marginals(res):
-        res.ineqlin.marginals = np.array([y_ub])
-        res.lower.marginals = np.array([z_l])
-        res.upper.marginals = np.array([z_u])
+    def bad_marginals(ans):
+        ans.row_dual = np.array([y_ub])
+        ans.z_lower = np.array([z_l])
+        ans.z_upper = np.array([z_u])
 
     assert lp.solve_lp(p).objective_value == pytest.approx(0.0, abs=1e-12)
-    _fake_linprog(monkeypatch, bad_marginals)
+    _fake_highs(monkeypatch, bad_marginals)
     with pytest.raises(lp.SolverError, match=message):
         lp.solve_lp(p)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("x", "objective value"), ("fun", "objective value"),
+    ("row_dual", "non-finite"), ("z_lower", "non-finite"),
+])
+def test_certificate_rejects_non_finite_answer(monkeypatch, field, message):
+    # a NaN compares false against every tolerance, so without an explicit
+    # check it would pass the primal and dual tests unseen
+    p = matrix_lp("min", [1.0], [0.0], [INF], [[-1.0]], [0.0])
+
+    def poison(ans):
+        setattr(ans, field, np.nan if field == "fun" else np.full(1, np.nan))
+
+    _fake_highs(monkeypatch, poison)
+    with pytest.raises(lp.SolverError, match=message):
+        lp.solve_lp(p)
+
+
+def test_other_highs_status_raises(monkeypatch):
+    # only optimal, infeasible and unbounded map to an answer; HiGHS reports
+    # this LP infeasible, so with that mapping gone it must raise
+    p = matrix_lp("max", [1.0], [-INF], [INF], [[-1.0], [1.0]], [-2.0, 1.0])
+    monkeypatch.delitem(lp._STATUS, lp.highs.HighsModelStatus.kInfeasible)
+    with pytest.raises(lp.SolverError, match="HiGHS failed: Infeasible"):
+        lp.solve_lp(p)
+
+
+def test_validate_rejects_non_csr_blocks():
+    p = matrix_lp("min", [1.0], [0.0], [INF], [[-1.0]], [0.0])
+    with pytest.raises(ValueError, match="CSR"):
+        dataclasses.replace(p, a_ub=p.a_ub.tocsc()).validate()
+    with pytest.raises(ValueError, match="CSR"):
+        dataclasses.replace(p, a_eq=p.a_eq.toarray()).validate()
 
 
 def _chained_lazy_lp():
@@ -325,3 +359,63 @@ def test_random_lazy_rows_match_vertex_enumeration(rng):
         sol = lp.solve_lp(p)
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(best, abs=1e-6)
+
+
+def _linprog_on_working_rows(problem, sol):
+    """scipy's ``linprog(method="highs")`` as a reference: the same LP with
+    the working rows ``solve_lp`` ended with; returns (x, objective)."""
+    sign = -1.0 if problem.sense == "max" else 1.0
+    rows = np.flatnonzero(sol.working)
+    res = scipy.optimize.linprog(
+        sign * problem.objective, A_ub=problem.a_ub[rows], b_ub=problem.b_ub[rows],
+        A_eq=problem.a_eq, b_eq=problem.b_eq,
+        bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
+    assert res.status == 0, res.message
+    return res.x, sign * res.fun
+
+
+def _attack_118(net118, target, budget):
+    dispatch = sced.base_dispatch(net118)
+    spec = attack.AttackSpec(target, 0.10, budget, dispatch.scheduled_flows,
+                             net118.load_mw)
+    return attack.build_attack_lp(net118, spec)
+
+
+def test_same_answers_as_linprog_on_case118(net118, monkeypatch):
+    # the soft-limit SCED as run_sced solves it, seeded from the base
+    # dispatch, at case loads and at drifted loads; then three attack LPs
+    solved = []
+
+    def spy(problem):
+        sol = solve(problem)
+        solved.append((problem, sol))
+        return sol
+
+    solve = lp.solve_lp
+    sced.base_dispatch(net118)
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    drift = 1 + np.random.default_rng(2018).normal(0, 0.03, net118.n_bus)
+    for loads in (net118.load_mw, net118.load_mw * drift):
+        sced.run_sced(net118, loads, soft_limits=True)
+    monkeypatch.undo()
+    assert len(solved) == 2 and all(not sol.working.all() for _, sol in solved)
+    for target, budget in ((118, 2.0), (111, 2.0), (111, 10.0)):
+        problem = _attack_118(net118, target, budget)
+        solved.append((problem, lp.solve_lp(problem)))
+
+    for problem, sol in solved:
+        x, objective = _linprog_on_working_rows(problem, sol)
+        assert np.array_equal(sol.values, x)
+        assert sol.objective_value == objective
+
+
+def test_solution_carries_solver_statistics(net118):
+    sol = lp.solve_lp(_attack_118(net118, 118, 5.0))
+    assert sol.status == lp.OPTIMAL
+    assert sol.iterations > 0
+    assert 0.0 <= sol.stationarity <= lp.FEASIBILITY_TOL
+    assert 0.0 <= sol.gap <= lp.FEASIBILITY_TOL
+    # only an optimal answer has a certificate
+    infeasible = lp.solve_lp(matrix_lp("max", [1.0], [-INF], [INF], [[-1.0], [1.0]],
+                                       [-2.0, 1.0]))
+    assert (infeasible.stationarity, infeasible.gap) == (None, None)
