@@ -422,13 +422,9 @@ def _check_connected(n_bus: int, active_branches) -> None:
         )
 
 
-def read_case(path) -> RawCase:
-    """Parse a MATPOWER case file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matpower(fh.read())
-
-
 def load_case(path, outages: tuple[int, ...] = ()) -> Network:
     """Read a case file and validate it in one step."""
-    return validate_case(read_case(path), tuple(outages))
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = parse_matpower(fh.read())
+    return validate_case(raw, tuple(outages))
 

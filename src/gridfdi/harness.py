@@ -20,7 +20,7 @@ import numpy as np
 
 from .attack import (AttackResult, AttackSpec, apply_attack,
                      check_unobservability, solve_attack)
-from .cases import Network, read_case, validate_case
+from .cases import Network, load_case
 from .detect import DetectionReport, Snapshot, run_two_stage
 from .estimation import (
     INJECTION,
@@ -109,22 +109,17 @@ class TimelineResult:
 
 class NetworkCache:
     """Per-(case, outages) network reuse across scenarios; each network keeps
-    its own operators, the PTDF among them.  A case file is parsed once and
-    only validated again for each new outage set."""
+    its own operators, the PTDF among them."""
 
     def __init__(self):
-        self._raw: dict = {}
         self._nets: dict = {}
 
     def get(self, case_path: str, outages: tuple[int, ...]):
         """``(network, its PTDF)``, loading the case on first use."""
-        path, outages = str(case_path), tuple(outages)
-        net = self._nets.get((path, outages))
+        key = (str(case_path), tuple(outages))
+        net = self._nets.get(key)
         if net is None:
-            raw = self._raw.get(path)
-            if raw is None:
-                raw = self._raw[path] = read_case(path)
-            net = self._nets[path, outages] = validate_case(raw, outages)
+            net = self._nets[key] = load_case(case_path, outages)
         return net, compute_ptdf(net)
 
 

@@ -19,17 +19,20 @@ same fixed options (presolve on, dual simplex, no output, no debug checks),
 so answers do not depend on call order.  The working rows of ``a_ub`` and
 then the rows of ``a_eq`` go in row-wise, their CSR arrays concatenated.
 
-Every optimal answer is certified before it is returned.  The primal check
-re-tests all bounds and rows at ``FEASIBILITY_TOL``.  The dual certificate
-reads the HiGHS marginals ``y`` (rows) and ``z`` (bounds) of the minimisation
-form and checks stationarity ``c = A_ub' y_ub + A_eq' y_eq + z_l + z_u``, the
-signs ``y_ub <= 0``, ``z_l >= 0``, ``z_u <= 0``, zero marginals on infinite
-bounds, and a primal-dual gap within ``FEASIBILITY_TOL``.  Residuals are
-relative: stationarity and signs to ``max(1, |c|_inf)``, the gap to
-``max(1, |objective|)``.  A primal point that passes both is optimal up to
-those tolerances, whatever produced it; a failure raises
-:class:`SolverError` rather than returning a silently wrong answer.  So does
-a non-finite point or marginal, which every comparison would let through.
+``LinearProgram.validate`` refuses non-finite data and NaN bounds before
+anything reaches HiGHS, since a NaN right-hand side would pass every
+comparison below.  Every optimal answer is certified before it is returned.
+The primal check re-tests all bounds and rows at ``FEASIBILITY_TOL``.  The
+dual certificate reads the HiGHS marginals ``y`` (rows) and ``z`` (bounds) of
+the minimisation form and checks stationarity ``c = A_ub' y_ub + A_eq' y_eq +
+z_l + z_u``, the signs ``y_ub <= 0``, ``z_l >= 0``, ``z_u <= 0``, zero
+marginals on infinite bounds, and a primal-dual gap within
+``FEASIBILITY_TOL``.  Residuals are relative: stationarity and signs to
+``max(1, |c|_inf)``, the gap to ``max(1, |objective|)``.  A primal point that
+passes both is optimal up to those tolerances, whatever produced it; a
+failure raises :class:`SolverError` rather than returning a silently wrong
+answer.  So does a non-finite point or marginal, which every comparison would
+let through.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from scipy import sparse
 
 try:
     from scipy.optimize._highspy import _core as highs
-except ImportError as exc:   # scipy before 1.17
-    raise ImportError("gridfdi needs scipy>=1.17, whose scipy.optimize._highspy._core"
-                      " binds the HiGHS solver") from exc
+except ImportError as exc:
+    raise ImportError("gridfdi calls HiGHS through scipy.optimize._highspy._core,"
+                      " which this scipy does not provide; scipy 1.17 does") from exc
 
 FEASIBILITY_TOL = 1e-7
 
@@ -96,6 +99,12 @@ class LinearProgram:
         if np.shape(self.lazy) not in ((), self.b_ub.shape):
             raise ValueError(f"lazy shape {np.shape(self.lazy)} matches neither one"
                              f" flag nor the {self.b_ub.size} rows of a_ub")
+        for name, v in (("objective", self.objective), ("a_ub", self.a_ub.data),
+                        ("b_ub", self.b_ub), ("a_eq", self.a_eq.data), ("b_eq", self.b_eq)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} holds a non-finite value")
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("a variable bound is NaN")
 
 
 @dataclass(frozen=True)
@@ -266,6 +275,6 @@ def _check_dual(lp, c, obj, y_ub, y_eq, z_l, z_u):
         raise SolverError("nonzero marginal on an infinite bound")
 
     dual = lp.b_ub @ y_ub + lp.b_eq @ y_eq + lp.lower[lo] @ z_l[lo] + lp.upper[hi] @ z_u[hi]
-    if abs(obj - dual) > FEASIBILITY_TOL * max(1.0, abs(obj)):
+    if not abs(obj - dual) <= FEASIBILITY_TOL * max(1.0, abs(obj)):
         raise SolverError(f"primal-dual gap {obj - dual:.3e} at objective {obj:.6g}")
     return worst / scale, abs(obj - dual) / max(1.0, abs(obj))

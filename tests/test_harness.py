@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gridfdi import cases
 from gridfdi.detect import AlertLevel
 from gridfdi.harness import (
     AttackParams,
@@ -256,23 +255,3 @@ def test_base_dispatch_solved_once_per_network(case118_path):
     # each outage network solves its own
     assert len({id(d) for d in kept}) == 3
     assert not np.array_equal(kept[1].scheduled_flows, kept[2].scheduled_flows)
-
-
-def test_cache_parses_each_case_file_once(case118_path, monkeypatch):
-    parsed = []
-    parse = cases.parse_matpower
-
-    def spy(text):
-        parsed.append(len(text))
-        return parse(text)
-
-    monkeypatch.setattr(cases, "parse_matpower", spy)
-    cache = NetworkCache()
-    base, _ = cache.get(case118_path, ())
-    outaged, _ = cache.get(case118_path, (71,))
-    with pytest.raises(cases.IslandError):   # branch 7 out cuts two buses off
-        cache.get(case118_path, (7,))
-    assert cache.get(case118_path, ())[0] is base
-    assert len(parsed) == 1
-    assert len(outaged.in_service_branches) == len(base.in_service_branches) - 1
-    assert not outaged.branches[70].in_service

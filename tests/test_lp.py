@@ -280,6 +280,22 @@ def test_validate_rejects_non_csr_blocks():
         dataclasses.replace(p, a_eq=p.a_eq.toarray()).validate()
 
 
+@pytest.mark.parametrize("block, value", [
+    ("objective", np.nan), ("a_ub", np.inf), ("b_ub", np.nan), ("a_eq", np.nan),
+    ("b_eq", -np.inf), ("lower", np.nan), ("upper", np.nan),
+])
+def test_validate_rejects_non_finite_data(block, value):
+    # a NaN right-hand side passes every certificate comparison, so bad
+    # numbers are stopped before they reach HiGHS; only bounds may be infinite
+    p = matrix_lp("min", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
+                  [[1.0, 0.0]], [1.0], [[1.0, 1.0]], [1.0])
+    array = getattr(p, block).copy()
+    (array.data if block.startswith("a_") else array)[0] = value
+    message = "bound is NaN" if block in ("lower", "upper") else f"{block} holds"
+    with pytest.raises(ValueError, match=message):
+        lp.solve_lp(dataclasses.replace(p, **{block: array}))
+
+
 def _chained_lazy_lp():
     # max 2x + y over [0, 10]^2 with the lazy rows x + y <= 12 and x - y <= 1.
     # Round 1 stops at (10, 10), which breaks only the first row; round 2 at
