@@ -173,14 +173,13 @@ def solve_attack(net: Network, spec: AttackSpec) -> AttackResult:
     return result
 
 
-def audit_attack(net: Network, spec: AttackSpec, result: AttackResult,
-                 tol: float = AUDIT_TOL) -> None:
+def audit_attack(net: Network, spec: AttackSpec, result: AttackResult) -> None:
     """Independent re-check of every attack constraint; raises on violation."""
     c, s, dp = result.c, result.s, result.delta_p
 
-    if abs(c[net.reference_bus]) > tol:
+    if abs(c[net.reference_bus]) > AUDIT_TOL:
         raise AuditError("reference-bus bias not zero")
-    bad = np.abs(dp + estimated_flows(net, c)) > tol
+    bad = np.abs(dp + estimated_flows(net, c)) > AUDIT_TOL
     if np.any(bad):
         ordinal = net.in_service_branches[np.argmax(bad)].ordinal
         raise AuditError(f"flow-delta equation violated on branch {ordinal}")
@@ -189,22 +188,23 @@ def audit_attack(net: Network, spec: AttackSpec, result: AttackResult,
     is_load = net.load_bus_mask
     bound = spec.load_shift_factor * np.asarray(spec.base_loads) / net.base_mva
     checks = (
-        (is_load & (np.abs(div_pu) > bound + tol), "load shift bound violated at bus"),
-        (is_load & (np.abs(result.delta_d / net.base_mva - div_pu) > tol),
+        (is_load & (np.abs(div_pu) > bound + AUDIT_TOL),
+         "load shift bound violated at bus"),
+        (is_load & (np.abs(result.delta_d / net.base_mva - div_pu) > AUDIT_TOL),
          "load deviation mismatch at bus"),
-        (~is_load & (np.abs(div_pu) > tol), "injection change at no-load bus"),
+        (~is_load & (np.abs(div_pu) > AUDIT_TOL), "injection change at no-load bus"),
     )
     for bad, message in checks:
         if np.any(bad):
             raise AuditError(f"{message} {net.buses[np.argmax(bad)].external_id}")
 
-    if np.any(np.abs(c) > s + tol):
+    if np.any(np.abs(c) > s + AUDIT_TOL):
         raise AuditError("absolute-value auxiliaries below |c|")
-    if s.sum() > spec.l1_limit + tol:
+    if s.sum() > spec.l1_limit + AUDIT_TOL:
         raise AuditError("l1 budget exceeded")
 
     expect_cyber = np.asarray(spec.base_flows) - dp
-    if np.max(np.abs(result.cyber_flows - expect_cyber)) > tol:
+    if np.max(np.abs(result.cyber_flows - expect_cyber)) > AUDIT_TOL:
         raise AuditError("cyber flows inconsistent with flow deltas")
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import enum
 import json
 import sys
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 from . import bundled_case
 from .attack import AttackSpec, solve_attack
 from .cases import load_case
-from .detect import DetectionReport, Snapshot, run_two_stage
+from .detect import DEAD_BAND, TOP_N, Snapshot, run_two_stage
 from .harness import (
     AttackParams,
     FluctuationSpec,
@@ -48,64 +50,67 @@ def _load_loads(net, path: str | None) -> np.ndarray:
         loads = np.zeros(net.n_bus)
         ext = {b.external_id: b.internal_index for b in net.buses}
         for key, mw in data.items():
-            loads[ext[int(key)]] = float(mw)
-        return loads
-    loads = np.asarray(data, dtype=float)
-    if loads.shape != (net.n_bus,):
-        raise SystemExit(
-            f"loads file has {loads.shape} entries, case has {net.n_bus} buses"
-        )
+            bus = ext.get(int(key)) if key.isdigit() else None
+            if bus is None:
+                raise SystemExit(f"loads file names bus {key}, which is not in the case")
+            loads[bus] = float(mw)
+    else:
+        loads = np.asarray(data, dtype=float)
+        if loads.shape != (net.n_bus,):
+            raise SystemExit(
+                f"loads file has {loads.shape} entries, case has {net.n_bus} buses"
+            )
+    bad = ~np.isfinite(loads)
+    if np.any(bad):
+        bus = net.buses[np.argmax(bad)].external_id
+        raise SystemExit(f"loads file gives bus {bus} a non-finite load")
     return loads
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, default=_jsonify)
-    print(f"wrote {path}")
+def _check_detector_settings(data: dict, source: str) -> None:
+    """Files may carry the detector settings, which are fixed; refuse any
+    other value rather than run with a setting the file did not ask for."""
+    for key, fixed in (("top_n", TOP_N), ("dead_band", DEAD_BAND)):
+        if key in data and data[key] != fixed:
+            raise SystemExit(
+                f"{source}: {key} = {data[key]!r} is not supported;"
+                f" the detector runs with {key} = {fixed}"
+            )
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
+def _plain(obj):
+    """JSON-ready copy of a record: dataclasses become dicts of their fields,
+    alert levels their names, arrays and numpy scalars lists and numbers."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return str(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return obj
 
 
-def report_to_dict(report: DetectionReport) -> dict:
-    out = {
-        "branch_ordinals": report.branch_ordinals.tolist(),
-        "mldi": report.mldi.tolist(),
-        "smldi": report.smldi,
-        "stage1_alert": str(report.stage1_alert),
-        "under_attack": report.under_attack,
+def _assumptions(net) -> dict:
+    """The modelling assumptions a detection report was made under."""
+    return {
+        "reference_bus": None if net is None else net.buses[net.reference_bus].external_id,
+        "measurement_set": "one flow per in-service branch + one net injection per bus",
+        "smldi_top_n": TOP_N,
     }
-    if report.stage2 is not None:
-        s2 = report.stage2
-        out["stage2"] = {
-            "bori1": s2.bori1.tolist(),
-            "bori2": s2.bori2.tolist(),
-            "bori": s2.bori.tolist(),
-            "flow_alerts": [str(a) for a in s2.flow_alerts],
-            "emldi": s2.emldi.tolist(),
-            "load_alerts": [str(a) for a in s2.load_alerts],
-            "combined_alerts": [str(a) for a in s2.combined_alerts],
-            "cai": s2.cai.tolist(),
-            "cai_rank": s2.cai_rank.tolist(),
-            "suspects": [
-                {
-                    "branch": s.ordinal,
-                    "cai": s.cai,
-                    "cai_rank": s.cai_rank,
-                    "alert": str(s.alert),
-                    "reasons": list(s.reasons),
-                }
-                for s in s2.suspects
-            ],
-        }
-    else:
-        out["stage2"] = None
-    return out
+
+
+def _dump(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(_plain(payload), fh, indent=1)
+
+
+def _write_json(path: str, payload) -> None:
+    _dump(path, payload)
+    print(f"wrote {path}")
 
 
 def _cmd_ptdf(args):
@@ -181,6 +186,7 @@ def _cmd_attack(args):
 def _cmd_detect(args):
     with open(args.snapshot) as fh:
         data = json.load(fh)
+    _check_detector_settings(data, args.snapshot)
     net = load_case(data["case"], tuple(data.get("outages", ())))
     ptdf = compute_ptdf(net)
     snap = Snapshot(
@@ -193,13 +199,8 @@ def _cmd_detect(args):
         ptdf=ptdf,
         branch_ordinals=np.array([b.ordinal for b in net.in_service_branches]),
     )
-    report = run_two_stage(snap, top_n=int(data.get("top_n", 10)))
-    payload = report_to_dict(report)
-    payload["assumptions"] = {
-        "reference_bus": net.buses[net.reference_bus].external_id,
-        "measurement_set": "one flow per in-service branch + one net injection per bus",
-        "smldi_top_n": int(data.get("top_n", 10)),
-    }
+    payload = _plain(run_two_stage(snap))
+    payload["assumptions"] = _assumptions(net)
     _write_json(args.out, payload)
 
 
@@ -222,14 +223,13 @@ def _config_to_dict(c: ScenarioConfig) -> dict:
             }
         ),
         "noise_sigma": dict(c.noise_sigma),
-        "top_n": c.top_n,
-        "dead_band": c.dead_band,
         "group": c.group,
         "index": c.index,
     }
 
 
 def _config_from_dict(d: dict) -> ScenarioConfig:
+    _check_detector_settings(d, f"scenario {d.get('index', 0)}")
     fluct = d.get("fluctuation")
     att = d.get("attack")
     seed = d["seed"]
@@ -247,8 +247,6 @@ def _config_from_dict(d: dict) -> ScenarioConfig:
             l1_limit=float(att["l1_limit"]),
         ),
         noise_sigma=dict(d.get("noise_sigma", {})),
-        top_n=int(d.get("top_n", 10)),
-        dead_band=float(d.get("dead_band", 0.05)),
         group=d.get("group", ""),
         index=int(d.get("index", 0)),
     )
@@ -272,40 +270,15 @@ def _cmd_run_experiment(args):
     report = run_experiment(suite, cache)
 
     for outcome in report.outcomes:
-        payload = {
-            "config": _config_to_dict(outcome.config),
-            "error": outcome.error,
-            "smldi": outcome.smldi,
-            "under_attack": outcome.under_attack,
-            "target_in_suspects": outcome.target_in_suspects,
-            "target_cai_rank": outcome.target_cai_rank,
-            "target_danger": outcome.target_danger,
-            "target_overload_mw": outcome.target_overload_mw,
-            "attack_objective_pu": outcome.attack_objective_pu,
-            "tampered_load_count": outcome.tampered_load_count,
-            "lnr_value": outcome.lnr_value,
-            "residual_delta": outcome.residual_delta,
-            "report": None if outcome.report is None else report_to_dict(outcome.report),
-        }
-        name = f"scenario_{outcome.config.index:03d}.json"
-        with open(out_dir / name, "w") as fh:
-            json.dump(payload, fh, indent=1, default=_jsonify)
+        payload = {**_plain(outcome), "config": _config_to_dict(outcome.config)}
+        _dump(out_dir / f"scenario_{outcome.config.index:03d}.json", payload)
 
     net = cache.get(suite[0].case_path, suite[0].outages)[0] if suite else None
-    summary = {
+    _dump(out_dir / "summary.json", {
         "n_scenarios": len(report.outcomes),
-        "assumptions": {
-            "reference_bus": (
-                None if net is None
-                else net.buses[net.reference_bus].external_id
-            ),
-            "measurement_set": "one flow per in-service branch + one net injection per bus",
-            "smldi_top_n": suite[0].top_n if suite else 10,
-        },
-        "groups": [g.__dict__ for g in report.groups],
-    }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, default=_jsonify)
+        "assumptions": _assumptions(net),
+        "groups": report.groups,
+    })
 
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -135,7 +135,7 @@ class DetectionReport:
 # --- per-branch metrics -------------------------------------------------------
 
 
-def _load_direction(snap: Snapshot, dead_band: float) -> np.ndarray:
+def _load_direction(snap: Snapshot) -> np.ndarray:
     """+1 / 0 / -1 per bus from the relative load change, dead-banded.
 
     Buses with zero previous load carry no evidence and map to 0.
@@ -144,14 +144,14 @@ def _load_direction(snap: Snapshot, dead_band: float) -> np.ndarray:
     rel = np.zeros_like(prev)
     nz = prev != 0
     rel[nz] = (snap.measured_loads[nz] - prev[nz]) / prev[nz]
-    band = dead_band - _BAND_SLOP
+    band = DEAD_BAND - _BAND_SLOP
     return np.where(rel >= band, 1.0, np.where(rel <= -band, -1.0, 0.0)) * nz
 
 
-def _indicators(snap: Snapshot, dead_band: float) -> np.ndarray:
+def _indicators(snap: Snapshot) -> np.ndarray:
     """Indicator matrix (branch x bus): direction of each critical load's
     impact on the branch flow, zero outside the critical sets."""
-    direction = _load_direction(snap, dead_band)
+    direction = _load_direction(snap)
     ind = direction[None, :] * np.sign(snap.ptdf.matrix)
     ind[~snap.ptdf.critical_mask] = 0.0
     return ind
@@ -213,16 +213,15 @@ def cai_ranking(emldi_values: np.ndarray, bori_values: np.ndarray,
     return cai, rank
 
 
-def run_two_stage(snap: Snapshot, top_n: int = TOP_N,
-                  dead_band: float = DEAD_BAND) -> DetectionReport:
+def run_two_stage(snap: Snapshot) -> DetectionReport:
     """Full pipeline: system-wide awareness, then target identification.
 
     Stage 2 runs only when the stage-1 alert reaches Warning; suspects are
     the Danger-marked branches plus the top-ranked positive combined scores.
     """
-    ind = _indicators(snap, dead_band)
+    ind = _indicators(snap)
     mldi_values = _mldi(snap, ind)
-    smldi_value, alert = smldi(mldi_values, snap.ptdf.eligible, top_n)
+    smldi_value, alert = smldi(mldi_values, snap.ptdf.eligible)
     under_attack = alert >= AlertLevel.WARNING
     if not under_attack:
         return DetectionReport(

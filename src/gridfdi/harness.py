@@ -63,8 +63,6 @@ class ScenarioConfig:
     fluctuation: FluctuationSpec | None = None  # None = constant load
     attack_params: AttackParams | None = None
     noise_sigma: dict = field(default_factory=dict)
-    top_n: int = 10
-    dead_band: float = 0.05
     group: str = ""
     index: int = 0
 
@@ -151,9 +149,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> T
 
     # Loads drift into interval 2; the old dispatch rides through, imbalance
     # lands on the reference unit, and telemetry meters what it produces.
-    if config.fluctuation is not None and (
-        config.fluctuation.sigma > 0 or config.fluctuation.mu != 0
-    ):
+    if config.fluctuation is not None:
         rng = np.random.default_rng(fluct_seed)
         loads_true = loads_prev + gen_fluctuation(
             loads_prev, config.fluctuation.mu, config.fluctuation.sigma, rng
@@ -247,13 +243,13 @@ def _loads_from_measurements(net: Network, meas, gen_mw: np.ndarray) -> np.ndarr
 @dataclass(frozen=True)
 class ScenarioOutcome:
     config: ScenarioConfig
-    report: DetectionReport | None
-    smldi: float | None
-    under_attack: bool | None
-    target_in_suspects: bool | None
-    target_cai_rank: int | None
-    target_danger: bool | None
-    target_overload_mw: float | None
+    report: DetectionReport | None = None
+    smldi: float | None = None
+    under_attack: bool | None = None
+    target_in_suspects: bool | None = None
+    target_cai_rank: int | None = None
+    target_danger: bool | None = None
+    target_overload_mw: float | None = None
     attack_objective_pu: float | None = None
     tampered_load_count: int | None = None
     residual_delta: float | None = None
@@ -286,9 +282,7 @@ class ExperimentReport:
 
 def run_scenario(config: ScenarioConfig, cache: NetworkCache | None = None) -> ScenarioOutcome:
     timeline = run_timeline(config, cache)
-    report = run_two_stage(
-        timeline.snapshot, top_n=config.top_n, dead_band=config.dead_band
-    )
+    report = run_two_stage(timeline.snapshot)
 
     in_suspects = rank = danger = None
     if config.mode == "attack":
@@ -331,11 +325,7 @@ def run_experiment(suite, cache: NetworkCache | None = None) -> ExperimentReport
         try:
             outcome = run_scenario(config, cache)
         except Exception as exc:  # per-scenario isolation
-            outcome = ScenarioOutcome(
-                config=config, report=None, smldi=None, under_attack=None,
-                target_in_suspects=None, target_cai_rank=None, target_danger=None,
-                target_overload_mw=None, error=f"{type(exc).__name__}: {exc}",
-            )
+            outcome = ScenarioOutcome(config, error=f"{type(exc).__name__}: {exc}")
         outcomes.append(outcome)
 
     group_names = []
@@ -383,13 +373,12 @@ FLUCTUATION_GRID = (
 ATTACK_FLUCTUATION = FluctuationSpec(0.0, 0.03)
 
 
-def study_118_suite(case_path: str, seed: int = 2018,
-                    outages: tuple[int, ...] = ()) -> list[ScenarioConfig]:
+def study_118_suite(case_path: str, seed: int = 2018) -> list[ScenarioConfig]:
     """The full 118-bus study grid: 80 fluctuation-only scenarios (20 per
     distribution) plus 160 attacks (2 targets x 4 load-shift factors x
     10 l1 budgets x constant/fluctuating first interval)."""
     return _grid(
-        case_path, seed, outages,
+        case_path, seed, (),
         targets=(118, 111),
         shifts=(0.05, 0.10, 0.15, 0.20),
         budgets=tuple(range(1, 11)),

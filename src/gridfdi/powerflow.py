@@ -46,7 +46,6 @@ class Ptdf:
     """
 
     matrix: np.ndarray
-    reference_bus: int
     critical_sets: tuple[np.ndarray, ...]  # load-bus indices per branch
     nl_sizes: np.ndarray                   # len(critical_sets[k])
     eligible: np.ndarray                   # nl_sizes >= MIN_CRITICAL_SET
@@ -152,7 +151,6 @@ def compute_ptdf(net: Network) -> Ptdf:
     eligible = nl_sizes >= MIN_CRITICAL_SET
     return Ptdf(
         matrix=matrix,
-        reference_bus=net.reference_bus,
         critical_sets=critical_sets,
         nl_sizes=nl_sizes,
         eligible=eligible,

@@ -11,6 +11,7 @@ from gridfdi.harness import (
     ScenarioConfig,
     run_timeline,
 )
+from gridfdi.sced import base_dispatch
 
 
 def _read(path):
@@ -80,7 +81,7 @@ def test_detect_command_roundtrip(case118_path, tmp_path):
     with open(snap_file, "w") as fh:
         json.dump({
             "case": config.case_path, "outages": list(config.outages),
-            "top_n": config.top_n, "prev_flows": snap.prev_flows,
+            "prev_flows": snap.prev_flows,
             "prev_loads": snap.prev_loads, "measured_flows": snap.measured_flows,
             "measured_loads": snap.measured_loads, "sced_flows": snap.sced_flows,
         }, fh, default=lambda o: o.tolist())
@@ -89,7 +90,7 @@ def test_detect_command_roundtrip(case118_path, tmp_path):
     report = _read(out)
     assert report["under_attack"] is True
     assert report["stage1_alert"] in ("Warning", "Danger")
-    suspects = [s["branch"] for s in report["stage2"]["suspects"]]
+    suspects = [s["ordinal"] for s in report["stage2"]["suspects"]]
     assert 118 in suspects
 
 
@@ -145,3 +146,87 @@ def test_gen_scenarios_outage_grid(case118_path, tmp_path):
     suite = _read(suite_file)["scenarios"]
     assert len(suite) == 72
     assert all(s["outages"] == [71] for s in suite)
+
+
+@pytest.mark.parametrize("command", ["sced", "attack"])
+@pytest.mark.parametrize("loads, message", [
+    ({"2": 40.0, "999": 20.0}, "bus 999"),
+    ({"two": 40.0}, "bus two"),
+    ('{"2": NaN, "3": 20.0}', "bus 2 a non-finite load"),
+    ("[0.0, 40.0, NaN]", "bus 3 a non-finite load"),
+])
+def test_loads_file_rejected(case3_path, tmp_path, command, loads, message):
+    path = tmp_path / "loads.json"
+    path.write_text(loads if isinstance(loads, str) else json.dumps(loads))
+    args = [command, "--case", str(case3_path), "--loads", str(path),
+            "--out", str(tmp_path / "out.json")]
+    if command == "attack":
+        args += ["--target", "1", "--ls", "0.1", "--n1", "1"]
+    with pytest.raises(SystemExit, match=message):
+        main(args)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_negative_loads_allowed(case3_path, tmp_path):
+    loads = tmp_path / "loads.json"
+    loads.write_text(json.dumps([0.0, 90.0, -10.0]))
+    out = tmp_path / "sced.json"
+    main(["sced", "--case", str(case3_path), "--loads", str(loads),
+          "--out", str(out)])
+    assert _read(out)["gen_output_mw"][0] == pytest.approx(80.0)
+
+
+def _one_scenario_suite(case118_path, tmp_path, **settings):
+    """A one-scenario suite in the older format that carried the detector
+    settings, with ``settings`` overriding them."""
+    suite_file = tmp_path / "suite.json"
+    main(["gen-scenarios", "--case", str(case118_path), "--out", str(suite_file)])
+    scenario = _read(suite_file)["scenarios"][80]
+    scenario.update({"top_n": 10, "dead_band": 0.05, **settings})
+    suite_file.write_text(json.dumps({"scenarios": [scenario]}))
+    return suite_file
+
+
+def test_suite_with_fixed_detector_settings_runs(case118_path, tmp_path):
+    suite_file = _one_scenario_suite(case118_path, tmp_path)
+    main(["run-experiment", "--suite", str(suite_file),
+          "--out", str(tmp_path / "results")])
+    payload = _read(tmp_path / "results" / "scenario_080.json")
+    assert payload["error"] is None
+    assert "top_n" not in payload["config"]
+    assert payload["report"]["under_attack"] is True
+
+
+@pytest.mark.parametrize("key, value", [("top_n", 12), ("dead_band", 0.04)])
+def test_suite_with_other_detector_settings_refused(case118_path, tmp_path,
+                                                   key, value):
+    suite_file = _one_scenario_suite(case118_path, tmp_path, **{key: value})
+    with pytest.raises(SystemExit, match=f"{key} = {value}"):
+        main(["run-experiment", "--suite", str(suite_file),
+              "--out", str(tmp_path / "results")])
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("key, value, refused", [
+    ("top_n", 10, False), ("dead_band", 0.05, False),
+    ("top_n", 8, True), ("dead_band", 0.1, True),
+])
+def test_snapshot_detector_settings(case118_path, net118, tmp_path, key, value,
+                                    refused):
+    flows = base_dispatch(net118).scheduled_flows.tolist()
+    loads = net118.load_mw.tolist()
+    snap_file = tmp_path / "snapshot.json"
+    snap_file.write_text(json.dumps({
+        "case": str(case118_path), key: value, "prev_flows": flows,
+        "prev_loads": loads, "measured_flows": flows, "measured_loads": loads,
+        "sced_flows": flows,
+    }))
+    args = ["detect", "--snapshot", str(snap_file), "--out", str(tmp_path / "r.json")]
+    if refused:
+        with pytest.raises(SystemExit, match=f"{key} = {value}"):
+            main(args)
+    else:
+        main(args)
+        report = _read(tmp_path / "r.json")
+        assert report["under_attack"] is False
+        assert report["assumptions"]["smldi_top_n"] == 10

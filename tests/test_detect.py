@@ -6,7 +6,6 @@ from gridfdi.detect import (
     BORI_THRESHOLDS,
     COMBINED_ALERT,
     ConfigError,
-    DEAD_BAND,
     INDEX_THRESHOLDS,
     Snapshot,
     bori_all,
@@ -21,14 +20,14 @@ from gridfdi.detect import (
 from gridfdi.powerflow import CRITICAL_PTDF, MIN_CRITICAL_SET, Ptdf
 
 
-def mldi_all(snap, dead_band=DEAD_BAND):
+def mldi_all(snap):
     """MLDI of every branch from one snapshot."""
-    return _mldi(snap, _indicators(snap, dead_band))
+    return _mldi(snap, _indicators(snap))
 
 
-def emldi_all(snap, dead_band=DEAD_BAND):
+def emldi_all(snap):
     """EMLDI of every branch from one snapshot."""
-    return _emldi(snap, _indicators(snap, dead_band))
+    return _emldi(snap, _indicators(snap))
 
 
 def _level(value, thresholds):
@@ -56,7 +55,7 @@ def bori(k, snap):
 
 def mldi(k, snap):
     """Deviation index of branch k plus its indicators over the critical set."""
-    return mldi_all(snap)[k], _indicators(snap, DEAD_BAND)[k, snap.ptdf.critical_sets[k]]
+    return mldi_all(snap)[k], _indicators(snap)[k, snap.ptdf.critical_sets[k]]
 
 
 def emldi(k, snap):
@@ -64,7 +63,7 @@ def emldi(k, snap):
     return value, _level(value, INDEX_THRESHOLDS)
 
 
-def toy_ptdf(matrix, load_buses, reference_bus=0):
+def toy_ptdf(matrix, load_buses):
     matrix = np.asarray(matrix, dtype=float)
     load_buses = np.asarray(load_buses)
     critical = []
@@ -74,7 +73,6 @@ def toy_ptdf(matrix, load_buses, reference_bus=0):
     sizes = np.array([len(c) for c in critical])
     return Ptdf(
         matrix=matrix,
-        reference_bus=reference_bus,
         critical_sets=tuple(critical),
         nl_sizes=sizes,
         eligible=sizes >= MIN_CRITICAL_SET,
@@ -118,7 +116,6 @@ FIVE_LOADS = toy_ptdf(
     [[0.5, 0.2, 0.1, -0.3, 0.05, 0.0],
      [0.02, -0.4, 0.2, 0.1, -0.6, 0.0]],
     load_buses=[0, 1, 2, 3, 4],
-    reference_bus=5,
 )
 
 
@@ -438,7 +435,6 @@ def test_two_stage_full_run():
         [[0.5, 0.4, 0.3, 0.2, 0.1, 0.0],
          [-0.5, -0.4, -0.3, -0.2, -0.1, 0.0]],
         load_buses=[0, 1, 2, 3, 4],
-        reference_bus=5,
     )
     prev = np.full(6, 100.0)
     measured = prev.copy()

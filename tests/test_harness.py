@@ -96,6 +96,17 @@ def test_timeline_deterministic(case118_path, cache):
     assert np.array_equal(a.true_flows_next, b.true_flows_next)
 
 
+def test_zero_fluctuation_is_constant_load(case118_path, cache):
+    kw = dict(mode="attack", attack_params=AttackParams(118, 0.10, 5.0),
+              seed=(11, 4))
+    a = run_timeline(_config(case118_path, **kw), cache)
+    b = run_timeline(_config(case118_path, fluctuation=FluctuationSpec(0.0, 0.0),
+                             **kw), cache)
+    assert a.loads_true.tobytes() == b.loads_true.tobytes()
+    assert a.snapshot.measured_loads.tobytes() == b.snapshot.measured_loads.tobytes()
+    assert a.true_flows_next.tobytes() == b.true_flows_next.tobytes()
+
+
 def test_conservation_both_intervals(case118_path, cache):
     config = _config(
         case118_path, mode="attack", fluctuation=FluctuationSpec(0.01, 0.03),

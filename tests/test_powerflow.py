@@ -73,9 +73,9 @@ def test_ptdf_triangle(net3, ptdf3):
     assert col[2] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
-def test_ptdf_reference_column_zero(ptdf3, ptdf118):
-    assert np.all(ptdf3.matrix[:, ptdf3.reference_bus] == 0)
-    assert np.all(ptdf118.matrix[:, ptdf118.reference_bus] == 0)
+def test_ptdf_reference_column_zero(net3, net118, ptdf3, ptdf118):
+    assert np.all(ptdf3.matrix[:, net3.reference_bus] == 0)
+    assert np.all(ptdf118.matrix[:, net118.reference_bus] == 0)
 
 
 def test_ptdf_finite_difference_118(net118, ptdf118):
