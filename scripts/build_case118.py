@@ -18,9 +18,6 @@ terms, so this script synthesizes both:
     any branch binds.  Every branch gets headroom over its base flow except
     a small set of deliberately congested corridors (branches 111 and 118
     among them) that are rated just below their unconstrained flow.
-
-Run with --placeholder-limits to emit a file with uniform large ratings
-(used only to bootstrap before the package itself is importable).
 """
 
 import argparse
@@ -251,13 +248,13 @@ def case_text(limits_mw):
     return "\n".join(lines)
 
 
-def calibrated_limits(tmp_path):
+def calibrated_limits():
     """Rate every branch from the merit-order dispatch of the
     placeholder-rated case, where no limit binds."""
-    from gridfdi.cases import load_case
+    from gridfdi.cases import parse_matpower, validate_case
     from gridfdi.sced import run_sced
 
-    net = load_case(tmp_path)
+    net = validate_case(parse_matpower(case_text([9900.0] * len(BRANCH))))
     dispatch = run_sced(net, net.load_mw)
     if dispatch.binding_branches:
         raise SystemExit("placeholder ratings bind on branches"
@@ -279,26 +276,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=os.path.join(
         os.path.dirname(__file__), "..", "src", "gridfdi", "data", "case118.m"))
-    ap.add_argument("--placeholder-limits", action="store_true",
-                    help="emit uniform 9900 MW ratings (bootstrap only)")
     args = ap.parse_args()
-
-    if args.placeholder_limits:
-        limits = [9900.0] * len(BRANCH)
-    else:
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("w", suffix=".m", delete=False) as fh:
-            fh.write(case_text([9900.0] * len(BRANCH)))
-            tmp = fh.name
-        try:
-            limits = calibrated_limits(tmp)
-        finally:
-            os.unlink(tmp)
 
     out = os.path.abspath(args.out)
     with open(out, "w") as fh:
-        fh.write(case_text(limits))
+        fh.write(case_text(calibrated_limits()))
     print(f"wrote {out} ({len(BUS)} buses, {len(BRANCH)} branches)")
 
 

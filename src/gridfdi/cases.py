@@ -189,20 +189,22 @@ def per_network(name: str):
     return decorate
 
 
-_BLOCK_RE = re.compile(r"^\s*mpc\.(\w+)\s*=\s*(.*)$")
-
-
-def _strip_comment(line: str) -> str:
-    pos = line.find("%")
-    return line if pos < 0 else line[:pos]
+# One ``mpc.NAME = ...`` assignment at the start of a line of comment-free
+# text: a matrix block, whose body runs to the first ``]`` (to the end of the
+# text when there is none), or else a scalar that runs to the end of the
+# line.  Outside a block body, whitespace never crosses a newline.
+_ASSIGN_RE = re.compile(
+    r"^[^\S\n]*mpc\.(\w+)[^\S\n]*=[^\S\n]*(?:\[([^\]]*)(\]?)|(.*))", re.MULTILINE)
+_COMMENT_RE = re.compile(r"%[^\n]*")
 
 
 def parse_matpower(text: str) -> RawCase:
     """Parse MATPOWER-style case text into raw numeric rows.
 
     Tolerates comments (``%``), blank lines and arbitrary whitespace.  Rows
-    end at ``;`` or end-of-line; a block ends at ``];``.  Every row inside a
-    matrix block must have the same width.
+    end at ``;`` or end-of-line; a block ends at ``]``, and the rest of that
+    line is ignored.  Every row inside a matrix block must have the same
+    width.
 
     Raises :class:`ParseError` (with line number) for ragged or non-numeric
     rows and unterminated blocks, :class:`StructureError` when a required
@@ -211,61 +213,43 @@ def parse_matpower(text: str) -> RawCase:
     blocks: dict[str, list[list[float]]] = {}
     scalars: dict[str, float] = {}
 
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = _strip_comment(lines[i])
-        m = _BLOCK_RE.match(line)
-        if m is None:
-            i += 1
-            continue
-        name, rest = m.group(1), m.group(2).strip()
-        if not rest.startswith("["):
-            # Scalar assignment, e.g. "mpc.baseMVA = 100;"
-            value = rest.rstrip(";").strip().strip("'\"")
+    # Every line break str.splitlines knows becomes "\n", which the pattern
+    # and the line numbers count; a comment runs to the end of its line.
+    text = _COMMENT_RE.sub("", "\n".join(text.splitlines()))
+    for m in _ASSIGN_RE.finditer(text):
+        name, body, closed, scalar = m.groups()
+        if body is None:
+            # e.g. "mpc.baseMVA = 100;"
+            value = scalar.strip().rstrip(";").strip().strip("'\"")
             try:
                 scalars[name] = float(value)
             except ValueError:
                 pass  # version strings and other non-numeric scalars
-            i += 1
             continue
 
+        first_line = text.count("\n", 0, m.start()) + 1
         rows: list[list[float]] = []
-        width = None
-        body = rest[1:]
-        start_line = i
-        closed = False
-        while True:
+        for k, line in enumerate(body.split("\n")):
             # Each physical line may carry several ';'-terminated rows.
-            segment = body.strip()
-            if "]" in segment:
-                segment, _, _ = segment.partition("]")
-                closed = True
-            for chunk in segment.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
+            for chunk in line.split(";"):
+                tokens = chunk.split()
+                if not tokens:
                     continue
                 try:
-                    row = [float(tok) for tok in chunk.split()]
+                    row = list(map(float, tokens))
                 except ValueError:
-                    raise ParseError(f"non-numeric entry in mpc.{name}", line=i + 1)
-                if width is None:
-                    width = len(row)
-                elif len(row) != width:
+                    raise ParseError(f"non-numeric entry in mpc.{name}",
+                                     line=first_line + k)
+                if rows and len(row) != len(rows[0]):
                     raise ParseError(
-                        f"ragged row in mpc.{name}: expected {width} columns,"
+                        f"ragged row in mpc.{name}: expected {len(rows[0])} columns,"
                         f" found {len(row)}",
-                        line=i + 1,
+                        line=first_line + k,
                     )
                 rows.append(row)
-            if closed:
-                break
-            i += 1
-            if i >= len(lines):
-                raise ParseError(f"unterminated mpc.{name} block", line=start_line + 1)
-            body = _strip_comment(lines[i])
+        if not closed:
+            raise ParseError(f"unterminated mpc.{name} block", line=first_line)
         blocks[name] = rows
-        i += 1
 
     for required in ("bus", "branch", "gen"):
         if required not in blocks:

@@ -21,7 +21,7 @@ import numpy as np
 from . import bundled_case
 from .attack import AttackSpec, solve_attack
 from .cases import load_case
-from .detect import DEAD_BAND, TOP_N, Snapshot, run_two_stage
+from .detect import DEAD_BAND, TOP_N, ConfigError, Snapshot, run_two_stage
 from .harness import (
     AttackParams,
     FluctuationSpec,
@@ -199,33 +199,20 @@ def _cmd_detect(args):
         ptdf=ptdf,
         branch_ordinals=np.array([b.ordinal for b in net.in_service_branches]),
     )
-    payload = _plain(run_two_stage(snap))
+    try:
+        payload = _plain(run_two_stage(snap))
+    except ConfigError as exc:
+        raise SystemExit(f"{args.snapshot}: {exc}")
     payload["assumptions"] = _assumptions(net)
     _write_json(args.out, payload)
 
 
+# Suite-file keys of the ScenarioConfig fields whose names differ.
+_SUITE_KEYS = {"case_path": "case", "attack_params": "attack"}
+
+
 def _config_to_dict(c: ScenarioConfig) -> dict:
-    return {
-        "case": c.case_path,
-        "mode": c.mode,
-        "seed": list(c.seed) if isinstance(c.seed, tuple) else c.seed,
-        "outages": list(c.outages),
-        "fluctuation": (
-            None if c.fluctuation is None
-            else {"mu": c.fluctuation.mu, "sigma": c.fluctuation.sigma}
-        ),
-        "attack": (
-            None if c.attack_params is None
-            else {
-                "target_branch": c.attack_params.target_branch,
-                "load_shift_factor": c.attack_params.load_shift_factor,
-                "l1_limit": c.attack_params.l1_limit,
-            }
-        ),
-        "noise_sigma": dict(c.noise_sigma),
-        "group": c.group,
-        "index": c.index,
-    }
+    return {_SUITE_KEYS.get(key, key): value for key, value in _plain(c).items()}
 
 
 def _config_from_dict(d: dict) -> ScenarioConfig:
@@ -298,7 +285,12 @@ def _cmd_run_experiment(args):
                 g.identified,
                 g.danger_marked,
             ])
-    print(f"wrote {out_dir}/aggregate.csv and {len(report.outcomes)} scenario reports")
+    failed = sum(o.error is not None for o in report.outcomes)
+    print(f"wrote {out_dir}/aggregate.csv and {len(report.outcomes)} scenario reports;"
+          f" {failed} failed")
+    if failed:
+        raise SystemExit(f"{failed} of {len(report.outcomes)} scenarios failed;"
+                         " their scenario reports carry the error")
 
 
 def main(argv=None) -> int:

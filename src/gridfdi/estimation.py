@@ -76,7 +76,8 @@ def build_measurements(
     measurement per bus (generation minus load, p.u.).
 
     ``noise_sigma`` maps 'flow'/'injection' to a Gaussian sigma in p.u.;
-    zero or missing means noiseless.  Same seed, same set.
+    zero or missing means noiseless.  Any other key, and a sigma that is
+    negative or not finite, raises ``ValueError``.  Same seed, same set.
     """
     flows_pu = np.asarray(flows_pu, dtype=float)
     m, n = len(net.in_service_branches), net.n_bus
@@ -87,8 +88,11 @@ def build_measurements(
     inj_pu = (gen_mw - loads_mw) / net.base_mva
 
     sigma = {FLOW: 0.0, INJECTION: 0.0}
-    if noise_sigma:
-        sigma.update(noise_sigma)
+    for kind, value in (noise_sigma or {}).items():
+        if kind not in sigma or not 0.0 <= value < np.inf:
+            raise ValueError(f"noise_sigma[{kind!r}] = {value!r}: expected {FLOW!r}"
+                             f" or {INJECTION!r} with a finite sigma >= 0")
+        sigma[kind] = value
 
     counts = [m, n]
     values = np.concatenate([flows_pu, inj_pu])

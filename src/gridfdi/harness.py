@@ -133,11 +133,10 @@ def _balanced_flows(net: Network, gen_mw, loads_mw):
     return solve_dc(net, inj).flows
 
 
-def run_timeline(config: ScenarioConfig, cache: NetworkCache | None = None) -> TimelineResult:
+def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
     """Simulate one scenario and assemble the detector snapshot plus ground
     truth; deterministic for identical (config, seed)."""
     config.validate()
-    cache = cache or NetworkCache()
     net, ptdf = cache.get(config.case_path, config.outages)
     seed_seq = np.random.SeedSequence(config.seed)
     fluct_seed, noise_seed = seed_seq.spawn(2)
@@ -280,7 +279,7 @@ class ExperimentReport:
     groups: tuple[GroupStats, ...]
 
 
-def run_scenario(config: ScenarioConfig, cache: NetworkCache | None = None) -> ScenarioOutcome:
+def run_scenario(config: ScenarioConfig, cache: NetworkCache) -> ScenarioOutcome:
     timeline = run_timeline(config, cache)
     report = run_two_stage(timeline.snapshot)
 
@@ -315,11 +314,10 @@ def run_scenario(config: ScenarioConfig, cache: NetworkCache | None = None) -> S
     )
 
 
-def run_experiment(suite, cache: NetworkCache | None = None) -> ExperimentReport:
+def run_experiment(suite, cache: NetworkCache) -> ExperimentReport:
     """Run every scenario (failures recorded, not fatal) and aggregate per
     group; the outcome order follows the suite order regardless of how the
     scenarios were executed."""
-    cache = cache or NetworkCache()
     outcomes = []
     for config in suite:
         try:

@@ -23,8 +23,9 @@ then the rows of ``a_eq`` go in row-wise, their CSR arrays concatenated.
 anything reaches HiGHS, since a NaN right-hand side would pass every
 comparison below.  Every optimal answer is certified before it is returned.
 The primal check re-tests all bounds and rows at ``FEASIBILITY_TOL``.  The
-dual certificate reads the HiGHS marginals ``y`` (rows) and ``z`` (bounds) of
-the minimisation form and checks stationarity ``c = A_ub' y_ub + A_eq' y_eq +
+dual certificate reads the HiGHS marginals ``y`` (rows) and ``z`` (columns,
+split by sign into ``z_l = max(z, 0)`` and ``z_u = min(z, 0)``) of the
+minimisation form and checks stationarity ``c = A_ub' y_ub + A_eq' y_eq +
 z_l + z_u``, the signs ``y_ub <= 0``, ``z_l >= 0``, ``z_u <= 0``, zero
 marginals on infinite bounds, and a primal-dual gap within
 ``FEASIBILITY_TOL``.  Residuals are relative: stationarity and signs to
@@ -178,8 +179,6 @@ _STATUS = {
     highs.HighsModelStatus.kInfeasible: INFEASIBLE,
     highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
-_AT_LOWER = int(highs.HighsBasisStatus.kLower)
-_AT_UPPER = int(highs.HighsBasisStatus.kUpper)
 
 
 @dataclass
@@ -228,13 +227,14 @@ def _run_highs(c, lower, upper, a_ub, b_ub, a_eq, b_eq) -> _Answer:
     solution = solver.getSolution()
     if not (solution.value_valid and solution.dual_valid):
         raise SolverError("HiGHS reported an optimum without primal and dual values")
-    col_status = np.fromiter(map(int, solver.getBasis().col_status), dtype=int, count=n)
     z = np.array(solution.col_dual)
     answer.x = np.array(solution.col_value)
     answer.fun = info.objective_function_value
     answer.row_dual = np.array(solution.row_dual)
-    answer.z_lower = np.where(col_status == _AT_LOWER, z, 0.0)
-    answer.z_upper = np.where(col_status == _AT_UPPER, z, 0.0)
+    # Any split with z_l >= 0, z_u <= 0 and z_l + z_u = z is a dual; the
+    # infinite-bound check and the gap decide whether it certifies x.
+    answer.z_lower = np.maximum(z, 0.0)
+    answer.z_upper = np.minimum(z, 0.0)
     return answer
 
 

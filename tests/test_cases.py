@@ -87,6 +87,45 @@ def test_unterminated_block():
         parse_matpower(text)
 
 
+def _rows_on_one_line(text):
+    """The branch block with its first two rows on the opening line and the
+    last row ending at the end of its line, without ';'."""
+    lines = text.splitlines()
+    i = lines.index("mpc.branch = [")
+    first, second, last = (line.rstrip(";") for line in lines[i + 1:i + 4])
+    return text.replace("\n".join(lines[i:i + 4]),
+                        f"mpc.branch = [{first}; {second};\n{last}")
+
+
+@pytest.mark.parametrize("restate", [
+    _rows_on_one_line,
+    lambda text: text.replace("mpc.bus = [\n", "mpc.bus = [ % rows ] follow\n"),
+    lambda text: text.replace("0.94;\n];", "0.94; % ] is not the end\n];", 1),
+    lambda text: text.replace("];\nmpc.gen", "]; mpc.baseMVA = 0; 7 8\nmpc.gen", 1),
+], ids=["rows-on-one-line", "bracket-in-comment-opening",
+        "bracket-in-comment-row", "text-after-closing-bracket"])
+def test_parse_layouts_that_mean_the_same(restate):
+    text = restate(TRIANGLE)
+    assert text != TRIANGLE
+    assert parse_matpower(text) == parse_matpower(TRIANGLE)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("mpc.branch = [", "mpc.branch =\n[", "no mpc.branch block"),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = 100;x", "no mpc.baseMVA"),
+], ids=["bracket-on-next-line", "scalar-with-trailing-text"])
+def test_parse_assignments_that_are_not_read(old, new, message):
+    with pytest.raises(StructureError, match=message):
+        parse_matpower(TRIANGLE.replace(old, new))
+
+
+def test_unterminated_block_names_its_first_line():
+    text = TRIANGLE[:TRIANGLE.rindex("];")]
+    with pytest.raises(ParseError, match="unterminated mpc.gencost") as err:
+        parse_matpower(text)
+    assert err.value.line == TRIANGLE.splitlines().index("mpc.gencost = [") + 1
+
+
 def test_bad_base_mva():
     with pytest.raises(DataError):
         parse_matpower(TRIANGLE.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 0;"))

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridfdi
 from gridfdi.cli import main
 from gridfdi.harness import (
     AttackParams,
@@ -207,20 +213,27 @@ def test_suite_with_other_detector_settings_refused(case118_path, tmp_path,
     assert not (tmp_path / "results").exists()
 
 
+def _steady_snapshot(case_path, net, tmp_path, **extra):
+    """A snapshot file of the base dispatch with nothing moving, plus the
+    ``extra`` keys."""
+    flows = base_dispatch(net).scheduled_flows.tolist()
+    loads = net.load_mw.tolist()
+    snap_file = tmp_path / "snapshot.json"
+    snap_file.write_text(json.dumps({
+        "case": str(case_path), **extra, "prev_flows": flows,
+        "prev_loads": loads, "measured_flows": flows, "measured_loads": loads,
+        "sced_flows": flows,
+    }))
+    return snap_file
+
+
 @pytest.mark.parametrize("key, value, refused", [
     ("top_n", 10, False), ("dead_band", 0.05, False),
     ("top_n", 8, True), ("dead_band", 0.1, True),
 ])
 def test_snapshot_detector_settings(case118_path, net118, tmp_path, key, value,
                                     refused):
-    flows = base_dispatch(net118).scheduled_flows.tolist()
-    loads = net118.load_mw.tolist()
-    snap_file = tmp_path / "snapshot.json"
-    snap_file.write_text(json.dumps({
-        "case": str(case118_path), key: value, "prev_flows": flows,
-        "prev_loads": loads, "measured_flows": flows, "measured_loads": loads,
-        "sced_flows": flows,
-    }))
+    snap_file = _steady_snapshot(case118_path, net118, tmp_path, **{key: value})
     args = ["detect", "--snapshot", str(snap_file), "--out", str(tmp_path / "r.json")]
     if refused:
         with pytest.raises(SystemExit, match=f"{key} = {value}"):
@@ -230,3 +243,36 @@ def test_snapshot_detector_settings(case118_path, net118, tmp_path, key, value,
         report = _read(tmp_path / "r.json")
         assert report["under_attack"] is False
         assert report["assumptions"]["smldi_top_n"] == 10
+
+
+def test_detect_without_eligible_branch_fails_in_one_line(case3_path, net3, tmp_path):
+    # every critical load set of the triangle is below MIN_CRITICAL_SET
+    snap_file = _steady_snapshot(case3_path, net3, tmp_path)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit, match=re.escape(
+            f"{snap_file}: no branch has a large enough critical load set")):
+        main(["detect", "--snapshot", str(snap_file), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_run_experiment_counts_failures_and_exits_1(case118_path, tmp_path):
+    suite_file = tmp_path / "suite.json"
+    main(["gen-scenarios", "--case", str(case118_path), "--out", str(suite_file)])
+    ok, bad = _read(suite_file)["scenarios"][:2]
+    bad["noise_sigma"] = {"flows": 0.01}
+    suite_file.write_text(json.dumps({"scenarios": [ok, bad]}))
+    out_dir = tmp_path / "results"
+    env = {**os.environ, "PYTHONPATH": str(Path(gridfdi.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "gridfdi.cli", "run-experiment",
+         "--suite", str(suite_file), "--out", str(out_dir)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 1
+    assert done.stdout.rstrip().endswith("; 1 failed")
+    assert done.stderr.startswith("1 of 2 scenarios failed")
+    # every report is still written, the failure in its own
+    assert _read(out_dir / "scenario_000.json")["error"] is None
+    assert _read(out_dir / "scenario_001.json")["error"].startswith(
+        "ValueError: noise_sigma['flows']")
+    assert [g["failures"] for g in _read(out_dir / "summary.json")["groups"]] == [1]

@@ -61,6 +61,18 @@ def test_seed_determinism(net3):
     assert np.all(a.weights[3:] == 1.0 / 0.02**2)
 
 
+@pytest.mark.parametrize("sigma, message", [
+    ({"flows": 0.01}, "'flows'"),
+    ({"flow": -0.01}, "'flow'.*-0.01"),
+    ({"injection": float("nan")}, "'injection'.*nan"),
+])
+def test_unusable_noise_sigma_rejected(net3, sigma, message):
+    # each of these once gave a noiseless set with unit weights
+    loads, gen, sol = _true_state(net3)
+    with pytest.raises(ValueError, match=message):
+        build_measurements(net3, sol.flows, loads, gen, sigma, seed=1)
+
+
 def test_noiseless_estimate_exact(net3):
     loads, gen, sol = _true_state(net3)
     meas = build_measurements(net3, sol.flows, loads, gen)
