@@ -1,0 +1,42 @@
+#!/usr/bin/env python3
+"""Rewrite the golden outcome record, tests/golden_outcomes.json.
+
+Runs the seed-2018 study grid and the outage-71 robustness suite on the
+bundled 118-bus case, prints one line per scenario field that moved beyond
+its tolerance (see tests/golden.py), then writes the new record.
+
+    PYTHONPATH=src python scripts/write_golden.py
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+import golden  # noqa: E402
+from gridfdi import bundled_case  # noqa: E402
+from gridfdi.harness import (  # noqa: E402
+    NetworkCache,
+    outage_robustness_suite,
+    run_experiment,
+    study_118_suite,
+)
+
+
+def main() -> int:
+    cache = NetworkCache()
+    record = golden.build_record({
+        "grid": run_experiment(study_118_suite(bundled_case()), cache).outcomes,
+        "outage71": run_experiment(
+            outage_robustness_suite(bundled_case(), 71), cache).outcomes,
+    })
+    if golden.RECORD.exists():
+        lines = golden.diff(golden.load_record(), record)
+        print("\n".join(lines) if lines else "no scenario moved")
+    golden.write_record(record)
+    print(f"wrote {golden.RECORD} ({len(record['scenarios'])} scenarios)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,6 @@ from .attack import (
     AttackSpec,
     apply_attack,
     build_attack_lp,
-    check_unobservability,
     solve_attack,
 )
 from .detect import (

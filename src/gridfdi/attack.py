@@ -19,7 +19,7 @@ from scipy import sparse
 
 from . import lp
 from .cases import Network, per_network
-from .estimation import FLOW, INJECTION, MeasurementSet, estimated_flows, wls_estimate
+from .estimation import FLOW, INJECTION, MeasurementSet, estimated_flows
 from .powerflow import topology
 
 AUDIT_TOL = 1e-7
@@ -231,13 +231,3 @@ def apply_attack(clean: MeasurementSet, result: AttackResult) -> MeasurementSet:
     values[is_flow] -= result.delta_p[idx[is_flow]]
     values[is_inj] -= delta_d_pu[idx[is_inj]]
     return clean.with_values(values)
-
-
-def check_unobservability(
-    net: Network, result: AttackResult, clean: MeasurementSet
-) -> float:
-    """|J(tampered) - J(clean)| from full WLS runs; ~0 for a consistent attack."""
-    tampered = apply_attack(clean, result)
-    j_clean = wls_estimate(clean, net).weighted_residual_norm
-    j_tampered = wls_estimate(tampered, net).weighted_residual_norm
-    return abs(j_tampered - j_clean)

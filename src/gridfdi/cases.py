@@ -132,7 +132,8 @@ class Network:
         return read_only(np.array([b.is_load_bus for b in self.buses], dtype=bool))
 
     @cached_property
-    def _limits_pu(self) -> np.ndarray:
+    def limits_pu(self) -> np.ndarray:
+        """Thermal limit per in-service branch, p.u. (read-only)."""
         return read_only(
             np.array([b.limit_mw for b in self.in_service_branches]) / self.base_mva)
 
@@ -140,20 +141,12 @@ class Network:
     def load_mw(self) -> np.ndarray:
         return np.array([b.load_mw for b in self.buses])
 
-    @property
-    def load_buses(self) -> np.ndarray:
-        return np.flatnonzero(self.load_bus_mask)
-
     def branch_position(self, ordinal: int) -> int:
         """Position of a 1-based file ordinal inside the in-service vector."""
         for pos, i in enumerate(self._active):
             if i == ordinal - 1:
                 return pos
         raise DataError(f"branch {ordinal} is not in service")
-
-    def limits_pu(self) -> np.ndarray:
-        """Thermal limit per in-service branch, p.u. (read-only)."""
-        return self._limits_pu
 
 
 def read_only(value):

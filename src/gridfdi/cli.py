@@ -14,13 +14,14 @@ import dataclasses
 import enum
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import bundled_case
 from .attack import AttackSpec, solve_attack
-from .cases import load_case
+from .cases import CaseError, load_case
 from .detect import DEAD_BAND, TOP_N, ConfigError, Snapshot, run_two_stage
 from .harness import (
     AttackParams,
@@ -35,17 +36,46 @@ from .powerflow import compute_ptdf
 from .sced import run_sced
 
 
+@contextmanager
+def _reading(source: str):
+    """End the run with one line naming ``source`` when reading that input
+    fails: a missing or unreadable file, text that is not JSON, or a case
+    that does not load."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(f"{source}: {exc.strerror or exc}")
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"{source}: not JSON: {exc}")
+    except CaseError as exc:
+        raise SystemExit(f"{source}: {exc}")
+
+
+def _read_json(path: str, flag: str):
+    with _reading(f"{flag} {path}"), open(path) as fh:
+        return json.load(fh)
+
+
 def _parse_outages(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise SystemExit(f"--outage {text}: expected comma-separated branch ordinals")
+
+
+def _case_network(args):
+    """The ``--case`` network with the ``--outage`` branches out of service."""
+    outages = _parse_outages(args.outage)
+    with _reading(f"--case {args.case}"):
+        return load_case(args.case, outages)
 
 
 def _load_loads(net, path: str | None) -> np.ndarray:
     if path is None:
         return net.load_mw
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path, "--loads")
     if isinstance(data, dict):
         loads = np.zeros(net.n_bus)
         ext = {b.external_id: b.internal_index for b in net.buses}
@@ -114,7 +144,7 @@ def _write_json(path: str, payload) -> None:
 
 
 def _cmd_ptdf(args):
-    net = load_case(args.case, _parse_outages(args.outage))
+    net = _case_network(args)
     ptdf = compute_ptdf(net)
     payload = {
         "case": str(args.case),
@@ -124,19 +154,18 @@ def _cmd_ptdf(args):
         "bus_ids": [b.external_id for b in net.buses],
         "matrix": ptdf.matrix,
         "critical_sets": {
-            str(net.in_service_branches[k].ordinal): [
-                net.buses[n].external_id for n in ptdf.critical_sets[k]
-            ]
-            for k in range(ptdf.n_branches)
+            str(br.ordinal): [net.buses[n].external_id
+                              for n in np.flatnonzero(ptdf.critical_mask[k])]
+            for k, br in enumerate(net.in_service_branches)
         },
-        "critical_set_sizes": ptdf.nl_sizes,
+        "critical_set_sizes": ptdf.critical_sizes,
         "eligible": ptdf.eligible,
     }
     _write_json(args.out, payload)
 
 
 def _cmd_sced(args):
-    net = load_case(args.case, _parse_outages(args.outage))
+    net = _case_network(args)
     loads = _load_loads(net, args.loads)
     dispatch = run_sced(net, loads)
     payload = {
@@ -152,7 +181,7 @@ def _cmd_sced(args):
 
 
 def _cmd_attack(args):
-    net = load_case(args.case, _parse_outages(args.outage))
+    net = _case_network(args)
     loads = _load_loads(net, args.loads)
     base = run_sced(net, loads)
     spec = AttackSpec(
@@ -184,10 +213,10 @@ def _cmd_attack(args):
 
 
 def _cmd_detect(args):
-    with open(args.snapshot) as fh:
-        data = json.load(fh)
+    data = _read_json(args.snapshot, "--snapshot")
     _check_detector_settings(data, args.snapshot)
-    net = load_case(data["case"], tuple(data.get("outages", ())))
+    with _reading(f"{args.snapshot}: case {data['case']}"):
+        net = load_case(data["case"], tuple(data.get("outages", ())))
     ptdf = compute_ptdf(net)
     snap = Snapshot(
         prev_flows=np.asarray(data["prev_flows"], dtype=float),
@@ -195,7 +224,7 @@ def _cmd_detect(args):
         measured_flows=np.asarray(data["measured_flows"], dtype=float),
         measured_loads=np.asarray(data["measured_loads"], dtype=float),
         sced_flows=np.asarray(data["sced_flows"], dtype=float),
-        limits=net.limits_pu(),
+        limits=net.limits_pu,
         ptdf=ptdf,
         branch_ordinals=np.array([b.ordinal for b in net.in_service_branches]),
     )
@@ -249,8 +278,8 @@ def _cmd_gen_scenarios(args):
 
 
 def _cmd_run_experiment(args):
-    with open(args.suite) as fh:
-        suite = [_config_from_dict(d) for d in json.load(fh)["scenarios"]]
+    scenarios = _read_json(args.suite, "--suite")["scenarios"]
+    suite = [_config_from_dict(d) for d in scenarios]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = NetworkCache()
@@ -260,7 +289,8 @@ def _cmd_run_experiment(args):
         payload = {**_plain(outcome), "config": _config_to_dict(outcome.config)}
         _dump(out_dir / f"scenario_{outcome.config.index:03d}.json", payload)
 
-    net = cache.get(suite[0].case_path, suite[0].outages)[0] if suite else None
+    ran = [o.config for o in report.outcomes if o.error is None]
+    net = cache.get(ran[0].case_path, ran[0].outages)[0] if ran else None
     _dump(out_dir / "summary.json", {
         "n_scenarios": len(report.outcomes),
         "assumptions": _assumptions(net),

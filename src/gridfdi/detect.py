@@ -31,7 +31,7 @@ TOP_SUSPECTS = 3    # combined-score ranks always treated as suspects
 
 
 class ConfigError(Exception):
-    """Unusable detector configuration (e.g. nothing is eligible)."""
+    """Unusable configuration: a bad scenario, or no eligible branch to pool."""
 
 
 class AlertLevel(enum.IntEnum):
@@ -161,7 +161,7 @@ def _mldi(snap: Snapshot, ind: np.ndarray) -> np.ndarray:
     """Mean directional consensus of critical-load changes, per branch,
     signed so that positive means 'loads conspire to shrink this flow';
     ``ind`` is the :func:`_indicators` matrix."""
-    sizes = np.maximum(snap.ptdf.nl_sizes, 1)
+    sizes = np.maximum(snap.ptdf.critical_sizes, 1)
     return np.sign(snap.prev_flows) * ind.sum(axis=1) / sizes
 
 

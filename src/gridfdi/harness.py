@@ -14,14 +14,13 @@ score plus detection and identification counts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attack import (AttackResult, AttackSpec, apply_attack,
-                     check_unobservability, solve_attack)
+from .attack import AttackResult, AttackSpec, apply_attack, solve_attack
 from .cases import Network, load_case
-from .detect import DetectionReport, Snapshot, run_two_stage
+from .detect import ConfigError, DetectionReport, Snapshot, run_two_stage
 from .estimation import (
     INJECTION,
     build_measurements,
@@ -32,10 +31,6 @@ from .powerflow import compute_ptdf, solve_dc
 from .sced import Dispatch, base_dispatch, run_sced
 
 FLUCTUATION_CUTOFF = 1.96   # clip standard-normal draws; 95% two-sided band
-
-
-class ConfigError(Exception):
-    """Scenario configuration inconsistent with its mode."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +70,12 @@ class ScenarioConfig:
                 raise ConfigError("attack scenario lacks attack params")
         else:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for name in ("fluctuation", "attack_params"):
+            params = getattr(self, name)
+            for f in fields(params) if params is not None else ():
+                value = getattr(params, f.name)
+                if not np.isfinite(value):
+                    raise ConfigError(f"{name}.{f.name} must be finite, got {value}")
         if self.fluctuation is not None and self.fluctuation.sigma < 0:
             raise ConfigError("fluctuation sigma must be nonnegative")
 
@@ -178,9 +179,8 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
     meas = apply_attack(clean, attack) if attack is not None else clean
 
     se = wls_estimate(meas, net)
-    residual_delta = None
-    if attack is not None:
-        residual_delta = check_unobservability(net, attack, clean)
+    residual_delta = None if attack is None else abs(
+        se.weighted_residual_norm - wls_estimate(clean, net).weighted_residual_norm)
     measured_flows = estimated_flows(net, se.angles)
     measured_loads = _loads_from_measurements(net, meas, gen_metered)
 
@@ -190,7 +190,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
 
     # Ground truth: the new dispatch against the *real* loads.
     true_flows_next = _balanced_flows(net, gen_next, loads_true)
-    limits = net.limits_pu()
+    limits = net.limits_pu
     violations_mw = (np.abs(true_flows_next) - limits) * net.base_mva
 
     target_overload = None

@@ -46,21 +46,21 @@ class Ptdf:
     """
 
     matrix: np.ndarray
-    critical_sets: tuple[np.ndarray, ...]  # load-bus indices per branch
-    nl_sizes: np.ndarray                   # len(critical_sets[k])
-    eligible: np.ndarray                   # nl_sizes >= MIN_CRITICAL_SET
+    critical_mask: np.ndarray   # branch x bus: the load buses of each critical set
 
     @property
     def n_branches(self):
         return self.matrix.shape[0]
 
     @cached_property
-    def critical_mask(self) -> np.ndarray:
-        """Boolean branch x bus matrix of the critical sets (read-only)."""
-        mask = np.zeros(self.matrix.shape, dtype=bool)
-        for k, buses in enumerate(self.critical_sets):
-            mask[k, buses] = True
-        return read_only(mask)
+    def critical_sizes(self) -> np.ndarray:
+        """Critical load buses per branch (read-only)."""
+        return read_only(self.critical_mask.sum(axis=1))
+
+    @cached_property
+    def eligible(self) -> np.ndarray:
+        """Per branch: critical set of at least MIN_CRITICAL_SET (read-only)."""
+        return read_only(self.critical_sizes >= MIN_CRITICAL_SET)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def compute_ptdf(net: Network) -> Ptdf:
     read-only :class:`Ptdf`.
 
     The build reuses the topology's LU factor of reduced B for all columns.
-    Critical sets collect the load buses whose absolute sensitivity reaches
+    The critical mask marks the load buses whose absolute sensitivity reaches
     ``CRITICAL_PTDF``.
     """
     topo = topology(net)
@@ -144,14 +144,5 @@ def compute_ptdf(net: Network) -> Ptdf:
     matrix = np.zeros((topo.bf.shape[0], net.n_bus))
     matrix[:, keep] = topo.bf[:, keep] @ theta
 
-    load_buses = net.load_buses
-    critical = np.abs(matrix[:, load_buses]) >= CRITICAL_PTDF
-    nl_sizes = critical.sum(axis=1)
-    critical_sets = tuple(load_buses[row] for row in critical)
-    eligible = nl_sizes >= MIN_CRITICAL_SET
-    return Ptdf(
-        matrix=matrix,
-        critical_sets=critical_sets,
-        nl_sizes=nl_sizes,
-        eligible=eligible,
-    )
+    critical = (np.abs(matrix) >= CRITICAL_PTDF) & net.load_bus_mask
+    return Ptdf(matrix=matrix, critical_mask=critical)

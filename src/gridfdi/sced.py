@@ -107,7 +107,7 @@ def _dispatch_lp(net, d_pu, penalty, gen_costs=True, lazy=False):
     ng, m = ops.gen_bus.size, ops.limit_rows.shape[0] // 2
     hard = penalty is None
     shift = compute_ptdf(net).matrix @ d_pu
-    limits = net.limits_pu()
+    limits = net.limits_pu
     return lp.LinearProgram(
         sense="min",
         objective=np.concatenate([ops.cost if gen_costs else np.zeros(ng),
@@ -191,7 +191,7 @@ def _solve(net, loads_mw, soft_limits, lazy):
     flows = compute_ptdf(net).matrix @ inj
     binding = tuple(
         net.in_service_branches[k].ordinal
-        for k in np.flatnonzero(np.abs(flows) >= net.limits_pu() - BINDING_TOL)
+        for k in np.flatnonzero(np.abs(flows) >= net.limits_pu - BINDING_TOL)
     )
     violations = sol.values[ng:] * base if soft_limits else np.zeros(len(flows))
     dispatch = Dispatch(

@@ -182,7 +182,7 @@ def dispatch_lp_rows(net, ptdf, d_pu, soft_penalty=None):
     for i, g in enumerate(gens):
         sens[:, i] = ptdf.matrix[:, g.bus]
     shift = ptdf.matrix @ d_pu
-    limits = net.limits_pu()
+    limits = net.limits_pu
     rows, rhs = [], []
     for k in range(ptdf.n_branches):
         for sign in (1.0, -1.0):

@@ -28,6 +28,7 @@ from gridfdi.harness import (
 from gridfdi.powerflow import solve_dc
 from gridfdi.sced import run_sced
 
+import golden
 from oracles import enumerate_vertices
 from test_detect import emldi_all, mldi_all
 
@@ -343,12 +344,17 @@ def test_criterion_11_physical_overload(suite_run):
     )
 
 
-def test_criterion_12_outage_robustness(cache):
+@pytest.fixture(scope="module")
+def outage_runs(cache):
+    return {outage: run_experiment(outage_robustness_suite(bundled_case(), outage),
+                                   cache)
+            for outage in (1, 71, 141)}
+
+
+def test_criterion_12_outage_robustness(outage_runs):
     lines = []
     ok = True
-    for outage in (1, 71, 141):
-        suite = outage_robustness_suite(bundled_case(), outage)
-        report = run_experiment(suite, cache)
+    for outage, report in outage_runs.items():
         attacks = [o for o in report.outcomes if o.config.mode == "attack"]
         flucts = [o for o in report.outcomes
                   if o.config.mode == "fluctuation_only"]
@@ -378,3 +384,12 @@ def test_smldi_pool_size_robustness(suite_run, cache):
             flt += value < 0.35
         assert att >= 0.95 * 160, f"top_n={top_n}: attacks above 35%: {att}"
         assert flt >= 0.95 * 80, f"top_n={top_n}: fluctuations below 35%: {flt}"
+
+
+def test_golden_outcome_record(suite_run, outage_runs):
+    """Every scenario of the grid and the outage-71 suite decides as the
+    committed record says (``scripts/write_golden.py`` rewrites it)."""
+    record = golden.build_record({"grid": suite_run[0].outcomes,
+                                  "outage71": outage_runs[71].outcomes})
+    moved = golden.diff(golden.load_record(), record)
+    assert not moved, "\n".join(moved)

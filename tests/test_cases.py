@@ -81,10 +81,13 @@ def test_missing_block():
         parse_matpower(text)
 
 
-def test_unterminated_block():
+def test_open_block_swallows_the_next_assignment():
+    # without its "];" the gen block runs on into "mpc.branch = [", which is
+    # not a numeric row; the unterminated path is the next test's
     text = TRIANGLE[: TRIANGLE.index("mpc.gencost")].replace("];\nmpc.branch", "\nmpc.branch")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="non-numeric entry in mpc.gen") as err:
         parse_matpower(text)
+    assert err.value.line == text.splitlines().index("mpc.branch = [") + 1
 
 
 def _rows_on_one_line(text):
@@ -207,7 +210,7 @@ def test_piecewise_gencost_rejected():
 
 def test_branch_position_and_limits(net3):
     assert net3.branch_position(1) == 0
-    assert np.allclose(net3.limits_pu(), 1.0)
+    assert np.allclose(net3.limits_pu, 1.0)
 
 
 def test_branch_position_out_of_service():
@@ -258,8 +261,8 @@ def test_per_network_results_are_read_only_all_the_way_down():
 def test_per_network_operators_are_read_only(net3):
     topo, ptdf = topology(net3), compute_ptdf(net3)
     for arr in (topo.incidence, topo.keep, *topo.factor, ptdf.matrix,
-                ptdf.eligible, *ptdf.critical_sets, ptdf.critical_mask,
-                net3.load_bus_mask, net3.limits_pu()):
+                ptdf.critical_mask, ptdf.critical_sizes, ptdf.eligible,
+                net3.load_bus_mask, net3.limits_pu):
         assert not arr.flags.writeable
 
 

@@ -17,6 +17,7 @@ from gridfdi.harness import (
     ScenarioConfig,
     run_timeline,
 )
+from gridfdi.powerflow import MIN_CRITICAL_SET
 from gridfdi.sced import base_dispatch
 
 
@@ -43,6 +44,22 @@ def test_ptdf_outage_flag(case118_path, tmp_path):
     assert len(data["branch_ordinals"]) == 184
     assert 1 not in data["branch_ordinals"]
     assert 71 not in data["branch_ordinals"]
+
+
+def test_ptdf_critical_sets_follow_the_mask(case118_path, net118, ptdf118, tmp_path):
+    out = tmp_path / "ptdf.json"
+    main(["ptdf", "--case", str(case118_path), "--out", str(out)])
+    data = _read(out)
+    mask = ptdf118.critical_mask
+    bus_ids = [b.external_id for b in net118.buses]
+    assert data["bus_ids"] == bus_ids
+    want = {str(br.ordinal): [bus_ids[n] for n in np.flatnonzero(mask[k])]
+            for k, br in enumerate(net118.in_service_branches)}
+    assert data["critical_sets"] == want
+    sizes = mask.sum(axis=1)
+    assert data["critical_set_sizes"] == sizes.tolist()
+    assert data["eligible"] == (sizes >= MIN_CRITICAL_SET).tolist()
+    assert 0 < sum(data["eligible"]) < len(sizes)
 
 
 def test_sced_command(case3_path, tmp_path):
@@ -253,6 +270,52 @@ def test_detect_without_eligible_branch_fails_in_one_line(case3_path, net3, tmp_
             f"{snap_file}: no branch has a large enough critical load set")):
         main(["detect", "--snapshot", str(snap_file), "--out", str(out)])
     assert not out.exists()
+
+
+NO_SUCH_FILE = "No such file or directory"
+
+
+@pytest.mark.parametrize("args, message", [
+    ("detect --snapshot {missing}", "--snapshot {missing}: " + NO_SUCH_FILE),
+    ("detect --snapshot {text}", "--snapshot {text}: not JSON: Expecting value"),
+    ("detect --snapshot {snapshot}", "{snapshot}: case {missing_case}: " + NO_SUCH_FILE),
+    ("run-experiment --suite {missing}", "--suite {missing}: " + NO_SUCH_FILE),
+    ("run-experiment --suite {text}", "--suite {text}: not JSON: Expecting value"),
+    ("sced --loads {missing}", "--loads {missing}: " + NO_SUCH_FILE),
+    ("sced --loads {text}", "--loads {text}: not JSON: Expecting value"),
+    ("ptdf --case {missing_case}", "--case {missing_case}: " + NO_SUCH_FILE),
+    ("ptdf --outage 7x", "--outage 7x: expected comma-separated branch ordinals"),
+    ("attack --outage 9999 --target 118 --ls 0.1 --n1 5",
+     "--case {case}: outage ordinals out of range 1..186: [9999]"),
+], ids=["snapshot-missing", "snapshot-not-json", "snapshot-case-missing",
+        "suite-missing", "suite-not-json", "loads-missing", "loads-not-json",
+        "case-missing", "outage-not-a-number", "outage-out-of-range"])
+def test_input_errors_end_in_one_line(case118_path, tmp_path, args, message):
+    paths = {"missing": tmp_path / "missing.json", "text": tmp_path / "text.json",
+             "snapshot": tmp_path / "snapshot.json", "case": case118_path,
+             "missing_case": tmp_path / "missing.m"}
+    paths["text"].write_text("not json\n")
+    paths["snapshot"].write_text(json.dumps({"case": str(paths["missing_case"])}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([arg.format(**paths) for arg in args.split()] + ["--out", str(out)])
+    assert isinstance(exit_.value.code, str)       # printed to stderr, status 1
+    assert "\n" not in exit_.value.code
+    assert exit_.value.code.startswith(message.format(**paths))
+    assert not out.exists()
+
+
+def test_suite_on_a_missing_case_fails_its_scenarios(tmp_path):
+    suite_file = tmp_path / "suite.json"
+    main(["gen-scenarios", "--case", str(tmp_path / "missing.m"), "--outage", "71",
+          "--out", str(suite_file)])
+    with pytest.raises(SystemExit, match="^72 of 72 scenarios failed"):
+        main(["run-experiment", "--suite", str(suite_file),
+              "--out", str(tmp_path / "results")])
+    assert _read(tmp_path / "results" / "scenario_000.json")["error"].startswith(
+        "FileNotFoundError")
+    assert _read(tmp_path / "results" / "summary.json")["assumptions"][
+        "reference_bus"] is None
 
 
 def test_run_experiment_counts_failures_and_exits_1(case118_path, tmp_path):

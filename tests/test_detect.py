@@ -17,7 +17,7 @@ from gridfdi.detect import (
     _levels,
     _mldi,
 )
-from gridfdi.powerflow import CRITICAL_PTDF, MIN_CRITICAL_SET, Ptdf
+from gridfdi.powerflow import CRITICAL_PTDF, Ptdf
 
 
 def mldi_all(snap):
@@ -55,7 +55,7 @@ def bori(k, snap):
 
 def mldi(k, snap):
     """Deviation index of branch k plus its indicators over the critical set."""
-    return mldi_all(snap)[k], _indicators(snap)[k, snap.ptdf.critical_sets[k]]
+    return mldi_all(snap)[k], _indicators(snap)[k, snap.ptdf.critical_mask[k]]
 
 
 def emldi(k, snap):
@@ -65,18 +65,11 @@ def emldi(k, snap):
 
 def toy_ptdf(matrix, load_buses):
     matrix = np.asarray(matrix, dtype=float)
-    load_buses = np.asarray(load_buses)
-    critical = []
+    mask = np.zeros(matrix.shape, dtype=bool)
     for k in range(matrix.shape[0]):
-        mask = np.abs(matrix[k, load_buses]) >= CRITICAL_PTDF
-        critical.append(load_buses[mask])
-    sizes = np.array([len(c) for c in critical])
-    return Ptdf(
-        matrix=matrix,
-        critical_sets=tuple(critical),
-        nl_sizes=sizes,
-        eligible=sizes >= MIN_CRITICAL_SET,
-    )
+        for n in load_buses:
+            mask[k, n] = abs(matrix[k, n]) >= CRITICAL_PTDF
+    return Ptdf(matrix=matrix, critical_mask=mask)
 
 
 def make_snapshot(
@@ -222,7 +215,8 @@ def reference_metrics(snap, dead_band=0.05):
         total = 0.0
         weighted = 0.0
         weight_norm = 0.0
-        for n in ptdf.critical_sets[k]:
+        critical = np.flatnonzero(ptdf.critical_mask[k])
+        for n in critical:
             prev = snap.prev_loads[n]
             if prev == 0:
                 indicator = 0.0
@@ -238,7 +232,7 @@ def reference_metrics(snap, dead_band=0.05):
             w = abs((snap.measured_loads[n] - snap.prev_loads[n]) * ptdf.matrix[k, n])
             weighted += w * indicator
             weight_norm += w
-        size = len(ptdf.critical_sets[k])
+        size = len(critical)
         mldi_ref[k] = sgn_flow * total / size if size else 0.0
         emldi_ref[k] = sgn_flow * weighted / weight_norm if weight_norm > 0 else 0.0
         hidden = snap.prev_flows[k] - snap.measured_flows[k]
@@ -480,8 +474,13 @@ def test_snapshot_rejects_non_finite(field, bad):
         make_snapshot(FIVE_LOADS, **values)
 
 
-def test_critical_mask_matches_sets(ptdf118):
-    mask = ptdf118.critical_mask
-    assert ptdf118.critical_mask is mask       # stored, not rebuilt per call
-    for k, buses in enumerate(ptdf118.critical_sets):
-        assert np.array_equal(np.flatnonzero(mask[k]), np.sort(buses))
+def test_critical_mask_matches_sets(net118, ptdf118):
+    # per branch, the load buses whose |PTDF| reaches the threshold
+    load_buses = [b.internal_index for b in net118.buses if b.is_load_bus]
+    for k, row in enumerate(ptdf118.matrix):
+        want = [n for n in load_buses if abs(row[n]) >= CRITICAL_PTDF]
+        assert np.flatnonzero(ptdf118.critical_mask[k]).tolist() == want
+    # the derived sizes and eligibility are stored, not rebuilt per call
+    assert ptdf118.critical_sizes is ptdf118.critical_sizes
+    assert ptdf118.eligible is ptdf118.eligible
+    assert ptdf118.critical_sizes.tolist() == ptdf118.critical_mask.sum(axis=1).tolist()

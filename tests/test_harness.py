@@ -72,6 +72,33 @@ def test_config_validation(case118_path):
     _config(case118_path).validate()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("mode, params, field", [
+    ("fluctuation_only", {"fluctuation": FluctuationSpec(0.0, NAN)},
+     "fluctuation.sigma"),
+    ("fluctuation_only", {"fluctuation": FluctuationSpec(INF, 0.03)},
+     "fluctuation.mu"),
+    ("fluctuation_only", {"fluctuation": FluctuationSpec(-INF, 0.03)},
+     "fluctuation.mu"),
+    ("attack", {"attack_params": AttackParams(118, NAN, 5.0)},
+     "attack_params.load_shift_factor"),
+    ("attack", {"attack_params": AttackParams(118, 0.1, NAN)},
+     "attack_params.l1_limit"),
+    ("attack", {"attack_params": AttackParams(118, 0.1, INF)},
+     "attack_params.l1_limit"),
+])
+def test_config_rejects_non_finite_parameters(case118_path, cache, mode, params,
+                                              field):
+    config = _config(case118_path, mode=mode, **params)
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        config.validate()
+    # a run fails on the parameter, before any solve sees it
+    outcome = run_experiment([config], cache).outcomes[0]
+    assert outcome.error.startswith(f"ConfigError: {field} must be finite")
+
+
 def test_quiescent_timeline(case118_path, cache):
     config = _config(case118_path)      # no fluctuation, no attack
     result = run_timeline(config, cache)

@@ -191,7 +191,7 @@ def test_relabelling_keeps_the_detector_report(monkeypatch, net118, relabelled):
         measured_flows=snap.measured_flows[branch_perm],
         measured_loads=snap.measured_loads[bus_perm],
         sced_flows=snap.sced_flows[branch_perm],
-        limits=net.limits_pu(),
+        limits=net.limits_pu,
         ptdf=compute_ptdf(net),
         branch_ordinals=np.array([b.ordinal for b in net.in_service_branches]),
     )

@@ -98,8 +98,8 @@ def test_ptdf_flow_identity(net118, ptdf118, rng):
 def test_ptdf_cached_read_only(net118, ptdf118):
     assert compute_ptdf(net118) is ptdf118
     assert net118.operators["ptdf"] is ptdf118
-    for arr in (ptdf118.matrix, ptdf118.nl_sizes, ptdf118.eligible,
-                ptdf118.critical_mask, *ptdf118.critical_sets):
+    for arr in (ptdf118.matrix, ptdf118.critical_mask, ptdf118.critical_sizes,
+                ptdf118.eligible):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         ptdf118.matrix[0, 0] = 1.0
@@ -134,15 +134,16 @@ def test_ptdf_magnitude_bound(ptdf118):
 
 
 def test_critical_sets_load_buses_only(net118, ptdf118):
-    load_set = set(net118.load_buses.tolist())
-    for k, buses in enumerate(ptdf118.critical_sets):
+    load_set = set(np.flatnonzero(net118.load_bus_mask).tolist())
+    for k, row in enumerate(ptdf118.critical_mask):
+        buses = np.flatnonzero(row)
         assert set(buses.tolist()) <= load_set
         assert np.all(np.abs(ptdf118.matrix[k, buses]) >= 0.01)
-        assert ptdf118.nl_sizes[k] == len(buses)
+        assert ptdf118.critical_sizes[k] == len(buses)
 
 
 def test_eligibility_rule(ptdf118):
-    assert np.array_equal(ptdf118.eligible, ptdf118.nl_sizes >= MIN_CRITICAL_SET)
+    assert np.array_equal(ptdf118.eligible, ptdf118.critical_sizes >= MIN_CRITICAL_SET)
     assert MIN_CRITICAL_SET == 5
 
 

@@ -66,7 +66,7 @@ def test_power_balance(net118):
 
 def test_limits_respected_118(net118):
     dispatch = run_sced(net118, net118.load_mw)
-    limits = net118.limits_pu()
+    limits = net118.limits_pu
     assert np.all(np.abs(dispatch.scheduled_flows) <= limits + 1e-6)
     assert 111 in dispatch.binding_branches
     assert 118 in dispatch.binding_branches
@@ -112,7 +112,7 @@ def test_soft_limit_violations_reported():
     ))
     net = validate_case(raw)
     dispatch = run_sced(net, net.load_mw, soft_limits=True)
-    over = (np.abs(dispatch.scheduled_flows) - net.limits_pu()) * net.base_mva
+    over = (np.abs(dispatch.scheduled_flows) - net.limits_pu) * net.base_mva
     assert over[0] == pytest.approx(40.0, abs=1e-6)
     assert dispatch.violations_mw == pytest.approx(over, abs=1e-6)
 
@@ -202,7 +202,7 @@ def test_seeded_soft_sced_matches_full_lp_118(net118, ptdf118, monkeypatch):
         inj = -loads / net118.base_mva
         np.add.at(inj, [g.bus for g in net118.generators], oracle.values[gs])
         flows = ptdf118.matrix @ inj
-        limits = net118.limits_pu()
+        limits = net118.limits_pu
         assert dispatch.binding_branches == tuple(
             net118.in_service_branches[k].ordinal
             for k in np.flatnonzero(np.abs(flows) >= limits - 1e-6))
