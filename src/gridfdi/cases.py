@@ -13,7 +13,7 @@ reports) are 1-based row positions in the case file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, wraps
 
 import numpy as np
@@ -70,23 +70,16 @@ class RawCase:
 @dataclass(frozen=True)
 class Bus:
     external_id: int
-    internal_index: int
-    is_load_bus: bool
     load_mw: float
 
 
 @dataclass(frozen=True)
 class Branch:
-    internal_index: int      # 0-based file position; ordinal = internal_index + 1
+    ordinal: int             # 1-based row position in the case file
     from_bus: int            # internal bus index
     to_bus: int
     reactance: float         # p.u.
     limit_mw: float
-    in_service: bool
-
-    @property
-    def ordinal(self):
-        return self.internal_index + 1
 
 
 @dataclass(frozen=True)
@@ -104,21 +97,16 @@ class Network:
     instance, so an outage case (a new instance) starts without them."""
 
     base_mva: float
-    buses: tuple[Bus, ...]
-    branches: tuple[Branch, ...]
+    buses: tuple[Bus, ...]   # internal bus index = position
+    # In-service branches in file order; all branch-indexed vectors (flows,
+    # limits, PTDF rows) follow this ordering.
+    in_service_branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
     reference_bus: int
-    _active: tuple[int, ...] = field(repr=False, default=())
 
     @property
     def n_bus(self):
         return len(self.buses)
-
-    @cached_property
-    def in_service_branches(self) -> tuple[Branch, ...]:
-        """In-service branches in file order; all branch-indexed vectors
-        (flows, limits, PTDF rows) follow this ordering."""
-        return tuple(self.branches[i] for i in self._active)
 
     @cached_property
     def operators(self) -> dict:
@@ -129,7 +117,7 @@ class Network:
     @cached_property
     def load_bus_mask(self) -> np.ndarray:
         """Per bus: whether it carries load (read-only)."""
-        return read_only(np.array([b.is_load_bus for b in self.buses], dtype=bool))
+        return read_only(self.load_mw > 0)
 
     @cached_property
     def limits_pu(self) -> np.ndarray:
@@ -143,8 +131,8 @@ class Network:
 
     def branch_position(self, ordinal: int) -> int:
         """Position of a 1-based file ordinal inside the in-service vector."""
-        for pos, i in enumerate(self._active):
-            if i == ordinal - 1:
+        for pos, br in enumerate(self.in_service_branches):
+            if br.ordinal == ordinal:
                 return pos
         raise DataError(f"branch {ordinal} is not in service")
 
@@ -277,7 +265,8 @@ def validate_case(raw: RawCase, outaged_branches: tuple[int, ...] = ()) -> Netwo
     """Build a :class:`Network` from raw rows, applying branch outages.
 
     ``outaged_branches`` are 1-based file ordinals.  Deterministic: internal
-    bus indices follow bus-row order, branch indices follow branch-row order.
+    bus indices follow bus-row order, and the in-service branches keep
+    branch-row order.  Every branch row's buses are checked, in service or not.
     """
     for name, rows in (
         ("bus", raw.bus_rows),
@@ -298,18 +287,13 @@ def validate_case(raw: RawCase, outaged_branches: tuple[int, ...] = ()) -> Netwo
     ext_to_int = {e: i for i, e in enumerate(ext_ids)}
 
     buses = tuple(
-        Bus(
-            external_id=int(row[_BUS_ID]),
-            internal_index=i,
-            is_load_bus=row[_BUS_PD] > 0,
-            load_mw=float(row[_BUS_PD]),
-        )
-        for i, row in enumerate(raw.bus_rows)
+        Bus(external_id=int(row[_BUS_ID]), load_mw=float(row[_BUS_PD]))
+        for row in raw.bus_rows
     )
 
     n_branch = len(raw.branch_rows)
     outages = set(outaged_branches)
-    bad = [k for k in outages if not 1 <= k <= n_branch]
+    bad = [k for k in outages if k not in range(1, n_branch + 1)]
     if bad:
         raise DataError(f"outage ordinals out of range 1..{n_branch}: {sorted(bad)}")
 
@@ -318,22 +302,21 @@ def validate_case(raw: RawCase, outaged_branches: tuple[int, ...] = ()) -> Netwo
         f_ext, t_ext = int(row[_BR_FROM]), int(row[_BR_TO])
         if f_ext not in ext_to_int or t_ext not in ext_to_int:
             raise StructureError(f"branch {i + 1} references unknown bus")
-        in_service = row[_BR_STATUS] > 0 and (i + 1) not in outages
+        if row[_BR_STATUS] <= 0 or (i + 1) in outages:
+            continue
         x = float(row[_BR_X])
         limit = float(row[_BR_RATE_A])
-        if in_service:
-            if x == 0.0:
-                raise DataError(f"branch {i + 1} has zero reactance")
-            if limit <= 0.0:
-                raise DataError(f"branch {i + 1} has nonpositive limit {limit}")
+        if x == 0.0:
+            raise DataError(f"branch {i + 1} has zero reactance")
+        if limit <= 0.0:
+            raise DataError(f"branch {i + 1} has nonpositive limit {limit}")
         branches.append(
             Branch(
-                internal_index=i,
+                ordinal=i + 1,
                 from_bus=ext_to_int[f_ext],
                 to_bus=ext_to_int[t_ext],
                 reactance=x,
                 limit_mw=limit,
-                in_service=in_service,
             )
         )
 
@@ -369,24 +352,22 @@ def validate_case(raw: RawCase, outaged_branches: tuple[int, ...] = ()) -> Netwo
             key=lambda b: buses[b].external_id,
         )
 
-    active = tuple(b.internal_index for b in branches if b.in_service)
-    _check_connected(len(buses), [branches[i] for i in active])
+    _check_connected(len(buses), branches)
 
     return Network(
         base_mva=raw.base_mva,
         buses=buses,
-        branches=tuple(branches),
+        in_service_branches=tuple(branches),
         generators=tuple(generators),
         reference_bus=ref,
-        _active=active,
     )
 
 
-def _check_connected(n_bus: int, active_branches) -> None:
+def _check_connected(n_bus: int, branches) -> None:
     if n_bus == 0:
         raise StructureError("case has no buses")
-    rows = [b.from_bus for b in active_branches]
-    cols = [b.to_bus for b in active_branches]
+    rows = [b.from_bus for b in branches]
+    cols = [b.to_bus for b in branches]
     adj = sparse.coo_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(n_bus, n_bus)
     )

@@ -51,6 +51,25 @@ def _reading(source: str):
         raise SystemExit(f"{source}: {exc}")
 
 
+@contextmanager
+def _fields(source: str):
+    """End the run with one line naming ``source`` when JSON that parsed
+    lacks a key or has the wrong shape for the records read from it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SystemExit(f"{source}: missing key {exc}")
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SystemExit(f"{source}: wrong shape: {exc}")
+
+
+def _path(value) -> str:
+    """A case path read from JSON; a number would open a file descriptor."""
+    if not isinstance(value, str):
+        raise TypeError(f"case must be a path string, got {value!r}")
+    return value
+
+
 def _read_json(path: str, flag: str):
     with _reading(f"{flag} {path}"), open(path) as fh:
         return json.load(fh)
@@ -78,7 +97,7 @@ def _load_loads(net, path: str | None) -> np.ndarray:
     data = _read_json(path, "--loads")
     if isinstance(data, dict):
         loads = np.zeros(net.n_bus)
-        ext = {b.external_id: b.internal_index for b in net.buses}
+        ext = {b.external_id: i for i, b in enumerate(net.buses)}
         for key, mw in data.items():
             bus = ext.get(int(key)) if key.isdigit() else None
             if bus is None:
@@ -214,20 +233,21 @@ def _cmd_attack(args):
 
 def _cmd_detect(args):
     data = _read_json(args.snapshot, "--snapshot")
-    _check_detector_settings(data, args.snapshot)
-    with _reading(f"{args.snapshot}: case {data['case']}"):
-        net = load_case(data["case"], tuple(data.get("outages", ())))
+    with _fields(args.snapshot):
+        _check_detector_settings(data, args.snapshot)
+        case, outages = _path(data["case"]), tuple(data.get("outages", ()))
+    with _reading(f"{args.snapshot}: case {case}"):
+        net = load_case(case, outages)
     ptdf = compute_ptdf(net)
-    snap = Snapshot(
-        prev_flows=np.asarray(data["prev_flows"], dtype=float),
-        prev_loads=np.asarray(data["prev_loads"], dtype=float),
-        measured_flows=np.asarray(data["measured_flows"], dtype=float),
-        measured_loads=np.asarray(data["measured_loads"], dtype=float),
-        sced_flows=np.asarray(data["sced_flows"], dtype=float),
-        limits=net.limits_pu,
-        ptdf=ptdf,
-        branch_ordinals=np.array([b.ordinal for b in net.in_service_branches]),
-    )
+    with _fields(args.snapshot):
+        snap = Snapshot(
+            **{key: np.asarray(data[key], dtype=float) for key in (
+                "prev_flows", "prev_loads", "measured_flows", "measured_loads",
+                "sced_flows")},
+            limits=net.limits_pu,
+            ptdf=ptdf,
+            branch_ordinals=np.array([b.ordinal for b in net.in_service_branches]),
+        )
     try:
         payload = _plain(run_two_stage(snap))
     except ConfigError as exc:
@@ -244,28 +264,29 @@ def _config_to_dict(c: ScenarioConfig) -> dict:
     return {_SUITE_KEYS.get(key, key): value for key, value in _plain(c).items()}
 
 
-def _config_from_dict(d: dict) -> ScenarioConfig:
-    _check_detector_settings(d, f"scenario {d.get('index', 0)}")
-    fluct = d.get("fluctuation")
-    att = d.get("attack")
-    seed = d["seed"]
-    return ScenarioConfig(
-        case_path=d["case"],
-        mode=d["mode"],
-        seed=tuple(seed) if isinstance(seed, list) else seed,
-        outages=tuple(d.get("outages", ())),
-        fluctuation=None if fluct is None else FluctuationSpec(
-            mu=float(fluct["mu"]), sigma=float(fluct["sigma"])
-        ),
-        attack_params=None if att is None else AttackParams(
-            target_branch=int(att["target_branch"]),
-            load_shift_factor=float(att["load_shift_factor"]),
-            l1_limit=float(att["l1_limit"]),
-        ),
-        noise_sigma=dict(d.get("noise_sigma", {})),
-        group=d.get("group", ""),
-        index=int(d.get("index", 0)),
-    )
+def _config_from_dict(d: dict, source: str) -> ScenarioConfig:
+    with _fields(source):
+        _check_detector_settings(d, source)
+        fluct = d.get("fluctuation")
+        att = d.get("attack")
+        seed = d["seed"]
+        return ScenarioConfig(
+            case_path=_path(d["case"]),
+            mode=d["mode"],
+            seed=tuple(seed) if isinstance(seed, list) else seed,
+            outages=tuple(d.get("outages", ())),
+            fluctuation=None if fluct is None else FluctuationSpec(
+                mu=float(fluct["mu"]), sigma=float(fluct["sigma"])
+            ),
+            attack_params=None if att is None else AttackParams(
+                target_branch=int(att["target_branch"]),
+                load_shift_factor=float(att["load_shift_factor"]),
+                l1_limit=float(att["l1_limit"]),
+            ),
+            noise_sigma=dict(d.get("noise_sigma", {})),
+            group=d.get("group", ""),
+            index=int(d.get("index", 0)),
+        )
 
 
 def _cmd_gen_scenarios(args):
@@ -278,8 +299,10 @@ def _cmd_gen_scenarios(args):
 
 
 def _cmd_run_experiment(args):
-    scenarios = _read_json(args.suite, "--suite")["scenarios"]
-    suite = [_config_from_dict(d) for d in scenarios]
+    data = _read_json(args.suite, "--suite")
+    with _fields(args.suite):
+        suite = [_config_from_dict(d, f"{args.suite}: scenarios[{k}]")
+                 for k, d in enumerate(data["scenarios"])]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = NetworkCache()

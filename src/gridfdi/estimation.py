@@ -198,5 +198,4 @@ def wls_estimate(meas: MeasurementSet, net: Network) -> SeResult:
 
 def estimated_flows(net: Network, angles: np.ndarray) -> np.ndarray:
     """Branch flows implied by estimated angles."""
-    topo, angles = topology(net), np.asarray(angles)
-    return (angles[topo.from_bus] - angles[topo.to_bus]) / topo.x
+    return topology(net).bf @ np.asarray(angles)

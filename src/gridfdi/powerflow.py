@@ -66,11 +66,9 @@ class Ptdf:
 @dataclass(frozen=True)
 class Topology:
     """DC operators of one network, built once per :class:`Network` instance
-    by :func:`topology`.  Arrays are read-only."""
+    by :func:`topology`.  Branch rows follow ``net.in_service_branches``;
+    arrays are read-only."""
 
-    from_bus: np.ndarray   # per in-service branch
-    to_bus: np.ndarray
-    x: np.ndarray          # reactance, p.u.
     incidence: np.ndarray  # A, branch x bus: +1 at the from bus, -1 at the to bus
     bf: np.ndarray         # diag(1/x) A: flows = bf @ angles
     b: np.ndarray          # A' bf: net injections = b @ angles
@@ -104,8 +102,7 @@ def topology(net: Network) -> Topology:
             "reduced susceptance matrix is numerically singular: pivot ratio"
             f" {pivots.min() / pivots.max():.1e} <= {MIN_PIVOT_RATIO:.0e}"
         )
-    return Topology(from_bus=f, to_bus=t, x=x, incidence=a, bf=bf, b=b,
-                    keep=keep, factor=factor)
+    return Topology(incidence=a, bf=bf, b=b, keep=keep, factor=factor)
 
 
 def solve_dc(net: Network, injections: np.ndarray) -> DcSolution:

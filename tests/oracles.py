@@ -222,15 +222,15 @@ def attack_lp_rows(net, spec):
         row[dps.start + k] = 1.0
         eq.append(row)
 
-    for bus in net.buses:
+    for i, bus in enumerate(net.buses):
         row = np.zeros(width)
         for k, br in enumerate(branches):
-            if br.from_bus == bus.internal_index:
+            if br.from_bus == i:
                 row[dps.start + k] += 1.0
-            if br.to_bus == bus.internal_index:
+            if br.to_bus == i:
                 row[dps.start + k] -= 1.0
-        if bus.is_load_bus:
-            bound = spec.load_shift_factor * d0_pu[bus.internal_index]
+        if bus.load_mw > 0:
+            bound = spec.load_shift_factor * d0_pu[i]
             ub += [row, -row]
             ub_rhs += [bound, bound]
         else:

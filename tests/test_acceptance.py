@@ -25,6 +25,7 @@ from gridfdi.harness import (
     study_118_suite,
     run_experiment,
 )
+from gridfdi.lp import FEASIBILITY_TOL
 from gridfdi.powerflow import solve_dc
 from gridfdi.sced import run_sced
 
@@ -118,46 +119,51 @@ def test_criterion_02_unobservability(suite_run, net118, ptdf118):
     )
 
 
+# Each second difference of the attack objective combines three LP optima,
+# each held to FEASIBILITY_TOL, with coefficients 1, -2, 1.
+CONCAVITY_TOL = 4 * FEASIBILITY_TOL
+
+
 def test_criterion_03_attack_audit_and_monotonicity(suite_run):
+    # The attack LP maximises over the tampering, so on constant loads its
+    # objective is nondecreasing and concave in the budget and in the shift.
     _, attacks, _, _ = suite_run
     failures = [o for o in attacks if o.error is not None]
 
-    violations = []
+    violations, bends = [], []
+    worst_bend = {"n1": -np.inf, "ls": -np.inf}
     constant = [
         o for o in attacks
         if o.error is None and o.config.fluctuation is None
     ]
     for target in (111, 118):
-        rows = [o for o in constant
+        rows = [(o.config.attack_params, o.attack_objective_pu) for o in constant
                 if o.config.attack_params.target_branch == target]
+        lines = []   # (axis, the other parameter, [(parameter, objective)])
         for ls in (0.05, 0.10, 0.15, 0.20):
-            series = sorted(
-                (o for o in rows
-                 if abs(o.config.attack_params.load_shift_factor - ls) < 1e-12),
-                key=lambda o: o.config.attack_params.l1_limit,
-            )
-            objs = [o.attack_objective_pu for o in series]
-            violations += [
-                (target, "n1", ls, a, b)
-                for a, b in zip(objs, objs[1:]) if b < a - 1e-7
-            ]
+            lines.append(("n1", ls, sorted((p.l1_limit, obj) for p, obj in rows
+                                           if abs(p.load_shift_factor - ls) < 1e-12)))
         for n1 in range(1, 11):
-            series = sorted(
-                (o for o in rows
-                 if o.config.attack_params.l1_limit == float(n1)),
-                key=lambda o: o.config.attack_params.load_shift_factor,
-            )
-            objs = [o.attack_objective_pu for o in series]
+            lines.append(("ls", n1, sorted((p.load_shift_factor, obj) for p, obj in rows
+                                           if p.l1_limit == float(n1))))
+        for axis, at, line in lines:
+            objs = np.array([obj for _, obj in line])
             violations += [
-                (target, "ls", n1, a, b)
+                (target, axis, at, a, b)
                 for a, b in zip(objs, objs[1:]) if b < a - 1e-7
             ]
+            second = np.diff(objs, 2)
+            worst_bend[axis] = max(worst_bend[axis], second.max())
+            bends += [(target, axis, at, d) for d in second if d > CONCAVITY_TOL]
 
-    ok = not failures and not violations
+    ok = not failures and not violations and not bends
     _criterion(
         3, ok,
         f"attack audit: {len(attacks) - len(failures)}/160 solved and "
-        f"re-verified at 1e-7; monotonicity violations: {len(violations)}",
+        f"re-verified at 1e-7; monotonicity violations: {len(violations)}; "
+        f"concavity violations: {len(bends)} (largest second difference "
+        f"{worst_bend['n1']:.1e} in the budget, {worst_bend['ls']:.1e} in the "
+        f"shift, <= {CONCAVITY_TOL:.0e})",
     )
 
 

@@ -7,6 +7,7 @@ from scipy import sparse
 from gridfdi.cases import (
     DataError,
     IslandError,
+    Network,
     ParseError,
     StructureError,
     load_case,
@@ -15,6 +16,7 @@ from gridfdi.cases import (
     validate_case,
 )
 from gridfdi.powerflow import compute_ptdf, topology
+from gridfdi.sced import base_dispatch
 
 TRIANGLE = """\
 function mpc = case3
@@ -155,7 +157,7 @@ def test_zero_reactance():
 def test_outage_keeps_connectivity(case118_path):
     net = load_case(case118_path, (1,))
     assert len(net.in_service_branches) == 185
-    assert not net.branches[0].in_service
+    assert 1 not in [b.ordinal for b in net.in_service_branches]
 
 
 def test_outage_island():
@@ -173,8 +175,9 @@ def test_single_outage_on_triangle_ok():
 
 def test_outage_out_of_range():
     raw = parse_matpower(TRIANGLE)
-    with pytest.raises(DataError):
-        validate_case(raw, (4,))
+    for ordinal in (0, 4, 2.5):   # a fractional ordinal names no branch either
+        with pytest.raises(DataError, match="out of range 1..3"):
+            validate_case(raw, (ordinal,))
 
 
 def test_validate_deterministic(case118_path):
@@ -183,8 +186,9 @@ def test_validate_deterministic(case118_path):
     a = validate_case(raw, (5,))
     b = validate_case(raw, (5,))
     assert [x.external_id for x in a.buses] == [x.external_id for x in b.buses]
-    assert [x.internal_index for x in a.branches] == [
-        x.internal_index for x in b.branches
+    assert a.in_service_branches == b.in_service_branches
+    assert [x.ordinal for x in a.in_service_branches] == [
+        k for k in range(1, len(raw.branch_rows) + 1) if k != 5
     ]
     assert a.reference_bus == b.reference_bus
 
@@ -219,6 +223,35 @@ def test_branch_position_out_of_service():
         net.branch_position(2)
     # positions shift past the outaged branch
     assert net.branch_position(3) == 1
+
+
+def test_out_of_service_rows_leave_no_branch():
+    # a status-0 row is checked for its buses only: zero reactance and limit
+    # pass, an unknown bus does not
+    row = "\t2\t3\t0.01\t0\t0\t0\t0\t0\t0\t0\t0\t-360\t360;"
+    text = TRIANGLE.replace("];\nmpc.gencost", row + "\n];\nmpc.gencost")
+    net = validate_case(parse_matpower(text))
+    assert [b.ordinal for b in net.in_service_branches] == [1, 2, 3]
+    unknown = text.replace(row, row.replace("\t2\t3", "\t2\t9", 1))
+    with pytest.raises(StructureError, match="branch 4 references unknown bus"):
+        validate_case(parse_matpower(unknown))
+
+
+@pytest.mark.parametrize("outages", [(), (71,)])
+def test_network_rebuilt_from_its_public_fields(case118_path, outages):
+    # the fields hold every fact: a copy built from them is equal and yields
+    # the same operators and dispatch as the loaded network
+    net = load_case(case118_path, outages)
+    copy = Network(net.base_mva, net.buses, net.in_service_branches,
+                   net.generators, net.reference_bus)
+    assert copy == net and copy.operators is not net.operators
+    a, b = compute_ptdf(copy), compute_ptdf(net)
+    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a.critical_mask, b.critical_mask)
+    a, b = base_dispatch(copy), base_dispatch(net)
+    assert np.array_equal(a.gen_output, b.gen_output)
+    assert np.array_equal(a.scheduled_flows, b.scheduled_flows)
+    assert a.total_cost == b.total_cost
 
 
 @dataclass(frozen=True)

@@ -287,15 +287,40 @@ NO_SUCH_FILE = "No such file or directory"
     ("ptdf --outage 7x", "--outage 7x: expected comma-separated branch ordinals"),
     ("attack --outage 9999 --target 118 --ls 0.1 --n1 5",
      "--case {case}: outage ordinals out of range 1..186: [9999]"),
+    ("detect --snapshot {object}", "{object}: missing key 'case'"),
+    ("detect --snapshot {array}", "{array}: wrong shape: "),
+    ("detect --snapshot {short}", "{short}: wrong shape: prev_flows must have one"
+     " entry per in-service branch"),
+    ("run-experiment --suite {object}", "{object}: missing key 'scenarios'"),
+    ("detect --snapshot {numeric_case}",
+     "{numeric_case}: wrong shape: case must be a path string, got 0"),
+    ("detect --snapshot {fractional_outage}",
+     "{fractional_outage}: case {case}: outage ordinals out of range 1..186: [1.5]"),
+    ("run-experiment --suite {no_seed}", "{no_seed}: scenarios[1]: missing key 'seed'"),
 ], ids=["snapshot-missing", "snapshot-not-json", "snapshot-case-missing",
         "suite-missing", "suite-not-json", "loads-missing", "loads-not-json",
-        "case-missing", "outage-not-a-number", "outage-out-of-range"])
+        "case-missing", "outage-not-a-number", "outage-out-of-range",
+        "snapshot-empty-object", "snapshot-array", "snapshot-short-series",
+        "suite-empty-object", "snapshot-numeric-case", "snapshot-fractional-outage",
+        "scenario-without-seed"])
 def test_input_errors_end_in_one_line(case118_path, tmp_path, args, message):
-    paths = {"missing": tmp_path / "missing.json", "text": tmp_path / "text.json",
-             "snapshot": tmp_path / "snapshot.json", "case": case118_path,
-             "missing_case": tmp_path / "missing.m"}
+    paths = {name: tmp_path / f"{name}.json" for name in (
+        "missing", "text", "snapshot", "object", "array", "short", "numeric_case",
+        "fractional_outage", "no_seed")}
+    paths.update(case=case118_path, missing_case=tmp_path / "missing.m")
     paths["text"].write_text("not json\n")
     paths["snapshot"].write_text(json.dumps({"case": str(paths["missing_case"])}))
+    paths["object"].write_text("{}")
+    paths["array"].write_text("[]")
+    paths["numeric_case"].write_text(json.dumps({"case": 0}))
+    paths["fractional_outage"].write_text(
+        json.dumps({"case": str(case118_path), "outages": [1.5]}))
+    paths["short"].write_text(json.dumps({"case": str(case118_path), **{
+        key: [1.0] for key in ("prev_flows", "prev_loads", "measured_flows",
+                               "measured_loads", "sced_flows")}}))
+    scenario = {"case": str(case118_path), "mode": "fluctuation_only", "seed": 1}
+    paths["no_seed"].write_text(json.dumps({"scenarios": [
+        scenario, {key: scenario[key] for key in ("case", "mode")}]}))
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_:
         main([arg.format(**paths) for arg in args.split()] + ["--out", str(out)])
