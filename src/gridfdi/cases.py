@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, wraps
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
@@ -129,12 +130,17 @@ class Network:
     def load_mw(self) -> np.ndarray:
         return np.array([b.load_mw for b in self.buses])
 
+    @cached_property
+    def _positions(self) -> MappingProxyType:
+        return MappingProxyType(
+            {br.ordinal: pos for pos, br in enumerate(self.in_service_branches)})
+
     def branch_position(self, ordinal: int) -> int:
         """Position of a 1-based file ordinal inside the in-service vector."""
-        for pos, br in enumerate(self.in_service_branches):
-            if br.ordinal == ordinal:
-                return pos
-        raise DataError(f"branch {ordinal} is not in service")
+        try:
+            return self._positions[ordinal]
+        except KeyError:
+            raise DataError(f"branch {ordinal} is not in service") from None
 
 
 def read_only(value):
@@ -292,10 +298,12 @@ def validate_case(raw: RawCase, outaged_branches: tuple[int, ...] = ()) -> Netwo
     )
 
     n_branch = len(raw.branch_rows)
-    outages = set(outaged_branches)
-    bad = [k for k in outages if k not in range(1, n_branch + 1)]
+    # in input order: entries that are not numbers (say "71") do not sort
+    bad = [k for k in outaged_branches
+           if isinstance(k, bool) or k not in range(1, n_branch + 1)]
     if bad:
-        raise DataError(f"outage ordinals out of range 1..{n_branch}: {sorted(bad)}")
+        raise DataError(f"outage ordinals out of range 1..{n_branch}: {bad}")
+    outages = set(outaged_branches)
 
     branches = []
     for i, row in enumerate(raw.branch_rows):

@@ -70,6 +70,15 @@ def _path(value) -> str:
     return value
 
 
+def _outages(value) -> tuple:
+    """Outage ordinals read from JSON: a string would be read digit by digit.
+    Numbers that name no branch are left to the case validation."""
+    if not isinstance(value, list) or any(
+            isinstance(k, bool) or not isinstance(k, (int, float)) for k in value):
+        raise TypeError(f"outages must be a list of branch ordinals, got {value!r}")
+    return tuple(value)
+
+
 def _read_json(path: str, flag: str):
     with _reading(f"{flag} {path}"), open(path) as fh:
         return json.load(fh)
@@ -235,7 +244,7 @@ def _cmd_detect(args):
     data = _read_json(args.snapshot, "--snapshot")
     with _fields(args.snapshot):
         _check_detector_settings(data, args.snapshot)
-        case, outages = _path(data["case"]), tuple(data.get("outages", ()))
+        case, outages = _path(data["case"]), _outages(data.get("outages", []))
     with _reading(f"{args.snapshot}: case {case}"):
         net = load_case(case, outages)
     ptdf = compute_ptdf(net)
@@ -274,7 +283,7 @@ def _config_from_dict(d: dict, source: str) -> ScenarioConfig:
             case_path=_path(d["case"]),
             mode=d["mode"],
             seed=tuple(seed) if isinstance(seed, list) else seed,
-            outages=tuple(d.get("outages", ())),
+            outages=_outages(d.get("outages", [])),
             fluctuation=None if fluct is None else FluctuationSpec(
                 mu=float(fluct["mu"]), sigma=float(fluct["sigma"])
             ),

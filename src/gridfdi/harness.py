@@ -14,6 +14,7 @@ score plus detection and identification counts).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -336,6 +337,7 @@ def run_experiment(suite, cache: NetworkCache) -> ExperimentReport:
         members = [o for o in outcomes if o.config.group == name]
         ok = [o for o in members if o.error is None]
         smldis = np.array([o.smldi for o in ok]) if ok else np.zeros(0)
+        average = _mean(smldis) if len(smldis) else 0.0
         attacks = [o for o in ok if o.config.mode == "attack"]
         flucts = [o for o in ok if o.config.mode == "fluctuation_only"]
         overloads = [
@@ -348,15 +350,21 @@ def run_experiment(suite, cache: NetworkCache) -> ExperimentReport:
             smldi_max=float(smldis.max()) if len(smldis) else 0.0,
             smldi_min=float(smldis.min()) if len(smldis) else 0.0,
             smldi_median=float(np.median(smldis)) if len(smldis) else 0.0,
-            smldi_average=float(smldis.mean()) if len(smldis) else 0.0,
-            smldi_std=float(smldis.std()) if len(smldis) else 0.0,
+            smldi_average=average,
+            smldi_std=math.sqrt(_mean((smldis - average) ** 2)) if len(smldis) else 0.0,
             detected=sum(bool(o.under_attack) for o in attacks),
             identified=sum(bool(o.target_in_suspects) for o in attacks),
             danger_marked=sum(bool(o.target_danger) for o in attacks),
             false_alarms=sum(bool(o.under_attack) for o in flucts),
-            mean_overload_mw=float(np.mean(overloads)) if overloads else None,
+            mean_overload_mw=_mean(overloads) if overloads else None,
         ))
     return ExperimentReport(outcomes=tuple(outcomes), groups=tuple(groups))
+
+
+def _mean(values) -> float:
+    """Mean whose sum is exact before it is rounded, so it does not depend
+    on the order of ``values``."""
+    return math.fsum(values) / len(values)
 
 
 # --- canonical suites -----------------------------------------------------------

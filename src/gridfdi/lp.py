@@ -15,9 +15,17 @@ with zeros, so a certified point is optimal for the full LP.
 Each working set is one call into HiGHS, Huangfu & Hall's dual revised
 simplex (Math. Prog. Comp. 2018), through the bindings scipy ships as
 ``scipy.optimize._highspy._core``.  Every call builds a fresh solver with the
-same fixed options (presolve on, dual simplex, no output, no debug checks),
-so answers do not depend on call order.  The working rows of ``a_ub`` and
-then the rows of ``a_eq`` go in row-wise, their CSR arrays concatenated.
+same fixed options (presolve on, dual simplex, no output, no debug checks).
+The working rows of ``a_ub`` and then the rows of ``a_eq`` go in row-wise,
+their CSR arrays concatenated.
+
+A solve may start from the :class:`Basis` an optimal answer returns, and each
+later round starts from the round before, the new rows' slacks basic.  An
+optimal basis stays dual feasible when only the right-hand sides change
+(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997, §5.1),
+so the dual simplex resumes from it without a phase 1.  Answers do not depend
+on call order as long as each start comes from an instance fixed by the
+caller, never from the LP solved last, as the dispatch and attack layers do.
 
 ``LinearProgram.validate`` refuses non-finite data and NaN bounds before
 anything reaches HiGHS, since a NaN right-hand side would pass every
@@ -109,6 +117,16 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class Basis:
+    """A HiGHS basis of an LP: ``statuses`` holds the column statuses and
+    those of the rows in ``working`` (its rows of ``a_ub``, then every row of
+    ``a_eq``); each other row of ``a_ub`` counts as basic."""
+
+    statuses: highs.HighsBasis
+    working: np.ndarray      # bool per row of a_ub
+
+
+@dataclass(frozen=True)
 class LpSolution:
     status: str
     values: np.ndarray | None
@@ -118,35 +136,42 @@ class LpSolution:
     iterations: int = 0                 # HiGHS simplex iterations over all rounds
     stationarity: float | None = None   # worst relative stationarity residual
     gap: float | None = None            # relative primal-dual gap
+    basis: Basis | None = None          # final basis of an optimal answer
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     """Solve an LP with HiGHS, adding violated lazy rows until none is left,
     and certify an optimal answer against every row; deterministic for
-    identical input."""
+    identical input.  ``start`` is a basis of an LP of the same shape, such
+    as ``LpSolution.basis``; each later round starts from the one before."""
     lp.validate()
+    if start is not None and start.working.shape != lp.b_ub.shape:
+        raise ValueError(f"start basis has {start.working.size} rows of a_ub,"
+                         f" the LP {lp.b_ub.size}")
     sign = -1.0 if lp.sense == "max" else 1.0
     c = sign * lp.objective
     working = ~np.broadcast_to(np.asarray(lp.lazy, dtype=bool), lp.b_ub.shape)
+    basis = start
     rounds = iterations = 0
     while True:
         rounds += 1
         rows = np.flatnonzero(working)
-        a_work = lp.a_ub if rows.size == lp.b_ub.size else lp.a_ub[rows]
-        ans = _run_highs(c, lp.lower, lp.upper, a_work, lp.b_ub[rows], lp.a_eq, lp.b_eq)
+        ans = _run_highs(c, lp.lower, lp.upper, _row_block(lp.a_ub, rows), lp.b_ub[rows],
+                         lp.a_eq, lp.b_eq, None if basis is None else _narrow(basis, working))
         iterations += ans.iterations
         if ans.status == INFEASIBLE:
             return LpSolution(INFEASIBLE, None, None, rounds, working, iterations)
         if ans.status == UNBOUNDED:
             if working.all():
                 return LpSolution(UNBOUNDED, None, None, rounds, working, iterations)
-            working[:] = True
+            working = np.ones_like(working)
             continue
         x = ans.x
+        basis = Basis(ans.basis, working)
         violated = ~working & (lp.a_ub @ x - lp.b_ub > 0.0)
         if not violated.any():
             break
-        working |= violated
+        working = working | violated
 
     obj = float(c @ x)
     # written so that a NaN, and so any non-finite x, fails it too
@@ -158,7 +183,36 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     stationarity, gap = _check_dual(lp, c, obj, y_ub, ans.row_dual[rows.size:],
                                     ans.z_lower, ans.z_upper)
     return LpSolution(OPTIMAL, x, float(sign * ans.fun), rounds, working, iterations,
-                      stationarity, gap)
+                      stationarity, gap, basis)
+
+
+def _row_block(a, rows):
+    """The CSR arrays ``(indptr, indices, data)`` of the rows ``rows`` of
+    ``a``, gathered without building a matrix."""
+    if rows.size == a.shape[0]:
+        return a.indptr, a.indices, a.data
+    first = a.indptr[rows]
+    count = a.indptr[rows + 1] - first
+    indptr = np.concatenate([[0], np.cumsum(count)])
+    take = np.repeat(first - indptr[:-1], count) + np.arange(indptr[-1])
+    return indptr, a.indices[take], a.data[take]
+
+
+def _narrow(basis: Basis, working) -> highs.HighsBasis:
+    """``basis`` over the rows in ``working``: a row outside ``basis.working``
+    enters basic.  Each read of a HiGHS status list builds it anew, so each
+    list is read once."""
+    if np.array_equal(basis.working, working):
+        return basis.statuses
+    row_status = basis.statuses.row_status
+    known = dict(zip(np.flatnonzero(basis.working).tolist(), row_status))
+    basic = highs.HighsBasisStatus.kBasic
+    narrow = highs.HighsBasis()
+    narrow.col_status = basis.statuses.col_status
+    narrow.row_status = ([known.get(i, basic) for i in np.flatnonzero(working).tolist()]
+                         + row_status[len(known):])
+    narrow.valid = True
+    return narrow
 
 
 def _highs_options():
@@ -174,6 +228,8 @@ def _highs_options():
 
 
 _OPTIONS = _highs_options()
+_ROWWISE = int(highs.MatrixFormat.kRowwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
 _STATUS = {
     highs.HighsModelStatus.kOptimal: OPTIMAL,
     highs.HighsModelStatus.kInfeasible: INFEASIBLE,
@@ -193,27 +249,30 @@ class _Answer:
     row_dual: np.ndarray | None = None   # the a_ub rows passed, then a_eq's
     z_lower: np.ndarray | None = None
     z_upper: np.ndarray | None = None
+    basis: highs.HighsBasis | None = None
 
 
-def _run_highs(c, lower, upper, a_ub, b_ub, a_eq, b_eq) -> _Answer:
+def _run_highs(c, lower, upper, a_ub, b_ub, a_eq, b_eq, start=None) -> _Answer:
     """Solve ``min c x`` over the bounds, ``a_ub x <= b_ub`` and
-    ``a_eq x = b_eq`` (both CSR) with a fresh HiGHS instance."""
-    n, m = c.size, b_ub.size + b_eq.size
-    model = highs.HighsLp()
-    model.num_col_, model.num_row_ = n, m
-    model.col_cost_, model.col_lower_, model.col_upper_ = c, lower, upper
-    model.row_lower_ = np.concatenate([np.full(b_ub.size, -highs.kHighsInf), b_eq])
-    model.row_upper_ = np.concatenate([b_ub, b_eq])
-    matrix = model.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kRowwise
-    matrix.num_col_, matrix.num_row_ = n, m
-    matrix.start_ = np.concatenate([a_ub.indptr, a_ub.indptr[-1] + a_eq.indptr[1:]])
-    matrix.index_ = np.concatenate([a_ub.indices, a_eq.indices])
-    matrix.value_ = np.concatenate([a_ub.data, a_eq.data])
-
+    ``a_eq x = b_eq`` with a fresh HiGHS instance, from the basis ``start``
+    if one is given.  ``a_ub`` is a CSR triple ``(indptr, indices, data)``,
+    ``a_eq`` a CSR matrix."""
+    ub_ptr, ub_index, ub_value = a_ub
+    indptr = np.concatenate([ub_ptr, ub_ptr[-1] + a_eq.indptr[1:]]).astype(np.int32)
     solver = highs._Highs()
     error = highs.HighsStatus.kError
-    failed = (solver.passOptions(_OPTIONS) == error or solver.passModel(model) == error
+    # The passModel overload that takes arrays reads their buffers, where a
+    # HighsLp copies each array element by element; every column continuous.
+    failed = (solver.passOptions(_OPTIONS) == error
+              or solver.passModel(
+                  c.size, b_ub.size + b_eq.size, int(indptr[-1]), _ROWWISE, _MINIMIZE, 0.0,
+                  c, lower, upper,
+                  np.concatenate([np.full(b_ub.size, -highs.kHighsInf), b_eq]),
+                  np.concatenate([b_ub, b_eq]), indptr,
+                  np.concatenate([ub_index, a_eq.indices]).astype(np.int32),
+                  np.concatenate([ub_value, a_eq.data]),
+                  np.zeros(c.size, dtype=np.int32)) == error
+              or (start is not None and solver.setBasis(start) == error)
               or solver.run() == error)
     model_status = solver.getModelStatus()
     status = None if failed else _STATUS.get(model_status)
@@ -235,6 +294,7 @@ def _run_highs(c, lower, upper, a_ub, b_ub, a_eq, b_eq) -> _Answer:
     # infinite-bound check and the gap decide whether it certifies x.
     answer.z_lower = np.maximum(z, 0.0)
     answer.z_upper = np.minimum(z, 0.0)
+    answer.basis = solver.getBasis()
     return answer
 
 
@@ -260,7 +320,8 @@ def _check_dual(lp, c, obj, y_ub, y_eq, z_l, z_u):
     scale = max(1.0, float(np.abs(c).max(initial=0.0)))
     tol = FEASIBILITY_TOL * scale
 
-    stationarity = c - lp.a_ub.T @ y_ub - lp.a_eq.T @ y_eq - z_l - z_u
+    stationarity = (c - _transpose_times(lp.a_ub, y_ub) - _transpose_times(lp.a_eq, y_eq)
+                    - z_l - z_u)
     worst = float(np.abs(stationarity).max(initial=0.0))
     if worst > tol:
         i = int(np.argmax(np.abs(stationarity)))
@@ -278,3 +339,9 @@ def _check_dual(lp, c, obj, y_ub, y_eq, z_l, z_u):
     if not abs(obj - dual) <= FEASIBILITY_TOL * max(1.0, abs(obj)):
         raise SolverError(f"primal-dual gap {obj - dual:.3e} at objective {obj:.6g}")
     return worst / scale, abs(obj - dual) / max(1.0, abs(obj))
+
+
+def _transpose_times(a, y):
+    """``a.T @ y`` for a CSR ``a``, without building the transpose."""
+    return np.bincount(a.indices, a.data * np.repeat(y, np.diff(a.indptr)),
+                       minlength=a.shape[1])

@@ -14,9 +14,10 @@ Soft-limit dispatches generate their limit rows (Zhai, Guan, Cheng & Wu,
 "Fast identification of inactive security constraints in SCUC problems",
 IEEE TPWRS 2010): nearly all limits never bind, so the rows are lazy
 (:mod:`gridfdi.lp`) and each solve starts from the rows that the network's
-base dispatch (:func:`base_dispatch`, case loads) ended with.  That seed
-depends on the network alone, so answers do not depend on call order.  The
-hard-limit path keeps every row.
+base dispatch (:func:`base_dispatch`, case loads) ended with, and from its
+final basis: only the right-hand sides differ, so that basis stays dual
+feasible.  Seed and basis depend on the network alone, so answers do not
+depend on call order.  The hard-limit path keeps every row and starts cold.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class _Operators:
 @dataclass(frozen=True)
 class _Base:
     dispatch: Dispatch
-    seed: np.ndarray         # limit rows in the final working set
+    basis: lp.Basis          # final basis; its working set is the seed
 
 
 @per_network("sced")
@@ -129,13 +130,20 @@ def run_sced(net: Network, loads_mw: np.ndarray,
 
     ``soft_limits=True`` prices violations instead of failing and reports
     them in ``Dispatch.violations_mw``; its limit rows are generated from the
-    base dispatch's seed and the answer certified against all of them.
+    base dispatch's seed, the solve starts from the base dispatch's basis and
+    the answer is certified against all of them.
     """
     loads_mw = np.asarray(loads_mw, dtype=float)
     if loads_mw.shape != (net.n_bus,):
         raise ValueError(f"expected {net.n_bus} bus loads, got {loads_mw.shape}")
-    lazy = _lazy_rows(net) if soft_limits else False
-    return _solve(net, loads_mw, soft_limits, lazy)[0]
+    start = None
+    if soft_limits:
+        try:
+            start = _base(net).basis
+        except DispatchError:
+            pass  # case loads over capacity: start cold from no limit row
+    lazy = soft_limits if start is None else ~start.working
+    return _solve(net, loads_mw, soft_limits, lazy, start)[0]
 
 
 def base_dispatch(net: Network) -> Dispatch:
@@ -145,22 +153,13 @@ def base_dispatch(net: Network) -> Dispatch:
     return _base(net).dispatch
 
 
-def _lazy_rows(net: Network):
-    """Limit rows outside the seed: all of them when the case loads have no
-    dispatch (over capacity), so such a network still serves other loads."""
-    try:
-        return ~_base(net).seed
-    except DispatchError:
-        return True
-
-
 @per_network("base_dispatch")
 def _base(net: Network) -> _Base:
     return _Base(*_solve(net, net.load_mw, soft_limits=True, lazy=True))
 
 
-def _solve(net, loads_mw, soft_limits, lazy):
-    """``(dispatch, final working set of the limit rows)``."""
+def _solve(net, loads_mw, soft_limits, lazy, start=None):
+    """``(dispatch, final basis)``, solved from the basis ``start``."""
     gens = net.generators
     if not gens:
         raise DispatchError("network has no in-service generators")
@@ -176,7 +175,7 @@ def _solve(net, loads_mw, soft_limits, lazy):
     d_pu = loads_mw / base
     problem = _dispatch_lp(net, d_pu, VIOLATION_PENALTY if soft_limits else None,
                            lazy=lazy)
-    sol = lp.solve_lp(problem)
+    sol = lp.solve_lp(problem, start)
     if sol.status != lp.OPTIMAL:
         raise DispatchError(
             f"dispatch {sol.status} for load {total_load:.1f} MW",
@@ -201,7 +200,7 @@ def _solve(net, loads_mw, soft_limits, lazy):
         binding_branches=binding,
         violations_mw=violations,
     )
-    return dispatch, sol.working
+    return dispatch, sol.basis
 
 
 def _diagnose_infeasibility(net, d_pu):

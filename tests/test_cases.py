@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,14 @@ def test_outage_out_of_range():
             validate_case(raw, (ordinal,))
 
 
+@pytest.mark.parametrize("outages", ["71", ("71", 9999), (True,), ([2],)],
+                         ids=["string", "string-and-number", "boolean", "list"])
+def test_outage_entries_that_are_not_ordinals(outages):
+    # named in the error, never a TypeError from sorting or hashing them
+    with pytest.raises(DataError, match=re.escape(f"out of range 1..3: {list(outages)}")):
+        validate_case(parse_matpower(TRIANGLE), outages)
+
+
 def test_validate_deterministic(case118_path):
     with open(case118_path) as fh:
         raw = parse_matpower(fh.read())
@@ -223,6 +232,17 @@ def test_branch_position_out_of_service():
         net.branch_position(2)
     # positions shift past the outaged branch
     assert net.branch_position(3) == 1
+
+
+def test_branch_position_at_both_ends_and_outaged(case118_path):
+    net = load_case(case118_path, (71,))
+    branches = net.in_service_branches
+    assert net.branch_position(branches[0].ordinal) == 0
+    assert net.branch_position(branches[-1].ordinal) == len(branches) - 1
+    assert net.branch_position(72) == 70
+    for ordinal in (71, 9999):
+        with pytest.raises(DataError, match=f"branch {ordinal} is not in service"):
+            net.branch_position(ordinal)
 
 
 def test_out_of_service_rows_leave_no_branch():

@@ -297,16 +297,24 @@ NO_SUCH_FILE = "No such file or directory"
     ("detect --snapshot {fractional_outage}",
      "{fractional_outage}: case {case}: outage ordinals out of range 1..186: [1.5]"),
     ("run-experiment --suite {no_seed}", "{no_seed}: scenarios[1]: missing key 'seed'"),
+    ("detect --snapshot {string_outage}", "{string_outage}: wrong shape: outages must be"
+     " a list of branch ordinals, got '71'"),
+    ("run-experiment --suite {mixed_outages}", "{mixed_outages}: scenarios[1]: wrong"
+     " shape: outages must be a list of branch ordinals, got ['71', 9999]"),
+    ("detect --snapshot {boolean_outage}", "{boolean_outage}: wrong shape: outages must"
+     " be a list of branch ordinals, got [True]"),
 ], ids=["snapshot-missing", "snapshot-not-json", "snapshot-case-missing",
         "suite-missing", "suite-not-json", "loads-missing", "loads-not-json",
         "case-missing", "outage-not-a-number", "outage-out-of-range",
         "snapshot-empty-object", "snapshot-array", "snapshot-short-series",
         "suite-empty-object", "snapshot-numeric-case", "snapshot-fractional-outage",
-        "scenario-without-seed"])
+        "scenario-without-seed", "snapshot-string-outage", "scenario-mixed-outages",
+        "snapshot-boolean-outage"])
 def test_input_errors_end_in_one_line(case118_path, tmp_path, args, message):
     paths = {name: tmp_path / f"{name}.json" for name in (
         "missing", "text", "snapshot", "object", "array", "short", "numeric_case",
-        "fractional_outage", "no_seed")}
+        "fractional_outage", "no_seed", "string_outage", "mixed_outages",
+        "boolean_outage")}
     paths.update(case=case118_path, missing_case=tmp_path / "missing.m")
     paths["text"].write_text("not json\n")
     paths["snapshot"].write_text(json.dumps({"case": str(paths["missing_case"])}))
@@ -321,6 +329,11 @@ def test_input_errors_end_in_one_line(case118_path, tmp_path, args, message):
     scenario = {"case": str(case118_path), "mode": "fluctuation_only", "seed": 1}
     paths["no_seed"].write_text(json.dumps({"scenarios": [
         scenario, {key: scenario[key] for key in ("case", "mode")}]}))
+    # a string would be read digit by digit, and a mixed list not sorted
+    for name, outages in (("string_outage", "71"), ("boolean_outage", [True])):
+        paths[name].write_text(json.dumps({"case": str(case118_path), "outages": outages}))
+    paths["mixed_outages"].write_text(json.dumps({"scenarios": [
+        scenario, {**scenario, "outages": ["71", 9999]}]}))
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_:
         main([arg.format(**paths) for arg in args.split()] + ["--out", str(out)])

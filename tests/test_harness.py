@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gridfdi import harness, lp
 from gridfdi.detect import AlertLevel
 from gridfdi.harness import (
     AttackParams,
@@ -8,6 +11,7 @@ from gridfdi.harness import (
     FluctuationSpec,
     NetworkCache,
     ScenarioConfig,
+    ScenarioOutcome,
     gen_fluctuation,
     outage_robustness_suite,
     study_118_suite,
@@ -280,16 +284,82 @@ def test_base_dispatch_solved_once_per_network(case118_path):
         base = base_dispatch(net)
         assert first.dispatch_prev is base and second.dispatch_prev is base
 
+        # run_sced on the case loads starts from the base dispatch's own
+        # optimal basis, so it lands on the same vertex, up to roundoff
         fresh = run_sced(net, net.load_mw, soft_limits=True)
         for name in ("gen_output", "scheduled_flows", "violations_mw"):
             cached = getattr(base, name)
-            assert np.array_equal(cached, getattr(fresh, name))
+            assert np.abs(cached - getattr(fresh, name)).max() <= 1e-9
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[0] = 0.0
-        assert base.total_cost == fresh.total_cost
+        assert base.total_cost == pytest.approx(fresh.total_cost, rel=1e-12)
         assert base.binding_branches == fresh.binding_branches
         kept.append(base)
     # each outage network solves its own
     assert len({id(d) for d in kept}) == 3
     assert not np.array_equal(kept[1].scheduled_flows, kept[2].scheduled_flows)
+
+
+def _mixed_subset(case118_path):
+    """Grid scenarios of every kind: fluctuation-only under each load
+    distribution, and attacks on both targets from constant and from
+    fluctuating loads."""
+    grid = study_118_suite(case118_path)
+    return [grid[k] for k in (0, 30, 50, 70, 84, 117, 125, 151, 163, 198, 204, 239)]
+
+
+def test_outcomes_do_not_depend_on_scenario_order(case118_path):
+    # every LP starts from a basis fixed by its network, never from the
+    # scenario run before it
+    suite = _mixed_subset(case118_path)
+    forwards = run_experiment(suite, NetworkCache())
+    backwards = run_experiment(suite[::-1], NetworkCache())
+    assert all(o.error is None for o in forwards.outcomes)
+    for ahead, behind in zip(forwards.outcomes, backwards.outcomes[::-1]):
+        assert ahead.config == behind.config
+        np.testing.assert_equal(dataclasses.astuple(ahead), dataclasses.astuple(behind))
+
+
+def test_warm_starts_agree_with_cold_solves(case118_path, monkeypatch):
+    # each attack and soft-SCED LP, solved again without its start
+    warm = []
+    solve = lp.solve_lp
+
+    def spy(problem, start=None):
+        sol = solve(problem, start)
+        if start is not None:
+            warm.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    run_experiment(_mixed_subset(case118_path), NetworkCache())
+    monkeypatch.undo()
+    assert {problem.sense for problem, _ in warm} == {"max", "min"}
+    cold_iterations = 0
+    for problem, sol in warm:
+        cold = lp.solve_lp(problem)
+        assert np.abs(sol.values - cold.values).max() <= 1e-9
+        assert sol.objective_value == pytest.approx(cold.objective_value,
+                                                    abs=lp.FEASIBILITY_TOL)
+        cold_iterations += cold.iterations
+    assert sum(sol.iterations for _, sol in warm) < cold_iterations
+
+
+def test_group_statistics_do_not_depend_on_suite_order(case118_path, monkeypatch):
+    # numpy sums these five in order, and the reversed order rounds the
+    # mean differently
+    smldi = [0.913, 0.607, 0.729, 0.544, 0.935]
+    assert np.mean(smldi) != np.mean(smldi[::-1])
+
+    def scenario(config, cache):
+        return ScenarioOutcome(config, smldi=smldi[config.index], under_attack=True,
+                               target_overload_mw=smldi[config.index])
+
+    monkeypatch.setattr(harness, "run_scenario", scenario)
+    suite = [_config(case118_path, mode="attack", index=k,
+                     attack_params=AttackParams(118, 0.1, 5.0)) for k in range(5)]
+    forwards = run_experiment(suite, None).groups
+    backwards = run_experiment(suite[::-1], None).groups
+    assert forwards == backwards
+    assert forwards[0].smldi_average == forwards[0].mean_overload_mw == 0.7456

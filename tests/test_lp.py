@@ -398,12 +398,14 @@ def _attack_118(net118, target, budget):
 
 
 def test_same_answers_as_linprog_on_case118(net118, monkeypatch):
-    # the soft-limit SCED as run_sced solves it, seeded from the base
-    # dispatch, at case loads and at drifted loads; then three attack LPs
+    # the soft-limit SCED as run_sced solves it, seeded and started from the
+    # base dispatch, at case loads and at drifted loads; then three attack
+    # LPs solved cold
     solved = []
 
-    def spy(problem):
-        sol = solve(problem)
+    def spy(problem, start=None):
+        assert start is not None
+        sol = solve(problem, start)
         solved.append((problem, sol))
         return sol
 
@@ -419,10 +421,16 @@ def test_same_answers_as_linprog_on_case118(net118, monkeypatch):
         problem = _attack_118(net118, target, budget)
         solved.append((problem, lp.solve_lp(problem)))
 
-    for problem, sol in solved:
+    # a cold solve takes linprog's path exactly; a warm one may end at the
+    # same vertex by other pivots, so it agrees up to roundoff
+    for k, (problem, sol) in enumerate(solved):
         x, objective = _linprog_on_working_rows(problem, sol)
-        assert np.array_equal(sol.values, x)
-        assert sol.objective_value == objective
+        if k < 2:
+            assert np.abs(sol.values - x).max() <= 1e-9
+            assert sol.objective_value == pytest.approx(objective, abs=lp.FEASIBILITY_TOL)
+        else:
+            assert np.array_equal(sol.values, x)
+            assert sol.objective_value == objective
 
 
 def test_solution_carries_solver_statistics(net118):
@@ -435,3 +443,34 @@ def test_solution_carries_solver_statistics(net118):
     infeasible = lp.solve_lp(matrix_lp("max", [1.0], [-INF], [INF], [[-1.0], [1.0]],
                                        [-2.0, 1.0]))
     assert (infeasible.stationarity, infeasible.gap) == (None, None)
+
+
+def test_start_from_a_basis():
+    # an optimal basis restarts its own LP with no pivot
+    p = _chained_lazy_lp()
+    eager = dataclasses.replace(p, lazy=False)
+    cold = lp.solve_lp(eager)
+    again = lp.solve_lp(eager, cold.basis)
+    assert again.iterations == 0
+    assert again.values == pytest.approx(cold.values, abs=1e-12)
+    assert lp.solve_lp(p).basis.working.tolist() == [True, True]
+    # a basis over fewer rows: the row it lacks enters basic, which is still
+    # optimal when that row never binds (x - y <= 20 here)
+    loose = matrix_lp("max", [2.0, 1.0], [0.0, 0.0], [10.0, 10.0],
+                      [[1.0, 1.0], [1.0, -1.0]], [12.0, 20.0], lazy=[False, True])
+    reduced = lp.solve_lp(loose)
+    assert reduced.basis.working.tolist() == [True, False]
+    full = lp.solve_lp(dataclasses.replace(loose, lazy=False), reduced.basis)
+    assert full.iterations == 0
+    assert full.values == pytest.approx([10.0, 2.0], abs=1e-12)
+    # a basis of another LP's shape is refused
+    with pytest.raises(ValueError, match="start basis"):
+        lp.solve_lp(_single_var([[1.0]], [0.5]), cold.basis)
+    wider = matrix_lp("max", [2.0, 1.0, 1.0], [0.0] * 3, [10.0] * 3,
+                      [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], [12.0, 1.0])
+    with pytest.raises(lp.SolverError):
+        lp.solve_lp(wider, cold.basis)
+    # only an optimal answer carries a basis
+    infeasible = lp.solve_lp(matrix_lp("max", [1.0], [-INF], [INF], [[-1.0], [1.0]],
+                                       [-2.0, 1.0]))
+    assert infeasible.basis is None

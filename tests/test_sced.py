@@ -182,8 +182,8 @@ def test_seeded_soft_sced_matches_full_lp_118(net118, ptdf118, monkeypatch):
     solve = lp.solve_lp
     rounds = []
 
-    def spy(problem):
-        sol = solve(problem)
+    def spy(problem, start=None):
+        sol = solve(problem, start)
         rounds.append(sol.rounds)
         return sol
 
