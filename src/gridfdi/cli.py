@@ -33,7 +33,7 @@ from .harness import (
     run_experiment,
 )
 from .powerflow import compute_ptdf
-from .sced import run_sced
+from .sced import DispatchError, run_sced
 
 
 @contextmanager
@@ -61,6 +61,17 @@ def _fields(source: str):
         raise SystemExit(f"{source}: missing key {exc}")
     except (TypeError, ValueError, AttributeError) as exc:
         raise SystemExit(f"{source}: wrong shape: {exc}")
+
+
+@contextmanager
+def _refused(command: str):
+    """End the run with one line naming ``command`` when the library refuses
+    its input: loads the dispatch cannot serve, a target branch that is not
+    in service, an attack setting out of range."""
+    try:
+        yield
+    except (DispatchError, CaseError, ValueError) as exc:
+        raise SystemExit(f"{command}: {exc}")
 
 
 def _path(value) -> str:
@@ -104,20 +115,21 @@ def _load_loads(net, path: str | None) -> np.ndarray:
     if path is None:
         return net.load_mw
     data = _read_json(path, "--loads")
-    if isinstance(data, dict):
-        loads = np.zeros(net.n_bus)
-        ext = {b.external_id: i for i, b in enumerate(net.buses)}
-        for key, mw in data.items():
-            bus = ext.get(int(key)) if key.isdigit() else None
-            if bus is None:
-                raise SystemExit(f"loads file names bus {key}, which is not in the case")
-            loads[bus] = float(mw)
-    else:
-        loads = np.asarray(data, dtype=float)
-        if loads.shape != (net.n_bus,):
-            raise SystemExit(
-                f"loads file has {loads.shape} entries, case has {net.n_bus} buses"
-            )
+    with _fields(f"--loads {path}"):
+        if isinstance(data, dict):
+            loads = np.zeros(net.n_bus)
+            ext = {b.external_id: i for i, b in enumerate(net.buses)}
+            for key, mw in data.items():
+                bus = ext.get(int(key)) if key.isdigit() else None
+                if bus is None:
+                    raise SystemExit(f"loads file names bus {key}, which is not in the case")
+                loads[bus] = float(mw)
+        else:
+            loads = np.asarray(data, dtype=float)
+    if loads.shape != (net.n_bus,):
+        raise SystemExit(
+            f"loads file has {loads.shape} entries, case has {net.n_bus} buses"
+        )
     bad = ~np.isfinite(loads)
     if np.any(bad):
         bus = net.buses[np.argmax(bad)].external_id
@@ -195,7 +207,8 @@ def _cmd_ptdf(args):
 def _cmd_sced(args):
     net = _case_network(args)
     loads = _load_loads(net, args.loads)
-    dispatch = run_sced(net, loads)
+    with _refused("sced"):
+        dispatch = run_sced(net, loads)
     payload = {
         "case": str(args.case),
         "total_cost": dispatch.total_cost,
@@ -211,15 +224,16 @@ def _cmd_sced(args):
 def _cmd_attack(args):
     net = _case_network(args)
     loads = _load_loads(net, args.loads)
-    base = run_sced(net, loads)
-    spec = AttackSpec(
-        target_branch=args.target,
-        load_shift_factor=args.ls,
-        l1_limit=args.n1,
-        base_flows=base.scheduled_flows,
-        base_loads=loads,
-    )
-    result = solve_attack(net, spec)
+    with _refused("attack"):
+        base = run_sced(net, loads)
+        spec = AttackSpec(
+            target_branch=args.target,
+            load_shift_factor=args.ls,
+            l1_limit=args.n1,
+            base_flows=base.scheduled_flows,
+            base_loads=loads,
+        )
+        result = solve_attack(net, spec)
     payload = {
         "case": str(args.case),
         "target_branch": args.target,

@@ -9,6 +9,7 @@ builder exploits and the detector metrics are for.
 
 from __future__ import annotations
 
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -76,8 +77,9 @@ def build_measurements(
     measurement per bus (generation minus load, p.u.).
 
     ``noise_sigma`` maps 'flow'/'injection' to a Gaussian sigma in p.u.;
-    zero or missing means noiseless.  Any other key, and a sigma that is
-    negative or not finite, raises ``ValueError``.  Same seed, same set.
+    zero or missing means noiseless.  Any other key, and a sigma that is not
+    a real number (a bool, a string, None), negative or not finite, raises
+    ``ValueError``.  Same seed, same set.
     """
     flows_pu = np.asarray(flows_pu, dtype=float)
     m, n = len(net.in_service_branches), net.n_bus
@@ -89,9 +91,10 @@ def build_measurements(
 
     sigma = {FLOW: 0.0, INJECTION: 0.0}
     for kind, value in (noise_sigma or {}).items():
-        if kind not in sigma or not 0.0 <= value < np.inf:
+        if (kind not in sigma or isinstance(value, bool)
+                or not isinstance(value, numbers.Real) or not 0.0 <= value < np.inf):
             raise ValueError(f"noise_sigma[{kind!r}] = {value!r}: expected {FLOW!r}"
-                             f" or {INJECTION!r} with a finite sigma >= 0")
+                             f" or {INJECTION!r} with a finite real sigma >= 0")
         sigma[kind] = value
 
     counts = [m, n]

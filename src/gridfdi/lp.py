@@ -4,12 +4,13 @@ An LP is ``sense c x`` over ``lower <= x <= upper`` with ``a_ub x <= b_ub``
 and ``a_eq x = b_eq``; the dispatch and attack builders pass their
 per-network CSR blocks in as they are.
 
-Inequality rows may be *lazy*: they start outside the working set that is
-handed to HiGHS.  After each solve every lazy row the point violates joins
-the working set and the LP is solved again, until no row is violated.  The
-reduced LP is a relaxation of the full one, so its infeasibility is the full
-LP's; an unbounded reduced LP is re-solved with every row.  The final answer
-is certified against *all* rows, the marginals of rows left outside padded
+A solve starts from a :class:`Basis`, which names the *working set*: the
+rows of ``a_ub`` handed to HiGHS first; without one every row is.  After
+each solve every row outside the working set that the point violates joins
+it and the LP is solved again, until no row is violated.  The reduced LP is
+a relaxation of the full one, so its infeasibility is the full LP's; an
+unbounded reduced LP is re-solved with every row.  The final answer is
+certified against *all* rows, the marginals of rows left outside padded
 with zeros, so a certified point is optimal for the full LP.
 
 Each working set is one call into HiGHS, Huangfu & Hall's dual revised
@@ -19,13 +20,14 @@ same fixed options (presolve on, dual simplex, no output, no debug checks).
 The working rows of ``a_ub`` and then the rows of ``a_eq`` go in row-wise,
 their CSR arrays concatenated.
 
-A solve may start from the :class:`Basis` an optimal answer returns, and each
-later round starts from the round before, the new rows' slacks basic.  An
-optimal basis stays dual feasible when only the right-hand sides change
-(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997, §5.1),
-so the dual simplex resumes from it without a phase 1.  Answers do not depend
-on call order as long as each start comes from an instance fixed by the
-caller, never from the LP solved last, as the dispatch and attack layers do.
+A start that holds HiGHS statuses too, such as the basis an optimal answer
+returns, starts warm, and each later round starts from the round before,
+the new rows' slacks basic.  An optimal basis stays dual feasible when only
+the right-hand sides change (Bertsimas & Tsitsiklis, *Introduction to
+Linear Optimization*, 1997, §5.1), so the dual simplex resumes from it
+without a phase 1.  Answers do not depend on call order as long as each
+start comes from an instance fixed by the caller, never from the LP solved
+last, as the dispatch and attack layers do.
 
 ``LinearProgram.validate`` refuses non-finite data and NaN bounds before
 anything reaches HiGHS, since a NaN right-hand side would pass every
@@ -71,8 +73,8 @@ class SolverError(Exception):
 @dataclass
 class LinearProgram:
     """Maximise or minimise ``objective @ x`` over ``lower <= x <= upper``,
-    ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.  ``lazy`` is one flag, or
-    one per row of ``a_ub``, for rows that start outside the working set."""
+    ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``, exactly as HiGHS receives
+    it; which rows of ``a_ub`` go first is the start's (:class:`Basis`)."""
 
     sense: str                              # "max" | "min"
     objective: np.ndarray
@@ -82,7 +84,6 @@ class LinearProgram:
     b_ub: np.ndarray
     a_eq: sparse.csr_array
     b_eq: np.ndarray
-    lazy: bool | np.ndarray = False
 
     @property
     def n_var(self):
@@ -105,9 +106,6 @@ class LinearProgram:
             if b.shape != (a.shape[0],):
                 raise ValueError(f"{name} has {a.shape[0]} rows but its right-hand"
                                  f" side has shape {b.shape}")
-        if np.shape(self.lazy) not in ((), self.b_ub.shape):
-            raise ValueError(f"lazy shape {np.shape(self.lazy)} matches neither one"
-                             f" flag nor the {self.b_ub.size} rows of a_ub")
         for name, v in (("objective", self.objective), ("a_ub", self.a_ub.data),
                         ("b_ub", self.b_ub), ("a_eq", self.a_eq.data), ("b_eq", self.b_eq)):
             if not np.isfinite(v).all():
@@ -118,12 +116,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class Basis:
-    """A HiGHS basis of an LP: ``statuses`` holds the column statuses and
-    those of the rows in ``working`` (its rows of ``a_ub``, then every row of
-    ``a_eq``); each other row of ``a_ub`` counts as basic."""
+    """Where a solve starts: ``working`` flags the rows of ``a_ub`` that go
+    to HiGHS first.  ``statuses``, if set, is a HiGHS basis over the columns
+    and the working rows (then every row of ``a_eq``), each other row of
+    ``a_ub`` counting as basic; without it the solve starts cold."""
 
-    statuses: highs.HighsBasis
-    working: np.ndarray      # bool per row of a_ub
+    working: np.ndarray                      # bool per row of a_ub
+    statuses: highs.HighsBasis | None = None
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ class LpSolution:
     values: np.ndarray | None
     objective_value: float | None
     rounds: int = 1                     # HiGHS solves, one per working set
-    working: np.ndarray | None = None   # final working set over the rows of a_ub
     iterations: int = 0                 # HiGHS simplex iterations over all rounds
     stationarity: float | None = None   # worst relative stationarity residual
     gap: float | None = None            # relative primal-dual gap
@@ -140,18 +138,21 @@ class LpSolution:
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
-    """Solve an LP with HiGHS, adding violated lazy rows until none is left,
-    and certify an optimal answer against every row; deterministic for
-    identical input.  ``start`` is a basis of an LP of the same shape, such
-    as ``LpSolution.basis``; each later round starts from the one before."""
+    """Solve an LP with HiGHS from the working set of ``start`` (every row
+    without one), adding violated rows until none is left, and certify an
+    optimal answer against every row; deterministic for identical input.
+    A ``start`` with statuses, such as ``LpSolution.basis`` of an LP of the
+    same shape, starts warm; each later round starts from the one before."""
     lp.validate()
-    if start is not None and start.working.shape != lp.b_ub.shape:
-        raise ValueError(f"start basis has {start.working.size} rows of a_ub,"
-                         f" the LP {lp.b_ub.size}")
+    if start is None:
+        start = Basis(np.ones(lp.b_ub.shape, dtype=bool))
+    working = np.asarray(start.working, dtype=bool)
+    if working.shape != lp.b_ub.shape:
+        raise ValueError(f"start basis has working shape {working.shape},"
+                         f" the LP {lp.b_ub.size} rows of a_ub")
     sign = -1.0 if lp.sense == "max" else 1.0
     c = sign * lp.objective
-    working = ~np.broadcast_to(np.asarray(lp.lazy, dtype=bool), lp.b_ub.shape)
-    basis = start
+    basis = None if start.statuses is None else start
     rounds = iterations = 0
     while True:
         rounds += 1
@@ -160,14 +161,14 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
                          lp.a_eq, lp.b_eq, None if basis is None else _narrow(basis, working))
         iterations += ans.iterations
         if ans.status == INFEASIBLE:
-            return LpSolution(INFEASIBLE, None, None, rounds, working, iterations)
+            return LpSolution(INFEASIBLE, None, None, rounds, iterations)
         if ans.status == UNBOUNDED:
             if working.all():
-                return LpSolution(UNBOUNDED, None, None, rounds, working, iterations)
+                return LpSolution(UNBOUNDED, None, None, rounds, iterations)
             working = np.ones_like(working)
             continue
         x = ans.x
-        basis = Basis(ans.basis, working)
+        basis = Basis(working, ans.basis)
         violated = ~working & (lp.a_ub @ x - lp.b_ub > 0.0)
         if not violated.any():
             break
@@ -182,7 +183,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     y_ub[rows] = ans.row_dual[:rows.size]
     stationarity, gap = _check_dual(lp, c, obj, y_ub, ans.row_dual[rows.size:],
                                     ans.z_lower, ans.z_upper)
-    return LpSolution(OPTIMAL, x, float(sign * ans.fun), rounds, working, iterations,
+    return LpSolution(OPTIMAL, x, float(sign * ans.fun), rounds, iterations,
                       stationarity, gap, basis)
 
 

@@ -10,14 +10,15 @@ running when a load pattern is not servable within ratings; violations then
 show up in the schedule and in ``Dispatch.violations_mw`` instead of an
 exception.
 
-Soft-limit dispatches generate their limit rows (Zhai, Guan, Cheng & Wu,
-"Fast identification of inactive security constraints in SCUC problems",
-IEEE TPWRS 2010): nearly all limits never bind, so the rows are lazy
-(:mod:`gridfdi.lp`) and each solve starts from the rows that the network's
-base dispatch (:func:`base_dispatch`, case loads) ended with, and from its
-final basis: only the right-hand sides differ, so that basis stays dual
-feasible.  Seed and basis depend on the network alone, so answers do not
-depend on call order.  The hard-limit path keeps every row and starts cold.
+Both modes generate their limit rows (Zhai, Guan, Cheng & Wu, "Fast
+identification of inactive security constraints in SCUC problems", IEEE
+TPWRS 2010): nearly all limits never bind, so each solve starts from the
+rows that the network's base dispatch (:func:`base_dispatch`, case loads)
+ended with and from its final basis, which stays dual feasible since only
+right-hand sides and bounds differ.  The base dispatch starts from no limit
+row and no basis, and so does every dispatch on a network whose base
+dispatch fails.  Starts depend on the network alone, so answers do not
+depend on call order.
 """
 
 from __future__ import annotations
@@ -36,11 +37,14 @@ VIOLATION_PENALTY = 2000.0   # $/MWh on limit violations in soft mode
 
 
 class DispatchError(Exception):
-    """Infeasible dispatch; ``binding`` names the constraints that cannot hold."""
+    """Infeasible dispatch; ``binding`` names the constraints that cannot
+    hold, and the message names them too."""
 
     def __init__(self, message, binding=()):
-        super().__init__(message)
         self.binding = tuple(binding)
+        if self.binding:
+            message += f"; binding: {', '.join(map(str, self.binding))}"
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -100,26 +104,23 @@ def _operators(net: Network) -> _Operators:
     )
 
 
-def _dispatch_lp(net, d_pu, penalty, gen_costs=True, lazy=False):
+def _dispatch_lp(net, d_pu, soft):
     """The SCED LP over [p, v]: the balance row, then the limit block with
-    right-hand sides ``limit +- PTDF d``.  ``penalty`` prices the elastic
-    ``v >= 0``; ``None`` fixes ``v`` at zero (hard limits)."""
+    right-hand sides ``limit +- PTDF d``.  The elastic ``v >= 0`` is priced
+    at ``VIOLATION_PENALTY``; without ``soft`` it is fixed at zero."""
     ops = _operators(net)
-    ng, m = ops.gen_bus.size, ops.limit_rows.shape[0] // 2
-    hard = penalty is None
+    m = ops.limit_rows.shape[0] // 2
     shift = compute_ptdf(net).matrix @ d_pu
     limits = net.limits_pu
     return lp.LinearProgram(
         sense="min",
-        objective=np.concatenate([ops.cost if gen_costs else np.zeros(ng),
-                                  np.full(m, 0.0 if hard else penalty * net.base_mva)]),
+        objective=np.concatenate([ops.cost, np.full(m, VIOLATION_PENALTY * net.base_mva)]),
         lower=np.concatenate([ops.p_min, np.zeros(m)]),
-        upper=np.concatenate([ops.p_max, np.full(m, 0.0 if hard else np.inf)]),
+        upper=np.concatenate([ops.p_max, np.full(m, np.inf if soft else 0.0)]),
         a_ub=ops.limit_rows,
         b_ub=np.column_stack([limits + shift, limits - shift]).ravel(),
         a_eq=ops.balance,
         b_eq=np.array([d_pu.sum()]),
-        lazy=lazy,
     )
 
 
@@ -129,21 +130,18 @@ def run_sced(net: Network, loads_mw: np.ndarray,
     in-service branch limit, flows taken through the network's cached PTDF.
 
     ``soft_limits=True`` prices violations instead of failing and reports
-    them in ``Dispatch.violations_mw``; its limit rows are generated from the
-    base dispatch's seed, the solve starts from the base dispatch's basis and
-    the answer is certified against all of them.
+    them in ``Dispatch.violations_mw``.  Either way the limit rows are
+    generated from the base dispatch's seed, the solve starts from the base
+    dispatch's basis and the answer is certified against all of them.
     """
     loads_mw = np.asarray(loads_mw, dtype=float)
     if loads_mw.shape != (net.n_bus,):
         raise ValueError(f"expected {net.n_bus} bus loads, got {loads_mw.shape}")
-    start = None
-    if soft_limits:
-        try:
-            start = _base(net).basis
-        except DispatchError:
-            pass  # case loads over capacity: start cold from no limit row
-    lazy = soft_limits if start is None else ~start.working
-    return _solve(net, loads_mw, soft_limits, lazy, start)[0]
+    try:
+        start = _base(net).basis
+    except DispatchError:
+        start = _empty_start(net)   # case loads not dispatchable
+    return _solve(net, loads_mw, soft_limits, start)[0]
 
 
 def base_dispatch(net: Network) -> Dispatch:
@@ -155,11 +153,16 @@ def base_dispatch(net: Network) -> Dispatch:
 
 @per_network("base_dispatch")
 def _base(net: Network) -> _Base:
-    return _Base(*_solve(net, net.load_mw, soft_limits=True, lazy=True))
+    return _Base(*_solve(net, net.load_mw, True, _empty_start(net)))
 
 
-def _solve(net, loads_mw, soft_limits, lazy, start=None):
-    """``(dispatch, final basis)``, solved from the basis ``start``."""
+def _empty_start(net):
+    """No limit row and no basis: a cold solve that generates each row it needs."""
+    return lp.Basis(np.zeros(2 * net.limits_pu.size, dtype=bool))
+
+
+def _solve(net, loads_mw, soft, start):
+    """``(dispatch, final basis)``, solved from ``start``."""
     gens = net.generators
     if not gens:
         raise DispatchError("network has no in-service generators")
@@ -173,13 +176,11 @@ def _solve(net, loads_mw, soft_limits, lazy, start=None):
 
     base = net.base_mva
     d_pu = loads_mw / base
-    problem = _dispatch_lp(net, d_pu, VIOLATION_PENALTY if soft_limits else None,
-                           lazy=lazy)
-    sol = lp.solve_lp(problem, start)
+    sol = lp.solve_lp(_dispatch_lp(net, d_pu, soft), start)
     if sol.status != lp.OPTIMAL:
         raise DispatchError(
             f"dispatch {sol.status} for load {total_load:.1f} MW",
-            binding=_diagnose_infeasibility(net, d_pu),
+            binding=() if soft else _diagnose_infeasibility(net, loads_mw, start),
         )
 
     ops = _operators(net)
@@ -192,28 +193,24 @@ def _solve(net, loads_mw, soft_limits, lazy, start=None):
         net.in_service_branches[k].ordinal
         for k in np.flatnonzero(np.abs(flows) >= net.limits_pu - BINDING_TOL)
     )
-    violations = sol.values[ng:] * base if soft_limits else np.zeros(len(flows))
     dispatch = Dispatch(
         gen_output=p * base,
         scheduled_flows=flows,
         total_cost=float(sol.objective_value),
         binding_branches=binding,
-        violations_mw=violations,
+        violations_mw=sol.values[ng:] * base,
     )
     return dispatch, sol.basis
 
 
-def _diagnose_infeasibility(net, d_pu):
-    """Re-solve with elastic limits; the stretched branches are the culprits."""
-    problem = _dispatch_lp(net, d_pu, penalty=1.0, gen_costs=False)
+def _diagnose_infeasibility(net, loads_mw, start):
+    """The branches the soft dispatch of the same loads overloads; none
+    when that dispatch fails too."""
     try:
-        sol = lp.solve_lp(problem)
-    except lp.SolverError:
+        soft = _solve(net, loads_mw, True, start)[0]
+    except (DispatchError, lp.SolverError):
         return ()
-    if sol.status != lp.OPTIMAL:
-        return ()
-    stretched = sol.values[_operators(net).gen_bus.size:]
     return tuple(
         net.in_service_branches[k].ordinal
-        for k in np.nonzero(stretched > BINDING_TOL)[0]
+        for k in np.flatnonzero(soft.violations_mw > BINDING_TOL)
     )

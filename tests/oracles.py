@@ -16,8 +16,7 @@ from gridfdi import lp
 _TOL = 1e-9
 
 
-def matrix_lp(sense, objective, lower, upper, a_ub=(), b_ub=(), a_eq=(), b_eq=(),
-              lazy=False):
+def matrix_lp(sense, objective, lower, upper, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     """A :class:`lp.LinearProgram` from dense rows; a block left out has no
     rows.  Every vector is a fresh float array, so tests may edit it."""
     n = len(objective)
@@ -30,7 +29,6 @@ def matrix_lp(sense, objective, lower, upper, a_ub=(), b_ub=(), a_eq=(), b_eq=()
         lower=np.array(lower, dtype=float), upper=np.array(upper, dtype=float),
         a_ub=block(a_ub), b_ub=np.array(b_ub, dtype=float),
         a_eq=block(a_eq), b_eq=np.array(b_eq, dtype=float),
-        lazy=np.array(lazy, dtype=bool),
     )
 
 

@@ -303,18 +303,38 @@ NO_SUCH_FILE = "No such file or directory"
      " shape: outages must be a list of branch ordinals, got ['71', 9999]"),
     ("detect --snapshot {boolean_outage}", "{boolean_outage}: wrong shape: outages must"
      " be a list of branch ordinals, got [True]"),
+    ("sced --loads {nested_load}", "--loads {nested_load}: wrong shape: "),
+    ("sced --loads {string_array}", "--loads {string_array}: wrong shape: "),
+    ("sced --loads {string_loads}", "--loads {string_loads}: wrong shape: "),
+    ("sced --loads {word_load}", "--loads {word_load}: wrong shape: "),
+    ("sced --loads {null_load}", "--loads {null_load}: wrong shape: "),
+    ("sced --loads {overload}", "sced: dispatch infeasible for load 5302.5 MW;"
+     " binding: 111, 118"),
+    ("attack --loads {overload} --target 118 --ls 0.1 --n1 5",
+     "attack: dispatch infeasible for load 5302.5 MW; binding: 111, 118"),
+    ("attack --target 9999 --ls 0.1 --n1 5", "attack: branch 9999 is not in service"),
+    ("attack --target 118 --ls 2 --n1 5",
+     "attack: load shift factor must be in [0, 1], got 2.0"),
+    ("attack --target 118 --ls nan --n1 5",
+     "attack: load shift factor must be in [0, 1], got nan"),
+    ("attack --target 118 --ls 0.1 --n1 -1", "attack: l1 budget must be nonnegative,"
+     " got -1.0"),
 ], ids=["snapshot-missing", "snapshot-not-json", "snapshot-case-missing",
         "suite-missing", "suite-not-json", "loads-missing", "loads-not-json",
         "case-missing", "outage-not-a-number", "outage-out-of-range",
         "snapshot-empty-object", "snapshot-array", "snapshot-short-series",
         "suite-empty-object", "snapshot-numeric-case", "snapshot-fractional-outage",
         "scenario-without-seed", "snapshot-string-outage", "scenario-mixed-outages",
-        "snapshot-boolean-outage"])
-def test_input_errors_end_in_one_line(case118_path, tmp_path, args, message):
+        "snapshot-boolean-outage", "loads-nested-list", "loads-string-array",
+        "loads-string", "loads-word-value", "loads-null-value", "sced-unservable-loads",
+        "attack-unservable-loads", "attack-target-not-in-service",
+        "attack-shift-above-one", "attack-shift-nan", "attack-negative-budget"])
+def test_input_errors_end_in_one_line(case118_path, net118, tmp_path, args, message):
     paths = {name: tmp_path / f"{name}.json" for name in (
         "missing", "text", "snapshot", "object", "array", "short", "numeric_case",
         "fractional_outage", "no_seed", "string_outage", "mixed_outages",
-        "boolean_outage")}
+        "boolean_outage", "nested_load", "string_array", "string_loads", "word_load",
+        "null_load", "overload")}
     paths.update(case=case118_path, missing_case=tmp_path / "missing.m")
     paths["text"].write_text("not json\n")
     paths["snapshot"].write_text(json.dumps({"case": str(paths["missing_case"])}))
@@ -334,6 +354,11 @@ def test_input_errors_end_in_one_line(case118_path, tmp_path, args, message):
         paths[name].write_text(json.dumps({"case": str(case118_path), "outages": outages}))
     paths["mixed_outages"].write_text(json.dumps({"scenarios": [
         scenario, {**scenario, "outages": ["71", 9999]}]}))
+    for name, loads in (("nested_load", {"1": [1]}), ("string_array", ["a", 1]),
+                        ("string_loads", "text"), ("word_load", {"1": "x"}),
+                        ("null_load", {"1": None}),
+                        ("overload", (net118.load_mw * 1.25).tolist())):
+        paths[name].write_text(json.dumps(loads))
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_:
         main([arg.format(**paths) for arg in args.split()] + ["--out", str(out)])

@@ -65,9 +65,13 @@ def test_seed_determinism(net3):
     ({"flows": 0.01}, "'flows'"),
     ({"flow": -0.01}, "'flow'.*-0.01"),
     ({"injection": float("nan")}, "'injection'.*nan"),
+    ({"flow": True}, "'flow'.*True"),
+    ({"flow": "0.01"}, "'flow'.*'0.01'"),
+    ({"flow": None}, "'flow'.*None"),
 ])
 def test_unusable_noise_sigma_rejected(net3, sigma, message):
-    # each of these once gave a noiseless set with unit weights
+    # the first three once gave a noiseless set with unit weights, True a
+    # sigma of 1 p.u., and the string and None a TypeError naming no key
     loads, gen, sol = _true_state(net3)
     with pytest.raises(ValueError, match=message):
         build_measurements(net3, sol.flows, loads, gen, sigma, seed=1)

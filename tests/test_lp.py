@@ -115,20 +115,26 @@ def test_validation_errors():
     ({"a_eq": matrix_lp("min", [0.0] * 3, [0.0] * 3, [1.0] * 3, a_eq=[[1.0] * 3]).a_eq},
      "columns"),
     ({"objective": np.zeros(3)}, "variable count"),
-    ({"lazy": np.array([True, False, True])}, "lazy"),
-    ({"lazy": np.array([True])}, "lazy"),   # would broadcast over two rows
-], ids=["b_ub", "b_eq", "a_eq-columns", "objective", "lazy-long", "lazy-short"])
+], ids=["b_ub", "b_eq", "a_eq-columns", "objective"])
 def test_validate_rejects_mismatched_shapes(change, message):
     # two variables, two <= rows and one = row; each change breaks one shape
     p = matrix_lp("min", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
-                  [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [[1.0, 1.0]], [1.0],
-                  lazy=[True, False])
+                  [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [[1.0, 1.0]], [1.0])
     p.validate()
     bad = dataclasses.replace(p, **change)
     with pytest.raises(ValueError, match=message):
         bad.validate()
     with pytest.raises(ValueError, match=message):
         lp.solve_lp(bad)
+
+
+@pytest.mark.parametrize("working", [[True, False, True], [True]], ids=["long", "short"])
+def test_start_working_shape_must_match_rows(working):
+    # one flag per row of a_ub; a single flag would broadcast over both rows
+    p = matrix_lp("min", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
+                  [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [[1.0, 1.0]], [1.0])
+    with pytest.raises(ValueError, match="working shape"):
+        lp.solve_lp(p, _working(*working))
 
 
 def test_mixed_structures_match_boxed_vertex_enumeration():
@@ -296,92 +302,97 @@ def test_validate_rejects_non_finite_data(block, value):
         lp.solve_lp(dataclasses.replace(p, **{block: array}))
 
 
+def _working(*flags):
+    """A cold start from the rows of ``a_ub`` flagged True."""
+    return lp.Basis(np.array(flags, dtype=bool))
+
+
 def _chained_lazy_lp():
-    # max 2x + y over [0, 10]^2 with the lazy rows x + y <= 12 and x - y <= 1.
-    # Round 1 stops at (10, 10), which breaks only the first row; round 2 at
-    # (10, 2), which breaks the second; round 3 ends at (6.5, 5.5).
+    # max 2x + y over [0, 10]^2 with the rows x + y <= 12 and x - y <= 1.
+    # From no row, round 1 stops at (10, 10), which breaks only the first
+    # row; round 2 at (10, 2), which breaks the second; round 3 ends at
+    # (6.5, 5.5).
     return matrix_lp("max", [2.0, 1.0], [0.0, 0.0], [10.0, 10.0],
-                     [[1.0, 1.0], [1.0, -1.0]], [12.0, 1.0], lazy=True)
+                     [[1.0, 1.0], [1.0, -1.0]], [12.0, 1.0])
 
 
 def test_lazy_rows_reach_the_all_rows_optimum():
     p = _chained_lazy_lp()
     x, best = enumerate_vertices(p)
-    sol = lp.solve_lp(p)
+    sol = lp.solve_lp(p, _working(False, False))
     assert sol.status == lp.OPTIMAL
     assert sol.rounds == 3
-    assert sol.working.tolist() == [True, True]
+    assert sol.basis.working.tolist() == [True, True]
     assert sol.objective_value == pytest.approx(best, abs=1e-9)
     assert sol.values == pytest.approx(x, abs=1e-9)
     assert best == pytest.approx(18.5, abs=1e-12)
 
 
 def test_rounds_count_working_sets():
-    eager = _chained_lazy_lp()
-    eager.lazy = False
-    sol = lp.solve_lp(eager)
-    assert (sol.rounds, sol.working.tolist()) == (1, [True, True])
+    # without a start every row is in the working set
+    sol = lp.solve_lp(_chained_lazy_lp())
+    assert (sol.rounds, sol.basis.working.tolist()) == (1, [True, True])
     assert sol.objective_value == pytest.approx(18.5, abs=1e-9)
 
-    # an unviolated lazy row never joins: max -x over [0, 10] with x <= 5
-    p = matrix_lp("max", [-1.0], [0.0], [10.0], [[1.0]], [5.0], lazy=True)
-    sol = lp.solve_lp(p)
-    assert (sol.rounds, sol.working.tolist()) == (1, [False])
+    # an unviolated row outside never joins: max -x over [0, 10] with x <= 5
+    p = matrix_lp("max", [-1.0], [0.0], [10.0], [[1.0]], [5.0])
+    sol = lp.solve_lp(p, _working(False))
+    assert (sol.rounds, sol.basis.working.tolist()) == (1, [False])
     assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lazy_ge_rows_and_per_row_flags():
-    # min x + y st x + y >= 3 (lazy), x - y >= -1 (eager) over [0, 5]^2,
+    # min x + y st x + y >= 3 (outside), x - y >= -1 (working) over [0, 5]^2,
     # both rows negated into <= rows
     p = matrix_lp("min", [1.0, 1.0], [0.0, 0.0], [5.0, 5.0],
-                  [[-1.0, -1.0], [-1.0, 1.0]], [-3.0, 1.0], lazy=[True, False])
+                  [[-1.0, -1.0], [-1.0, 1.0]], [-3.0, 1.0])
     _, best = enumerate_vertices(p)
-    sol = lp.solve_lp(p)
+    sol = lp.solve_lp(p, _working(False, True))
     assert sol.rounds == 2
     assert sol.objective_value == pytest.approx(best, abs=1e-9)
     assert best == pytest.approx(3.0, abs=1e-12)
 
 
 def test_lazy_rows_infeasible():
-    # x >= 2 holds in every working set; the lazy x <= 1 joins in round 2
-    p = matrix_lp("max", [1.0], [0.0], [10.0], [[-1.0], [1.0]], [-2.0, 1.0],
-                  lazy=[False, True])
-    sol = lp.solve_lp(p)
+    # x >= 2 holds in every working set; x <= 1 joins in round 2
+    p = matrix_lp("max", [1.0], [0.0], [10.0], [[-1.0], [1.0]], [-2.0, 1.0])
+    sol = lp.solve_lp(p, _working(True, False))
     assert (sol.status, sol.rounds, sol.values) == (lp.INFEASIBLE, 2, None)
     # an infeasible first working set ends the solve at once
-    p = matrix_lp("max", [1.0], [0.0], [10.0], [[-1.0], [1.0], [1.0]], [-2.0, 1.0, 20.0],
-                  lazy=[False, False, True])
-    sol = lp.solve_lp(p)
+    p = matrix_lp("max", [1.0], [0.0], [10.0], [[-1.0], [1.0], [1.0]], [-2.0, 1.0, 20.0])
+    sol = lp.solve_lp(p, _working(True, True, False))
     assert (sol.status, sol.rounds) == (lp.INFEASIBLE, 1)
 
 
 def test_lazy_rows_unbounded_working_set():
-    # max x, x >= 0: unbounded without the lazy x <= 4, which then decides
-    p = matrix_lp("max", [1.0], [0.0], [INF], [[1.0], [-1.0]], [4.0, 0.0], lazy=True)
-    sol = lp.solve_lp(p)
+    # max x, x >= 0: unbounded without x <= 4, which then decides
+    p = matrix_lp("max", [1.0], [0.0], [INF], [[1.0], [-1.0]], [4.0, 0.0])
+    sol = lp.solve_lp(p, _working(False, False))
     assert (sol.status, sol.rounds) == (lp.OPTIMAL, 2)
     assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
     # and the full LP may be unbounded too: -x <= 1 and -x <= 0 cap nothing
-    q = matrix_lp("max", [1.0], [0.0], [INF], [[-1.0], [-1.0]], [1.0, 0.0], lazy=True)
-    sol = lp.solve_lp(q)
+    q = matrix_lp("max", [1.0], [0.0], [INF], [[-1.0], [-1.0]], [1.0, 0.0])
+    sol = lp.solve_lp(q, _working(False, False))
     assert (sol.status, sol.rounds) == (lp.UNBOUNDED, 2)
 
 
 def test_random_lazy_rows_match_vertex_enumeration(rng):
+    grown = 0
     for _ in range(25):
         p = random_bounded_lp(rng)
         _, best = enumerate_vertices(p)
-        p.lazy = rng.random(p.b_ub.size) < 0.7
-        sol = lp.solve_lp(p)
+        sol = lp.solve_lp(p, lp.Basis(rng.random(p.b_ub.size) >= 0.7))
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(best, abs=1e-6)
+        grown += sol.rounds > 1
+    assert grown > 0      # some start lacked a row the optimum needs
 
 
 def _linprog_on_working_rows(problem, sol):
     """scipy's ``linprog(method="highs")`` as a reference: the same LP with
     the working rows ``solve_lp`` ended with; returns (x, objective)."""
     sign = -1.0 if problem.sense == "max" else 1.0
-    rows = np.flatnonzero(sol.working)
+    rows = np.flatnonzero(sol.basis.working)
     res = scipy.optimize.linprog(
         sign * problem.objective, A_ub=problem.a_ub[rows], b_ub=problem.b_ub[rows],
         A_eq=problem.a_eq, b_eq=problem.b_eq,
@@ -416,7 +427,7 @@ def test_same_answers_as_linprog_on_case118(net118, monkeypatch):
     for loads in (net118.load_mw, net118.load_mw * drift):
         sced.run_sced(net118, loads, soft_limits=True)
     monkeypatch.undo()
-    assert len(solved) == 2 and all(not sol.working.all() for _, sol in solved)
+    assert len(solved) == 2 and all(not sol.basis.working.all() for _, sol in solved)
     for target, budget in ((118, 2.0), (111, 2.0), (111, 10.0)):
         problem = _attack_118(net118, target, budget)
         solved.append((problem, lp.solve_lp(problem)))
@@ -448,21 +459,22 @@ def test_solution_carries_solver_statistics(net118):
 def test_start_from_a_basis():
     # an optimal basis restarts its own LP with no pivot
     p = _chained_lazy_lp()
-    eager = dataclasses.replace(p, lazy=False)
-    cold = lp.solve_lp(eager)
-    again = lp.solve_lp(eager, cold.basis)
+    cold = lp.solve_lp(p)
+    again = lp.solve_lp(p, cold.basis)
     assert again.iterations == 0
     assert again.values == pytest.approx(cold.values, abs=1e-12)
-    assert lp.solve_lp(p).basis.working.tolist() == [True, True]
-    # a basis over fewer rows: the row it lacks enters basic, which is still
-    # optimal when that row never binds (x - y <= 20 here)
+    assert lp.solve_lp(p, _working(False, False)).basis.working.tolist() == [True, True]
+    # a later round starts from the round before, each new row's slack
+    # basic: the reduced basis of ``loose`` solves round 1 of the chained LP
+    # with no pivot, x - y <= 1 then joins, and one dual pivot ends it
     loose = matrix_lp("max", [2.0, 1.0], [0.0, 0.0], [10.0, 10.0],
-                      [[1.0, 1.0], [1.0, -1.0]], [12.0, 20.0], lazy=[False, True])
-    reduced = lp.solve_lp(loose)
+                      [[1.0, 1.0], [1.0, -1.0]], [12.0, 20.0])
+    reduced = lp.solve_lp(loose, _working(True, False))
     assert reduced.basis.working.tolist() == [True, False]
-    full = lp.solve_lp(dataclasses.replace(loose, lazy=False), reduced.basis)
-    assert full.iterations == 0
-    assert full.values == pytest.approx([10.0, 2.0], abs=1e-12)
+    assert reduced.values == pytest.approx([10.0, 2.0], abs=1e-12)
+    warm = lp.solve_lp(p, reduced.basis)
+    assert (warm.rounds, warm.iterations) == (2, 1)
+    assert warm.values == pytest.approx([6.5, 5.5], abs=1e-12)
     # a basis of another LP's shape is refused
     with pytest.raises(ValueError, match="start basis"):
         lp.solve_lp(_single_var([[1.0]], [0.5]), cold.basis)

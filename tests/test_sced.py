@@ -210,3 +210,37 @@ def test_seeded_soft_sced_matches_full_lp_118(net118, ptdf118, monkeypatch):
                                                        abs=1e-7)
     assert len(rounds) == 20
     assert max(rounds) > 1      # some load vector needed rows beyond the seed
+
+
+def test_hard_infeasibility_names_the_soft_dispatch_overloads(net118):
+    # 1.25x the case loads fit the generators but not the ratings; the hard
+    # dispatch names the branches that the soft dispatch of those loads
+    # overloads, in its binding set and its message
+    loads = net118.load_mw * 1.25
+    soft = run_sced(net118, loads, soft_limits=True)
+    overloaded = tuple(net118.in_service_branches[k].ordinal
+                       for k in np.flatnonzero(soft.violations_mw > 1e-6))
+    with pytest.raises(DispatchError) as err:
+        run_sced(net118, loads)
+    assert err.value.binding == overloaded == (111, 118)
+    assert str(err.value).endswith("; binding: 111, 118")
+
+
+@pytest.mark.parametrize("soft", [False, True])
+def test_negative_total_load_fails_without_a_diagnosis(net118, monkeypatch, soft):
+    # no generator can absorb power, so both modes are infeasible; a hard
+    # dispatch is diagnosed by one soft dispatch, which is not diagnosed
+    base_dispatch(net118)
+    solve = lp.solve_lp
+    calls = []
+
+    def spy(problem, start=None):
+        calls.append(problem)
+        return solve(problem, start)
+
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    with pytest.raises(DispatchError) as err:
+        run_sced(net118, -net118.load_mw, soft_limits=soft)
+    assert err.value.binding == ()
+    assert str(err.value) == "dispatch infeasible for load -4242.0 MW"
+    assert len(calls) == (1 if soft else 2)
