@@ -52,8 +52,10 @@ class AttackSpec:
             raise ValueError(
                 f"load shift factor must be in [0, 1], got {self.load_shift_factor}"
             )
-        if self.l1_limit < 0.0:
-            raise ValueError(f"l1 budget must be nonnegative, got {self.l1_limit}")
+        if not 0.0 <= self.l1_limit < np.inf:
+            raise ValueError(
+                f"l1 budget must be nonnegative and finite, got {self.l1_limit}"
+            )
         n_active = len(net.in_service_branches)
         if np.asarray(self.base_flows).shape != (n_active,):
             raise ContractError("base_flows length does not match in-service branches")
@@ -86,30 +88,13 @@ def _divergence(net: Network, delta_p: np.ndarray) -> np.ndarray:
 
 
 @per_network("attack_rows")
-def _attack_rows(net: Network):
-    """The attack LP's row blocks over [c+, c-], built once per network and
-    read-only: per load bus the pair ``+-(-B)(c+ - c-)``, then the budget
-    row ``sum(c+ + c-)``; and ``(-B)(c+ - c-) = 0`` at buses without load."""
-    deviation = -topology(net).b
-    is_load = net.load_bus_mask
-    shift = (np.repeat(deviation[is_load], 2, axis=0)
-             * np.tile([1.0, -1.0], int(is_load.sum()))[:, None])
-    return (_split_columns(shift, budget=True),
-            _split_columns(deviation[~is_load], budget=False))
-
-
-def _split_columns(block, budget):
-    """CSR of ``[block, -block]``, with a final row of ones if ``budget``."""
-    k, n = block.shape
-    r, c = np.nonzero(block)
-    v = block[r, c]
-    ones = 2 * n if budget else 0
-    return sparse.csr_array(
-        (np.concatenate([v, -v, np.ones(ones)]),
-         (np.concatenate([r, r, np.full(ones, k)]),
-          np.concatenate([c, n + c, np.arange(ones)]))),
-        shape=(k + budget, 2 * n),
-    )
+def _attack_rows(net: Network) -> sparse.csr_array:
+    """The attack LP's rows over [c+, c-], built once per network and
+    read-only: per bus, in bus order, the load deviation ``(-B)(c+ - c-)``;
+    then the budget row ``sum(c+ + c-)``."""
+    deviation = sparse.csr_array(-topology(net).b)
+    return sparse.vstack([sparse.hstack([deviation, -deviation]),
+                          np.ones((1, 2 * net.n_bus))], format="csr")
 
 
 def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
@@ -119,27 +104,25 @@ def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:
 
     The flow deltas ``dp = -Bf c`` are substituted out: the objective is
     ``sgn * dp[target] = -sgn * Bf[target] c`` and the malicious load
-    deviation per bus, the dp divergence, is ``-B c``.  Rows: per load bus
-    that deviation bounded by +-L_S * d_n0; sum(s) capped by the l1 budget;
-    zero deviation at non-load buses.  Only the right-hand sides and the
-    objective depend on ``spec``.
+    deviation per bus, the dp divergence, is ``-B c``.  Rows: per bus that
+    deviation within +-L_S * d_n0 at load buses and zero elsewhere; sum(s)
+    capped by the l1 budget.  Only the row bounds and the objective depend
+    on ``spec``.
     """
     spec.validate(net)
     n = net.n_bus
     d0_pu = np.asarray(spec.base_loads, dtype=float) / net.base_mva
     target_pos = net.branch_position(spec.target_branch)
     sgn = float(np.sign(spec.target_flow(net)))
-    a_ub, a_eq = _attack_rows(net)
 
     gain = -sgn * topology(net).bf[target_pos]
     upper = np.full(2 * n, np.inf)
     upper[[net.reference_bus, n + net.reference_bus]] = 0.0
-    bound = spec.load_shift_factor * d0_pu[net.load_bus_mask]
+    bound = np.where(net.load_bus_mask, spec.load_shift_factor * d0_pu, 0.0)
     return lp.LinearProgram(
         sense="max", objective=np.concatenate([gain, -gain]),
-        lower=np.zeros(2 * n), upper=upper,
-        a_ub=a_ub, b_ub=np.concatenate([np.repeat(bound, 2), [spec.l1_limit]]),
-        a_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+        lower=np.zeros(2 * n), upper=upper, a=_attack_rows(net),
+        row_lower=np.append(-bound, -np.inf), row_upper=np.append(bound, spec.l1_limit),
     )
 
 

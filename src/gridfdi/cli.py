@@ -123,8 +123,11 @@ def _load_loads(net, path: str | None) -> np.ndarray:
                 bus = ext.get(int(key)) if key.isdigit() else None
                 if bus is None:
                     raise SystemExit(f"loads file names bus {key}, which is not in the case")
-                loads[bus] = float(mw)
+                loads[bus] = _number(key, mw)
         else:
+            if isinstance(data, list):
+                for bus, mw in zip(net.buses, data):
+                    _number(bus.external_id, mw)
             loads = np.asarray(data, dtype=float)
     if loads.shape != (net.n_bus,):
         raise SystemExit(
@@ -135,6 +138,14 @@ def _load_loads(net, path: str | None) -> np.ndarray:
         bus = net.buses[np.argmax(bad)].external_id
         raise SystemExit(f"loads file gives bus {bus} a non-finite load")
     return loads
+
+
+def _number(bus, mw) -> float:
+    """One bus load from a loads file; ``float`` would also take a bool or
+    a numeric string."""
+    if isinstance(mw, (bool, str)):
+        raise TypeError(f"bus {bus} has load {mw!r}, not a number")
+    return float(mw)
 
 
 def _check_detector_settings(data: dict, source: str) -> None:

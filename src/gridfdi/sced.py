@@ -59,15 +59,14 @@ class Dispatch:
 @dataclass(frozen=True)
 class _Operators:
     """The SCED LP's constants over [p, v] for one network, read-only:
-    generator buses, bounds and costs, the balance row, and the limit block,
-    a +- row pair per in-service branch, ``+-PTDF_gen p - v_k``."""
+    generator buses, bounds and costs, and the rows, a +- limit pair per
+    in-service branch, ``+-PTDF_gen p - v_k``, then the balance row."""
 
     gen_bus: np.ndarray
     p_min: np.ndarray        # p.u.
     p_max: np.ndarray        # p.u.
     cost: np.ndarray         # $/h per p.u.
-    balance: sparse.csr_array
-    limit_rows: sparse.csr_array
+    rows: sparse.csr_array
 
 
 @dataclass(frozen=True)
@@ -84,43 +83,41 @@ def _operators(net: Network) -> _Operators:
     ng, m = len(gens), ptdf.n_branches
     gen_bus = np.array([g.bus for g in gens], dtype=int)
     sign = np.tile([1.0, -1.0], m)
-    rows = np.repeat(ptdf.matrix[:, gen_bus], 2, axis=0) * sign[:, None]
-    r, c = np.nonzero(rows)
-    limit_rows = sparse.csr_array(
-        (np.concatenate([rows[r, c], -np.ones(2 * m)]),
-         (np.concatenate([r, np.arange(2 * m)]),
-          np.concatenate([c, ng + np.repeat(np.arange(m), 2)]))),
-        shape=(2 * m, ng + m),
+    limits = np.repeat(ptdf.matrix[:, gen_bus], 2, axis=0) * sign[:, None]
+    r, c = np.nonzero(limits)
+    rows = sparse.csr_array(
+        (np.concatenate([limits[r, c], -np.ones(2 * m), np.ones(ng)]),
+         (np.concatenate([r, np.arange(2 * m), np.full(ng, 2 * m)]),
+          np.concatenate([c, ng + np.repeat(np.arange(m), 2), np.arange(ng)]))),
+        shape=(2 * m + 1, ng + m),
     )
-    balance = sparse.csr_array((np.ones(ng), (np.zeros(ng, dtype=int), np.arange(ng))),
-                               shape=(1, ng + m))
     return _Operators(
         gen_bus=gen_bus,
         p_min=np.array([g.p_min for g in gens]) / base,
         p_max=np.array([g.p_max for g in gens]) / base,
         cost=np.array([g.linear_cost for g in gens]) * base,
-        balance=balance,
-        limit_rows=limit_rows,
+        rows=rows,
     )
 
 
 def _dispatch_lp(net, d_pu, soft):
-    """The SCED LP over [p, v]: the balance row, then the limit block with
-    right-hand sides ``limit +- PTDF d``.  The elastic ``v >= 0`` is priced
-    at ``VIOLATION_PENALTY``; without ``soft`` it is fixed at zero."""
+    """The SCED LP over [p, v]: the limit pairs, each capped at
+    ``limit +- PTDF d``, then the balance row.  The elastic ``v >= 0`` is
+    priced at ``VIOLATION_PENALTY``; without ``soft`` it is fixed at zero."""
     ops = _operators(net)
-    m = ops.limit_rows.shape[0] // 2
-    shift = compute_ptdf(net).matrix @ d_pu
     limits = net.limits_pu
+    m = limits.size
+    shift = compute_ptdf(net).matrix @ d_pu
+    total = d_pu.sum()
+    caps = np.column_stack([limits + shift, limits - shift]).ravel()
     return lp.LinearProgram(
         sense="min",
         objective=np.concatenate([ops.cost, np.full(m, VIOLATION_PENALTY * net.base_mva)]),
         lower=np.concatenate([ops.p_min, np.zeros(m)]),
         upper=np.concatenate([ops.p_max, np.full(m, np.inf if soft else 0.0)]),
-        a_ub=ops.limit_rows,
-        b_ub=np.column_stack([limits + shift, limits - shift]).ravel(),
-        a_eq=ops.balance,
-        b_eq=np.array([d_pu.sum()]),
+        a=ops.rows,
+        row_lower=np.append(np.full(2 * m, -np.inf), total),
+        row_upper=np.append(caps, total),
     )
 
 
@@ -157,8 +154,11 @@ def _base(net: Network) -> _Base:
 
 
 def _empty_start(net):
-    """No limit row and no basis: a cold solve that generates each row it needs."""
-    return lp.Basis(np.zeros(2 * net.limits_pu.size, dtype=bool))
+    """No limit row and no basis: a cold solve that generates each limit row
+    it needs.  The balance row is in every working set."""
+    working = np.zeros(2 * net.limits_pu.size + 1, dtype=bool)
+    working[-1] = True
+    return lp.Basis(working)
 
 
 def _solve(net, loads_mw, soft, start):

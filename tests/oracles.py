@@ -17,18 +17,19 @@ _TOL = 1e-9
 
 
 def matrix_lp(sense, objective, lower, upper, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    """A :class:`lp.LinearProgram` from dense rows; a block left out has no
-    rows.  Every vector is a fresh float array, so tests may edit it."""
+    """A :class:`lp.LinearProgram` from dense ``a_ub x <= b_ub`` and
+    ``a_eq x = b_eq`` rows, stacked in that order into one row block; a
+    block left out has no rows.  Every vector is a fresh float array, so
+    tests may edit it."""
     n = len(objective)
-
-    def block(rows):
-        return sparse.csr_array(np.asarray(rows, dtype=float).reshape(-1, n))
-
+    a_ub, a_eq = (np.asarray(rows, dtype=float).reshape(-1, n) for rows in (a_ub, a_eq))
+    b_ub, b_eq = np.array(b_ub, dtype=float), np.array(b_eq, dtype=float)
     return lp.LinearProgram(
         sense=sense, objective=np.array(objective, dtype=float),
         lower=np.array(lower, dtype=float), upper=np.array(upper, dtype=float),
-        a_ub=block(a_ub), b_ub=np.array(b_ub, dtype=float),
-        a_eq=block(a_eq), b_eq=np.array(b_eq, dtype=float),
+        a=sparse.csr_array(np.vstack([a_ub, a_eq])),
+        row_lower=np.concatenate([np.full(b_ub.size, -np.inf), b_eq]),
+        row_upper=np.concatenate([b_ub, b_eq]),
     )
 
 
@@ -36,21 +37,21 @@ def enumerate_vertices(problem: lp.LinearProgram):
     """All vertices of a bounded feasible region; returns (best_x, best_obj)
     for the problem's sense, or (None, None) when no vertex is feasible."""
     n = problem.n_var
-    eq_rows, eq_rhs = list(problem.a_eq.toarray()), list(problem.b_eq)
-    ineq_rows, ineq_rhs = list(problem.a_ub.toarray()), list(problem.b_ub)  # row @ x <= rhs
-    for j in range(n):
-        lo, hi = problem.lower[j], problem.upper[j]
-        e = np.zeros(n)
-        e[j] = 1.0
+    # every row and every column bound, each as (coefficients, lower, upper)
+    sides = [(row, lo, hi) for row, lo, hi in zip(
+        problem.a.toarray(), problem.row_lower, problem.row_upper)]
+    sides += [(e, lo, hi) for e, lo, hi in zip(np.eye(n), problem.lower, problem.upper)]
+    eq_rows, eq_rhs, ineq_rows, ineq_rhs = [], [], [], []   # row @ x <= rhs
+    for row, lo, hi in sides:
         if lo == hi:
-            eq_rows.append(e.copy())
+            eq_rows.append(row)
             eq_rhs.append(lo)
             continue
         if np.isfinite(hi):
-            ineq_rows.append(e.copy())
+            ineq_rows.append(row)
             ineq_rhs.append(hi)
         if np.isfinite(lo):
-            ineq_rows.append(-e)
+            ineq_rows.append(-row)
             ineq_rhs.append(-lo)
 
     # Dependent equalities would make every square system singular; keep an
@@ -100,11 +101,10 @@ def boxed_vertex_verdict(problem: lp.LinearProgram, box: float = 1e3):
 
 
 def _feasible(problem, x):
-    if np.any(x < problem.lower - 1e-7) or np.any(x > problem.upper + 1e-7):
-        return False
-    if np.any(problem.a_ub.toarray() @ x > problem.b_ub + 1e-7):
-        return False
-    return not np.any(np.abs(problem.a_eq.toarray() @ x - problem.b_eq) > 1e-7)
+    ax = problem.a.toarray() @ x
+    return not (np.any(x < problem.lower - 1e-7) or np.any(x > problem.upper + 1e-7)
+                or np.any(ax < problem.row_lower - 1e-7)
+                or np.any(ax > problem.row_upper + 1e-7))
 
 
 def random_bounded_lp(rng, n_var=None, n_con=None):

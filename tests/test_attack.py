@@ -229,9 +229,13 @@ def test_lp_structure(net3):
     for ref in (net3.reference_bus, 3 + net3.reference_bus):
         assert problem.upper[ref] == 0.0
     assert np.sum(np.isinf(problem.upper)) == 4
-    assert problem.a_eq.shape[0] == 1          # the no-load bus
-    assert problem.a_ub.shape[0] == 2 * 2 + 1  # load-bus pairs, budget
+    # one row per bus, then the budget: the load shift within +-L_S * d0 at
+    # the load buses, none at the no-load bus, and sum(s) at most the budget
+    bound = 0.5 * loads / net3.base_mva
+    assert bound[0] == 0.0 and np.all(bound[1:] > 0.0)
+    assert np.array_equal(problem.row_lower, np.append(-bound, -np.inf))
+    assert np.array_equal(problem.row_upper, np.append(bound, 10.0))
     # c- enters every row with the opposite sign of c+, except the budget
-    a = problem.a_ub.toarray()
+    a = problem.a.toarray()
     assert np.array_equal(a[:-1, 3:], -a[:-1, :3])
     assert np.array_equal(a[-1], np.ones(6))

@@ -177,6 +177,9 @@ def test_gen_scenarios_outage_grid(case118_path, tmp_path):
     ({"two": 40.0}, "bus two"),
     ('{"2": NaN, "3": 20.0}', "bus 2 a non-finite load"),
     ("[0.0, 40.0, NaN]", "bus 3 a non-finite load"),
+    # float() takes a bool or a numeric string; the file is refused instead
+    ({"2": True, "3": "20"}, "bus 2 has load True, not a number"),
+    ([0.0, "20", True], "bus 2 has load '20', not a number"),
 ])
 def test_loads_file_rejected(case3_path, tmp_path, command, loads, message):
     path = tmp_path / "loads.json"
@@ -317,8 +320,12 @@ NO_SUCH_FILE = "No such file or directory"
      "attack: load shift factor must be in [0, 1], got 2.0"),
     ("attack --target 118 --ls nan --n1 5",
      "attack: load shift factor must be in [0, 1], got nan"),
-    ("attack --target 118 --ls 0.1 --n1 -1", "attack: l1 budget must be nonnegative,"
-     " got -1.0"),
+    ("attack --target 118 --ls 0.1 --n1 -1", "attack: l1 budget must be nonnegative"
+     " and finite, got -1.0"),
+    ("attack --target 118 --ls 0.1 --n1 nan", "attack: l1 budget must be nonnegative"
+     " and finite, got nan"),
+    ("attack --target 118 --ls 0.1 --n1 inf", "attack: l1 budget must be nonnegative"
+     " and finite, got inf"),
 ], ids=["snapshot-missing", "snapshot-not-json", "snapshot-case-missing",
         "suite-missing", "suite-not-json", "loads-missing", "loads-not-json",
         "case-missing", "outage-not-a-number", "outage-out-of-range",
@@ -328,7 +335,8 @@ NO_SUCH_FILE = "No such file or directory"
         "snapshot-boolean-outage", "loads-nested-list", "loads-string-array",
         "loads-string", "loads-word-value", "loads-null-value", "sced-unservable-loads",
         "attack-unservable-loads", "attack-target-not-in-service",
-        "attack-shift-above-one", "attack-shift-nan", "attack-negative-budget"])
+        "attack-shift-above-one", "attack-shift-nan", "attack-negative-budget",
+        "attack-budget-nan", "attack-budget-inf"])
 def test_input_errors_end_in_one_line(case118_path, net118, tmp_path, args, message):
     paths = {name: tmp_path / f"{name}.json" for name in (
         "missing", "text", "snapshot", "object", "array", "short", "numeric_case",

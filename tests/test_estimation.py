@@ -181,16 +181,14 @@ def test_outage_networks_never_share_operators(case118_path, rng):
         assert not compute_ptdf(net).matrix.flags.writeable
     lp_blocks = []
     for net in nets:
-        # the SCED limit block and the attack row blocks: built once per
-        # network, read-only, and what every LP on that network uses
+        # the SCED rows and the attack rows: built once per network,
+        # read-only, and what every LP on that network uses
         base = base_dispatch(net)
         spec = AttackSpec(118, 0.1, 5.0, base.scheduled_flows, net.load_mw)
         problem = build_attack_lp(net, spec)
         again = build_attack_lp(net, spec)
-        blocks = [net.operators["sced"].limit_rows, net.operators["sced"].balance,
-                  *net.operators["attack_rows"]]
-        assert problem.a_ub is blocks[2] and again.a_ub is blocks[2]
-        assert problem.a_eq is blocks[3] and again.a_eq is blocks[3]
+        blocks = [net.operators["sced"].rows, net.operators["attack_rows"]]
+        assert problem.a is blocks[1] and again.a is blocks[1]
         for block in blocks:
             for arr in (block.data, block.indices, block.indptr):
                 assert not arr.flags.writeable

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 from gridfdi import attack, lp, sced
 
@@ -75,8 +76,8 @@ def test_relaxation_monotonicity(rng):
     for _ in range(15):
         p = random_bounded_lp(rng)
         base = lp.solve_lp(p).objective_value
-        k = int(rng.integers(0, p.b_ub.size))
-        p.b_ub[k] += float(rng.uniform(0.1, 1.0))
+        k = int(rng.integers(0, p.row_upper.size))
+        p.row_upper[k] += float(rng.uniform(0.1, 1.0))
         relaxed = lp.solve_lp(p).objective_value
         assert relaxed >= base - 1e-9
 
@@ -97,8 +98,8 @@ def test_validation_errors():
     p = matrix_lp("max", [0.0, 0.0], [-INF, -INF], [INF, INF], [[1.0, 0.0]], [1.0])
     p.validate()
     with pytest.raises(ValueError):   # a one-column row for two variables
-        dataclasses.replace(p, a_ub=matrix_lp("max", [0.0], [0.0], [0.0], [[1.0]],
-                                              [1.0]).a_ub).validate()
+        dataclasses.replace(p, a=matrix_lp("max", [0.0], [0.0], [0.0], [[1.0]],
+                                           [1.0]).a).validate()
 
     q = matrix_lp("max", [0.0], [2.0], [1.0])
     with pytest.raises(ValueError):
@@ -109,38 +110,46 @@ def test_validation_errors():
         r.validate()
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"b_ub": np.array([1.0, 2.0, 3.0])}, "right-hand side"),
-    ({"b_eq": np.zeros(0)}, "right-hand side"),
-    ({"a_eq": matrix_lp("min", [0.0] * 3, [0.0] * 3, [1.0] * 3, a_eq=[[1.0] * 3]).a_eq},
-     "columns"),
-    ({"objective": np.zeros(3)}, "variable count"),
-], ids=["b_ub", "b_eq", "a_eq-columns", "objective"])
-def test_validate_rejects_mismatched_shapes(change, message):
-    # two variables, two <= rows and one = row; each change breaks one shape
-    p = matrix_lp("min", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
-                  [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [[1.0, 1.0]], [1.0])
-    p.validate()
-    bad = dataclasses.replace(p, **change)
+def _three_rows(**change):
+    """Two variables, two <= rows and one = row, any argument of
+    ``matrix_lp`` replaced by ``change``."""
+    args = {"a_ub": [[1.0, 0.0], [0.0, 1.0]], "b_ub": [1.0, 1.0],
+            "a_eq": [[1.0, 1.0]], "b_eq": [1.0], **change}
+    return matrix_lp("min", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], **args)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (_three_rows(b_ub=[1.0, 2.0, 3.0]), "row bounds have shapes"),
+    (_three_rows(b_eq=[]), "row bounds have shapes"),
+    (dataclasses.replace(_three_rows(), a=matrix_lp("min", [0.0] * 3, [0.0] * 3, [1.0] * 3,
+                                                    a_eq=[[1.0] * 3]).a), "columns"),
+    (dataclasses.replace(_three_rows(), objective=np.zeros(3)), "variable count"),
+    (dataclasses.replace(_three_rows(), upper=np.ones(3)), "variable bounds have shapes"),
+], ids=["b_ub", "b_eq", "a_eq-columns", "objective", "upper"])
+def test_validate_rejects_mismatched_shapes(bad, message):
+    # each bad LP breaks one shape of _three_rows(), which is sound
+    _three_rows().validate()
     with pytest.raises(ValueError, match=message):
         bad.validate()
     with pytest.raises(ValueError, match=message):
         lp.solve_lp(bad)
 
 
-@pytest.mark.parametrize("working", [[True, False, True], [True]], ids=["long", "short"])
+@pytest.mark.parametrize("working", [[True, False, True, True], [True]],
+                         ids=["long", "short"])
 def test_start_working_shape_must_match_rows(working):
-    # one flag per row of a_ub; a single flag would broadcast over both rows
-    p = matrix_lp("min", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
-                  [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [[1.0, 1.0]], [1.0])
+    # one flag per row of a; a single flag would broadcast over all three
     with pytest.raises(ValueError, match="working shape"):
-        lp.solve_lp(p, _working(*working))
+        lp.solve_lp(_three_rows(), _working(*working))
 
 
 def test_mixed_structures_match_boxed_vertex_enumeration():
-    # free / one-sided / fixed variables with <=, >=, = rows in all senses
+    # free / one-sided / fixed variables with <=, >=, = rows in all senses;
+    # the second half adds two-sided rows, both bounds finite and distinct
     rng = np.random.default_rng(777)
-    for _ in range(60):
+    ranged = 0
+    for trial in range(120):
+        relations = ("<=", ">=", "=") + (("range",) if trial >= 60 else ())
         n = int(rng.integers(1, 7))
         sense = "max" if rng.random() < 0.5 else "min"
         lower, upper = np.full(n, -INF), np.full(n, INF)
@@ -156,23 +165,31 @@ def test_mixed_structures_match_boxed_vertex_enumeration():
             elif kind == 4:
                 lower[j] = upper[j] = float(rng.uniform(-1, 1))
         objective = rng.uniform(-1, 1, n)
-        ub, ub_rhs, eq, eq_rhs = [], [], [], []
+        ub, ub_rhs, eq, eq_rhs, range_lower = [], [], [], [], {}
         for _ in range(int(rng.integers(1, 6))):
-            rel = ("<=", ">=", "=")[rng.integers(0, 3)]
+            rel = relations[rng.integers(0, len(relations))]
             row, rhs = rng.uniform(-1, 1, n), float(rng.uniform(-1, 2))
             if rel == "=":
                 eq.append(row)
                 eq_rhs.append(rhs)
+            elif rel == "range":   # rhs <= row x <= rhs + width
+                range_lower[len(ub)] = rhs
+                ub.append(row)
+                ub_rhs.append(rhs + float(rng.uniform(0.1, 2)))
             else:   # a >= row enters negated
                 sign = 1.0 if rel == "<=" else -1.0
                 ub.append(sign * row)
                 ub_rhs.append(sign * rhs)
         p = matrix_lp(sense, objective, lower, upper, ub, ub_rhs, eq, eq_rhs)
+        for k, lo in range_lower.items():   # the <= rows come first
+            p.row_lower[k] = lo
+        ranged += len(range_lower)
         status, best = boxed_vertex_verdict(p)
         sol = lp.solve_lp(p)
         assert sol.status == status
         if status == lp.OPTIMAL:
             assert sol.objective_value == pytest.approx(best, abs=1e-6)
+    assert ranged > 0
 
 
 def test_vertex_oracle_handles_dependent_equalities():
@@ -185,7 +202,7 @@ def test_vertex_oracle_handles_dependent_equalities():
     assert x == pytest.approx([1.0, 0.0], abs=1e-12)
     assert lp.solve_lp(p).objective_value == pytest.approx(best, abs=1e-9)
     # a dependent row that contradicts the others leaves nothing feasible
-    p.b_eq[1] = 3.0
+    p.row_lower[1] = p.row_upper[1] = 3.0
     assert enumerate_vertices(p) == (None, None)
     assert lp.solve_lp(p).status == lp.INFEASIBLE
 
@@ -210,7 +227,7 @@ def test_solution_audit_catches_bad_engine(monkeypatch):
         ans.x, ans.fun = np.array([1.0]), -1.0
 
     _fake_highs(monkeypatch, infeasible_x)
-    with pytest.raises(lp.SolverError, match="A_ub"):
+    with pytest.raises(lp.SolverError, match="row 0 outside its bounds"):
         lp.solve_lp(p)
 
 
@@ -228,23 +245,20 @@ def test_certificate_rejects_feasible_non_optimal_point(monkeypatch):
         lp.solve_lp(p)
 
 
-@pytest.mark.parametrize("y_ub, z_l, z_u, message", [
-    (0.0, 0.5, 0.0, "stationarity"),     # 1 + y_ub - z_l - z_u = 0.5
-    (1.0, 2.0, 0.0, "wrong sign"),       # row marginal > 0
-    (-2.0, -1.0, 0.0, "wrong sign"),     # lower-bound marginal < 0
-    (0.0, 2.0, -1.0, "infinite bound"),  # marginal on x <= inf
-], ids=["stationarity", "row", "lower", "infinite-upper"])
-def test_certificate_rejects_bad_marginal(monkeypatch, y_ub, z_l, z_u, message):
+@pytest.mark.parametrize("y, z, message", [
+    (0.0, 0.5, "stationarity"),          # 1 + y - z = 0.5
+    (1.0, 2.0, "row 0 has marginal"),    # prices the row's lower bound, -inf
+    (-2.0, -1.0, "variable 0 has marginal"),  # prices x <= inf
+], ids=["stationarity", "row", "infinite-upper"])
+def test_certificate_rejects_bad_marginal(monkeypatch, y, z, message):
     # min x st x >= 0 as a row (-x <= 0) and as a bound: optimum x = 0,
-    # objective 0.  Every edited marginal set has a zero gap; all but the
-    # first stay stationary (1 + y_ub - z_l - z_u = 0), so only one check
-    # can fail.
+    # objective 0.  Every edited marginal pair has a zero gap; all but the
+    # first stay stationary (1 + y - z = 0), so only one check can fail.
     p = matrix_lp("min", [1.0], [0.0], [INF], [[-1.0]], [0.0])
 
     def bad_marginals(ans):
-        ans.row_dual = np.array([y_ub])
-        ans.z_lower = np.array([z_l])
-        ans.z_upper = np.array([z_u])
+        ans.row_dual = np.array([y])
+        ans.col_dual = np.array([z])
 
     assert lp.solve_lp(p).objective_value == pytest.approx(0.0, abs=1e-12)
     _fake_highs(monkeypatch, bad_marginals)
@@ -254,7 +268,7 @@ def test_certificate_rejects_bad_marginal(monkeypatch, y_ub, z_l, z_u, message):
 
 @pytest.mark.parametrize("field, message", [
     ("x", "objective value"), ("fun", "objective value"),
-    ("row_dual", "non-finite"), ("z_lower", "non-finite"),
+    ("row_dual", "non-finite"), ("col_dual", "non-finite"),
 ])
 def test_certificate_rejects_non_finite_answer(monkeypatch, field, message):
     # a NaN compares false against every tolerance, so without an explicit
@@ -281,9 +295,9 @@ def test_other_highs_status_raises(monkeypatch):
 def test_validate_rejects_non_csr_blocks():
     p = matrix_lp("min", [1.0], [0.0], [INF], [[-1.0]], [0.0])
     with pytest.raises(ValueError, match="CSR"):
-        dataclasses.replace(p, a_ub=p.a_ub.tocsc()).validate()
+        dataclasses.replace(p, a=p.a.tocsc()).validate()
     with pytest.raises(ValueError, match="CSR"):
-        dataclasses.replace(p, a_eq=p.a_eq.toarray()).validate()
+        dataclasses.replace(p, a=p.a.toarray()).validate()
 
 
 @pytest.mark.parametrize("block, value", [
@@ -291,19 +305,22 @@ def test_validate_rejects_non_csr_blocks():
     ("b_eq", -np.inf), ("lower", np.nan), ("upper", np.nan),
 ])
 def test_validate_rejects_non_finite_data(block, value):
-    # a NaN right-hand side passes every certificate comparison, so bad
-    # numbers are stopped before they reach HiGHS; only bounds may be infinite
-    p = matrix_lp("min", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
-                  [[1.0, 0.0]], [1.0], [[1.0, 1.0]], [1.0])
-    array = getattr(p, block).copy()
-    (array.data if block.startswith("a_") else array)[0] = value
-    message = "bound is NaN" if block in ("lower", "upper") else f"{block} holds"
+    # a NaN bound passes every certificate comparison, so bad numbers are
+    # stopped before they reach HiGHS; only a bound may be infinite, and
+    # only on its own side (an equality row at -inf has an upper bound -inf)
+    args = {"objective": [1.0, 1.0], "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+            "a_ub": [[1.0, 0.0]], "b_ub": [1.0], "a_eq": [[1.0, 1.0]], "b_eq": [1.0]}
+    args[block] = np.array(args[block], dtype=float)
+    args[block].flat[0] = value
+    message = {"objective": "objective holds", "a_ub": "a holds", "a_eq": "a holds",
+               "b_ub": "row bound is NaN", "b_eq": "row bound is NaN",
+               "lower": "variable bound is NaN", "upper": "variable bound is NaN"}[block]
     with pytest.raises(ValueError, match=message):
-        lp.solve_lp(dataclasses.replace(p, **{block: array}))
+        lp.solve_lp(matrix_lp("min", **args))
 
 
 def _working(*flags):
-    """A cold start from the rows of ``a_ub`` flagged True."""
+    """A cold start from the rows of ``a`` flagged True."""
     return lp.Basis(np.array(flags, dtype=bool))
 
 
@@ -381,7 +398,7 @@ def test_random_lazy_rows_match_vertex_enumeration(rng):
     for _ in range(25):
         p = random_bounded_lp(rng)
         _, best = enumerate_vertices(p)
-        sol = lp.solve_lp(p, lp.Basis(rng.random(p.b_ub.size) >= 0.7))
+        sol = lp.solve_lp(p, lp.Basis(rng.random(p.row_upper.size) >= 0.7))
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(best, abs=1e-6)
         grown += sol.rounds > 1
@@ -390,12 +407,17 @@ def test_random_lazy_rows_match_vertex_enumeration(rng):
 
 def _linprog_on_working_rows(problem, sol):
     """scipy's ``linprog(method="highs")`` as a reference: the same LP with
-    the working rows ``solve_lp`` ended with; returns (x, objective)."""
+    the working rows ``solve_lp`` ended with, a row with equal bounds as an
+    ``A_eq`` row and each other finite row bound as an ``A_ub`` row;
+    returns (x, objective)."""
     sign = -1.0 if problem.sense == "max" else 1.0
     rows = np.flatnonzero(sol.basis.working)
+    a, lo, hi = problem.a[rows], problem.row_lower[rows], problem.row_upper[rows]
+    eq = lo == hi
+    below, above = ~eq & np.isfinite(hi), ~eq & np.isfinite(lo)
     res = scipy.optimize.linprog(
-        sign * problem.objective, A_ub=problem.a_ub[rows], b_ub=problem.b_ub[rows],
-        A_eq=problem.a_eq, b_eq=problem.b_eq,
+        sign * problem.objective, A_ub=scipy.sparse.vstack([a[below], -a[above]]),
+        b_ub=np.concatenate([hi[below], -lo[above]]), A_eq=a[eq], b_eq=lo[eq],
         bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
     assert res.status == 0, res.message
     return res.x, sign * res.fun
@@ -432,16 +454,13 @@ def test_same_answers_as_linprog_on_case118(net118, monkeypatch):
         problem = _attack_118(net118, target, budget)
         solved.append((problem, lp.solve_lp(problem)))
 
-    # a cold solve takes linprog's path exactly; a warm one may end at the
-    # same vertex by other pivots, so it agrees up to roundoff
-    for k, (problem, sol) in enumerate(solved):
+    # a warm solve may end at the same vertex by other pivots, and linprog,
+    # which has no two-sided row, gets each attack row as a <= pair: every
+    # answer agrees up to roundoff
+    for problem, sol in solved:
         x, objective = _linprog_on_working_rows(problem, sol)
-        if k < 2:
-            assert np.abs(sol.values - x).max() <= 1e-9
-            assert sol.objective_value == pytest.approx(objective, abs=lp.FEASIBILITY_TOL)
-        else:
-            assert np.array_equal(sol.values, x)
-            assert sol.objective_value == objective
+        assert np.abs(sol.values - x).max() <= 1e-9
+        assert sol.objective_value == pytest.approx(objective, abs=lp.FEASIBILITY_TOL)
 
 
 def test_solution_carries_solver_statistics(net118):

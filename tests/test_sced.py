@@ -167,7 +167,7 @@ def test_failed_base_dispatch_is_not_memoised():
         assert "base_dispatch" not in small.operators
     run_sced(small, small.load_mw * 0.5, soft_limits=True)
     assert "base_dispatch" not in small.operators
-    assert not small.operators["sced"].limit_rows.data.flags.writeable
+    assert not small.operators["sced"].rows.data.flags.writeable
 
 
 def test_loads_shape_checked(net3):
