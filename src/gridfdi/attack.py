@@ -61,6 +61,12 @@ class AttackSpec:
             raise ContractError("base_flows length does not match in-service branches")
         if np.asarray(self.base_loads).shape != (net.n_bus,):
             raise ContractError("base_loads length does not match bus count")
+        negative = net.load_bus_mask & (np.asarray(self.base_loads) < 0.0)
+        if self.load_shift_factor > 0.0 and np.any(negative):
+            bus = int(np.argmax(negative))
+            raise ValueError(f"bus {net.buses[bus].external_id} has base load"
+                             f" {self.base_loads[bus]:g} MW; a load shift needs a"
+                             " nonnegative load at every load bus")
         if self.target_flow(net) == 0.0:  # also raises if out of service
             raise ValueError(f"target branch {self.target_branch} has zero base"
                              " flow, so the attack has no direction")

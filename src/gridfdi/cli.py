@@ -23,76 +23,135 @@ from . import bundled_case
 from .attack import AttackSpec, solve_attack
 from .cases import CaseError, load_case
 from .detect import DEAD_BAND, TOP_N, ConfigError, Snapshot, run_two_stage
-from .harness import (
-    AttackParams,
-    FluctuationSpec,
-    NetworkCache,
-    ScenarioConfig,
-    outage_robustness_suite,
-    study_118_suite,
-    run_experiment,
-)
+from .harness import (AttackParams, FluctuationSpec, NetworkCache, ScenarioConfig,
+                      outage_robustness_suite, run_experiment, study_118_suite)
 from .powerflow import compute_ptdf
 from .sced import DispatchError, run_sced
 
 
 @contextmanager
-def _reading(source: str):
-    """End the run with one line naming ``source`` when reading that input
-    fails: a missing or unreadable file, text that is not JSON, or a case
-    that does not load."""
+def _one_line(source: str):
+    """End the run with one line naming ``source`` when that input is refused:
+    a file that is missing or not JSON, JSON not of the declared kinds, a case
+    that does not load, or a value the library refuses."""
     try:
         yield
     except OSError as exc:
         raise SystemExit(f"{source}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise SystemExit(f"{source}: not JSON: {exc}")
-    except CaseError as exc:
+    except (CaseError, ConfigError, DispatchError, ValueError) as exc:
         raise SystemExit(f"{source}: {exc}")
 
 
-@contextmanager
-def _fields(source: str):
-    """End the run with one line naming ``source`` when JSON that parsed
-    lacks a key or has the wrong shape for the records read from it."""
-    try:
-        yield
-    except KeyError as exc:
-        raise SystemExit(f"{source}: missing key {exc}")
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise SystemExit(f"{source}: wrong shape: {exc}")
-
-
-@contextmanager
-def _refused(command: str):
-    """End the run with one line naming ``command`` when the library refuses
-    its input: loads the dispatch cannot serve, a target branch that is not
-    in service, an attack setting out of range."""
-    try:
-        yield
-    except (DispatchError, CaseError, ValueError) as exc:
-        raise SystemExit(f"{command}: {exc}")
-
-
-def _path(value) -> str:
-    """A case path read from JSON; a number would open a file descriptor."""
-    if not isinstance(value, str):
-        raise TypeError(f"case must be a path string, got {value!r}")
-    return value
-
-
-def _outages(value) -> tuple:
-    """Outage ordinals read from JSON: a string would be read digit by digit.
-    Numbers that name no branch are left to the case validation."""
-    if not isinstance(value, list) or any(
-            isinstance(k, bool) or not isinstance(k, (int, float)) for k in value):
-        raise TypeError(f"outages must be a list of branch ordinals, got {value!r}")
-    return tuple(value)
-
-
-def _read_json(path: str, flag: str):
-    with _reading(f"{flag} {path}"), open(path) as fh:
+def _read_json(path: str):
+    with open(path) as fh:
         return json.load(fh)
+
+
+# The JSON reader.  A kind reads the value found at ``where``, a key path
+# such as ``scenarios[3].attack.l1_limit``, and returns it typed, or raises
+# a ValueError that names ``where``.
+
+def _expect(ok: bool, where: str, what: str) -> None:
+    if not ok:
+        raise ValueError(f"{where}: {what}" if where else what)
+
+
+def _number(value, where: str) -> float:
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), where,
+            f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    """An integer; an integral float such as ``71.0`` reads as 71."""
+    _expect(isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer(), where,
+            f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _instance(cls, kind: str):
+    def read(value, where: str):
+        _expect(isinstance(value, cls), where, f"expected {kind}, got {value!r}")
+        return value
+    return read
+
+
+_string, _mapping = _instance(str, "a string"), _instance(dict, "an object")
+
+
+def _list(kind):
+    def read(value, where: str) -> tuple:
+        _expect(isinstance(value, list), where, f"expected a list, got {value!r}")
+        return tuple(kind(entry, f"{where}[{k}]") for k, entry in enumerate(value))
+    return read
+
+
+def _nullable(kind):
+    return lambda value, where: None if value is None else kind(value, where)
+
+
+def _object(required: dict, optional: dict = {}, build=dict):
+    """An object read into ``build(**values)``: ``required`` and ``optional``
+    map each key to its kind, and any other key is refused."""
+    kinds = {**required, **optional}
+
+    def read(value, where: str):
+        for key in _mapping(value, where):
+            _expect(key in kinds, where, f"unknown key {key!r}")
+        values = {key: kinds[key](entry, f"{where}.{key}" if where else key)
+                  for key, entry in value.items()}
+        for key in required:
+            _expect(key in value, where, f"missing key {key!r}")
+        return build(**values)
+    return read
+
+
+def _fixed(key: str, setting):
+    """A detector setting that older files carry: only its fixed value reads."""
+    def read(value, where: str):
+        if value != setting:
+            raise ValueError(f"{where} = {value!r} is not supported;"
+                             f" the detector runs with {key} = {setting}")
+    return read
+
+
+def _seed(value, where: str):
+    return (_list(_integer) if isinstance(value, list) else _integer)(value, where)
+
+
+def _scenario(case, attack=None, top_n=None, dead_band=None, **fields):
+    return ScenarioConfig(case_path=case, attack_params=attack, **fields)
+
+
+_DETECTOR = {key: _fixed(key, value) for key, value in (("top_n", TOP_N),
+                                                        ("dead_band", DEAD_BAND))}
+_SERIES = ("prev_flows", "prev_loads", "measured_flows", "measured_loads", "sced_flows")
+_SNAPSHOT = _object({"case": _string, **dict.fromkeys(_SERIES, _list(_number))},
+                    {"outages": _list(_integer), **_DETECTOR})
+# noise_sigma's keys and values, and the mode, are the library's to check.
+_SCENARIO = _object({"case": _string, "mode": _string, "seed": _seed}, {
+    "outages": _list(_integer),
+    "fluctuation": _nullable(_object({"mu": _number, "sigma": _number},
+                                     build=FluctuationSpec)),
+    "attack": _nullable(_object({"target_branch": _integer,
+                                 "load_shift_factor": _number,
+                                 "l1_limit": _number}, build=AttackParams)),
+    "noise_sigma": _mapping, "group": _string, "index": _integer, **_DETECTOR,
+}, build=_scenario)
+
+
+def _read_suite(data) -> list[ScenarioConfig]:
+    """The scenarios of a suite; each writes its report under its own index."""
+    suite = _object({"scenarios": _list(_SCENARIO)})(data, "")["scenarios"]
+    first = {}
+    for k, config in enumerate(suite):
+        if (j := first.setdefault(config.index, k)) != k:
+            raise ValueError(f"scenarios[{j}] and scenarios[{k}] both have"
+                             f" index {config.index}")
+    return list(suite)
 
 
 def _parse_outages(text: str | None) -> tuple[int, ...]:
@@ -107,56 +166,34 @@ def _parse_outages(text: str | None) -> tuple[int, ...]:
 def _case_network(args):
     """The ``--case`` network with the ``--outage`` branches out of service."""
     outages = _parse_outages(args.outage)
-    with _reading(f"--case {args.case}"):
+    with _one_line(f"--case {args.case}"):
         return load_case(args.case, outages)
 
 
 def _load_loads(net, path: str | None) -> np.ndarray:
+    """The ``--loads`` file: a list in bus order or an object by bus id."""
     if path is None:
         return net.load_mw
-    data = _read_json(path, "--loads")
-    with _fields(f"--loads {path}"):
+    with _one_line(f"--loads {path}"):
+        data = _read_json(path)
         if isinstance(data, dict):
-            loads = np.zeros(net.n_bus)
-            ext = {b.external_id: i for i, b in enumerate(net.buses)}
+            position = {b.external_id: k for k, b in enumerate(net.buses)}
+            by_bus = [0.0] * net.n_bus
             for key, mw in data.items():
-                bus = ext.get(int(key)) if key.isdigit() else None
-                if bus is None:
-                    raise SystemExit(f"loads file names bus {key}, which is not in the case")
-                loads[bus] = _number(key, mw)
-        else:
-            if isinstance(data, list):
-                for bus, mw in zip(net.buses, data):
-                    _number(bus.external_id, mw)
-            loads = np.asarray(data, dtype=float)
-    if loads.shape != (net.n_bus,):
-        raise SystemExit(
-            f"loads file has {loads.shape} entries, case has {net.n_bus} buses"
-        )
-    bad = ~np.isfinite(loads)
-    if np.any(bad):
-        bus = net.buses[np.argmax(bad)].external_id
-        raise SystemExit(f"loads file gives bus {bus} a non-finite load")
+                if not key.isdigit() or int(key) not in position:
+                    raise ValueError(f"bus {key} is not in the case")
+                by_bus[position[int(key)]] = mw
+            data = by_bus
+        _expect(isinstance(data, list), "", f"expected a list or an object, got {data!r}")
+        loads = np.array([_number(mw, f"bus {b.external_id}")
+                          for b, mw in zip(net.buses, data)])
+        if len(data) != net.n_bus:
+            raise ValueError(f"has {len(data)} loads, the case has {net.n_bus} buses")
+        bad = ~np.isfinite(loads)
+        if np.any(bad):
+            raise ValueError(f"gives bus {net.buses[np.argmax(bad)].external_id}"
+                             " a non-finite load")
     return loads
-
-
-def _number(bus, mw) -> float:
-    """One bus load from a loads file; ``float`` would also take a bool or
-    a numeric string."""
-    if isinstance(mw, (bool, str)):
-        raise TypeError(f"bus {bus} has load {mw!r}, not a number")
-    return float(mw)
-
-
-def _check_detector_settings(data: dict, source: str) -> None:
-    """Files may carry the detector settings, which are fixed; refuse any
-    other value rather than run with a setting the file did not ask for."""
-    for key, fixed in (("top_n", TOP_N), ("dead_band", DEAD_BAND)):
-        if key in data and data[key] != fixed:
-            raise SystemExit(
-                f"{source}: {key} = {data[key]!r} is not supported;"
-                f" the detector runs with {key} = {fixed}"
-            )
 
 
 def _plain(obj):
@@ -218,7 +255,7 @@ def _cmd_ptdf(args):
 def _cmd_sced(args):
     net = _case_network(args)
     loads = _load_loads(net, args.loads)
-    with _refused("sced"):
+    with _one_line("sced"):
         dispatch = run_sced(net, loads)
     payload = {
         "case": str(args.case),
@@ -235,15 +272,11 @@ def _cmd_sced(args):
 def _cmd_attack(args):
     net = _case_network(args)
     loads = _load_loads(net, args.loads)
-    with _refused("attack"):
+    with _one_line("attack"):
         base = run_sced(net, loads)
-        spec = AttackSpec(
-            target_branch=args.target,
-            load_shift_factor=args.ls,
-            l1_limit=args.n1,
-            base_flows=base.scheduled_flows,
-            base_loads=loads,
-        )
+        spec = AttackSpec(target_branch=args.target, load_shift_factor=args.ls,
+                          l1_limit=args.n1, base_flows=base.scheduled_flows,
+                          base_loads=loads)
         result = solve_attack(net, spec)
     payload = {
         "case": str(args.case),
@@ -266,26 +299,17 @@ def _cmd_attack(args):
 
 
 def _cmd_detect(args):
-    data = _read_json(args.snapshot, "--snapshot")
-    with _fields(args.snapshot):
-        _check_detector_settings(data, args.snapshot)
-        case, outages = _path(data["case"]), _outages(data.get("outages", []))
-    with _reading(f"{args.snapshot}: case {case}"):
-        net = load_case(case, outages)
-    ptdf = compute_ptdf(net)
-    with _fields(args.snapshot):
-        snap = Snapshot(
-            **{key: np.asarray(data[key], dtype=float) for key in (
-                "prev_flows", "prev_loads", "measured_flows", "measured_loads",
-                "sced_flows")},
-            limits=net.limits_pu,
-            ptdf=ptdf,
-            branch_ordinals=np.array([b.ordinal for b in net.in_service_branches]),
-        )
-    try:
+    source = f"--snapshot {args.snapshot}"
+    with _one_line(source):
+        data = _SNAPSHOT(_read_json(args.snapshot), "")
+    with _one_line(f"{source}: case {data['case']}"):
+        net = load_case(data["case"], data.get("outages", ()))
+    with _one_line(source):
+        snap = Snapshot(**{key: np.array(data[key]) for key in _SERIES},
+                        limits=net.limits_pu, ptdf=compute_ptdf(net),
+                        branch_ordinals=np.array(
+                            [b.ordinal for b in net.in_service_branches]))
         payload = _plain(run_two_stage(snap))
-    except ConfigError as exc:
-        raise SystemExit(f"{args.snapshot}: {exc}")
     payload["assumptions"] = _assumptions(net)
     _write_json(args.out, payload)
 
@@ -298,31 +322,6 @@ def _config_to_dict(c: ScenarioConfig) -> dict:
     return {_SUITE_KEYS.get(key, key): value for key, value in _plain(c).items()}
 
 
-def _config_from_dict(d: dict, source: str) -> ScenarioConfig:
-    with _fields(source):
-        _check_detector_settings(d, source)
-        fluct = d.get("fluctuation")
-        att = d.get("attack")
-        seed = d["seed"]
-        return ScenarioConfig(
-            case_path=_path(d["case"]),
-            mode=d["mode"],
-            seed=tuple(seed) if isinstance(seed, list) else seed,
-            outages=_outages(d.get("outages", [])),
-            fluctuation=None if fluct is None else FluctuationSpec(
-                mu=float(fluct["mu"]), sigma=float(fluct["sigma"])
-            ),
-            attack_params=None if att is None else AttackParams(
-                target_branch=int(att["target_branch"]),
-                load_shift_factor=float(att["load_shift_factor"]),
-                l1_limit=float(att["l1_limit"]),
-            ),
-            noise_sigma=dict(d.get("noise_sigma", {})),
-            group=d.get("group", ""),
-            index=int(d.get("index", 0)),
-        )
-
-
 def _cmd_gen_scenarios(args):
     case = args.case or bundled_case()
     if args.outage:
@@ -333,10 +332,8 @@ def _cmd_gen_scenarios(args):
 
 
 def _cmd_run_experiment(args):
-    data = _read_json(args.suite, "--suite")
-    with _fields(args.suite):
-        suite = [_config_from_dict(d, f"{args.suite}: scenarios[{k}]")
-                 for k, d in enumerate(data["scenarios"])]
+    with _one_line(f"--suite {args.suite}"):
+        suite = _read_suite(_read_json(args.suite))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache = NetworkCache()
@@ -356,22 +353,12 @@ def _cmd_run_experiment(args):
 
     with open(out_dir / "aggregate.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([
-            "group", "max", "min", "median", "average", "std",
-            "detected", "identified", "danger_marked",
-        ])
+        writer.writerow(["group", "max", "min", "median", "average", "std",
+                         "detected", "identified", "danger_marked"])
         for g in report.groups:
-            writer.writerow([
-                g.group,
-                f"{100 * g.smldi_max:.1f}",
-                f"{100 * g.smldi_min:.1f}",
-                f"{100 * g.smldi_median:.1f}",
-                f"{100 * g.smldi_average:.1f}",
-                f"{100 * g.smldi_std:.1f}",
-                g.detected,
-                g.identified,
-                g.danger_marked,
-            ])
+            smldi = (g.smldi_max, g.smldi_min, g.smldi_median, g.smldi_average, g.smldi_std)
+            writer.writerow([g.group, *(f"{100 * v:.1f}" for v in smldi),
+                             g.detected, g.identified, g.danger_marked])
     failed = sum(o.error is not None for o in report.outcomes)
     print(f"wrote {out_dir}/aggregate.csv and {len(report.outcomes)} scenario reports;"
           f" {failed} failed")
@@ -388,28 +375,25 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ptdf", help="dump sensitivity matrix and critical sets")
-    p.add_argument("--case", default=bundled_case())
-    p.add_argument("--outage", help="comma-separated 1-based branch ordinals")
-    p.add_argument("--out", required=True)
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--case", default=bundled_case())
+    network.add_argument("--outage", help="comma-separated 1-based branch ordinals")
+    network.add_argument("--out", required=True)
+
+    p = sub.add_parser("ptdf", parents=[network],
+                       help="dump sensitivity matrix and critical sets")
     p.set_defaults(func=_cmd_ptdf)
 
-    p = sub.add_parser("sced", help="run economic dispatch")
-    p.add_argument("--case", default=bundled_case())
-    p.add_argument("--outage")
+    p = sub.add_parser("sced", parents=[network], help="run economic dispatch")
     p.add_argument("--loads", help="JSON array (bus order) or {bus_id: MW}")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sced)
 
-    p = sub.add_parser("attack", help="solve the tampering LP for one target")
-    p.add_argument("--case", default=bundled_case())
-    p.add_argument("--outage")
-    p.add_argument("--target", type=int, required=True,
-                   help="1-based branch ordinal")
+    p = sub.add_parser("attack", parents=[network],
+                       help="solve the tampering LP for one target")
+    p.add_argument("--target", type=int, required=True, help="1-based branch ordinal")
     p.add_argument("--ls", type=float, required=True, help="load shift factor")
     p.add_argument("--n1", type=float, required=True, help="l1 budget (rad)")
     p.add_argument("--loads")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("detect", help="run the two-stage detector on a snapshot")

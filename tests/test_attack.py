@@ -194,6 +194,8 @@ def test_spec_validation(net3):
         AttackSpec(1, 0.1, -1.0, flows, loads).validate(net3)
     with pytest.raises(ContractError):
         AttackSpec(1, 0.1, 1.0, flows[:2], loads).validate(net3)
+    with pytest.raises(ValueError, match="bus 3 has base load -10 MW"):
+        AttackSpec(1, 0.1, 1.0, flows, np.array([0.0, 90.0, -10.0])).validate(net3)
 
 
 def test_zero_base_flow_target_rejected(net3):

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import gridfdi
-from gridfdi.cli import main
+from gridfdi.cli import _config_to_dict, _read_suite, main
 from gridfdi.harness import (
     AttackParams,
     NetworkCache,
     ScenarioConfig,
+    outage_robustness_suite,
     run_timeline,
+    study_118_suite,
 )
 from gridfdi.powerflow import MIN_CRITICAL_SET
 from gridfdi.sced import base_dispatch
@@ -178,8 +180,8 @@ def test_gen_scenarios_outage_grid(case118_path, tmp_path):
     ('{"2": NaN, "3": 20.0}', "bus 2 a non-finite load"),
     ("[0.0, 40.0, NaN]", "bus 3 a non-finite load"),
     # float() takes a bool or a numeric string; the file is refused instead
-    ({"2": True, "3": "20"}, "bus 2 has load True, not a number"),
-    ([0.0, "20", True], "bus 2 has load '20', not a number"),
+    ({"2": True, "3": "20"}, "bus 2: expected a number, got True"),
+    ([0.0, "20", True], "bus 2: expected a number, got '20'"),
 ])
 def test_loads_file_rejected(case3_path, tmp_path, command, loads, message):
     path = tmp_path / "loads.json"
@@ -281,7 +283,8 @@ NO_SUCH_FILE = "No such file or directory"
 @pytest.mark.parametrize("args, message", [
     ("detect --snapshot {missing}", "--snapshot {missing}: " + NO_SUCH_FILE),
     ("detect --snapshot {text}", "--snapshot {text}: not JSON: Expecting value"),
-    ("detect --snapshot {snapshot}", "{snapshot}: case {missing_case}: " + NO_SUCH_FILE),
+    ("detect --snapshot {snapshot}",
+     "--snapshot {snapshot}: case {missing_case}: " + NO_SUCH_FILE),
     ("run-experiment --suite {missing}", "--suite {missing}: " + NO_SUCH_FILE),
     ("run-experiment --suite {text}", "--suite {text}: not JSON: Expecting value"),
     ("sced --loads {missing}", "--loads {missing}: " + NO_SUCH_FILE),
@@ -290,27 +293,33 @@ NO_SUCH_FILE = "No such file or directory"
     ("ptdf --outage 7x", "--outage 7x: expected comma-separated branch ordinals"),
     ("attack --outage 9999 --target 118 --ls 0.1 --n1 5",
      "--case {case}: outage ordinals out of range 1..186: [9999]"),
-    ("detect --snapshot {object}", "{object}: missing key 'case'"),
-    ("detect --snapshot {array}", "{array}: wrong shape: "),
-    ("detect --snapshot {short}", "{short}: wrong shape: prev_flows must have one"
+    ("detect --snapshot {object}", "--snapshot {object}: missing key 'case'"),
+    ("detect --snapshot {array}", "--snapshot {array}: expected an object, got []"),
+    ("detect --snapshot {short}", "--snapshot {short}: prev_flows must have one"
      " entry per in-service branch"),
-    ("run-experiment --suite {object}", "{object}: missing key 'scenarios'"),
+    ("run-experiment --suite {object}", "--suite {object}: missing key 'scenarios'"),
     ("detect --snapshot {numeric_case}",
-     "{numeric_case}: wrong shape: case must be a path string, got 0"),
+     "--snapshot {numeric_case}: case: expected a string, got 0"),
     ("detect --snapshot {fractional_outage}",
-     "{fractional_outage}: case {case}: outage ordinals out of range 1..186: [1.5]"),
-    ("run-experiment --suite {no_seed}", "{no_seed}: scenarios[1]: missing key 'seed'"),
-    ("detect --snapshot {string_outage}", "{string_outage}: wrong shape: outages must be"
-     " a list of branch ordinals, got '71'"),
-    ("run-experiment --suite {mixed_outages}", "{mixed_outages}: scenarios[1]: wrong"
-     " shape: outages must be a list of branch ordinals, got ['71', 9999]"),
-    ("detect --snapshot {boolean_outage}", "{boolean_outage}: wrong shape: outages must"
-     " be a list of branch ordinals, got [True]"),
-    ("sced --loads {nested_load}", "--loads {nested_load}: wrong shape: "),
-    ("sced --loads {string_array}", "--loads {string_array}: wrong shape: "),
-    ("sced --loads {string_loads}", "--loads {string_loads}: wrong shape: "),
-    ("sced --loads {word_load}", "--loads {word_load}: wrong shape: "),
-    ("sced --loads {null_load}", "--loads {null_load}: wrong shape: "),
+     "--snapshot {fractional_outage}: outages[0]: expected an integer, got 1.5"),
+    ("run-experiment --suite {no_seed}",
+     "--suite {no_seed}: scenarios[1]: missing key 'seed'"),
+    ("detect --snapshot {string_outage}",
+     "--snapshot {string_outage}: outages: expected a list, got '71'"),
+    ("run-experiment --suite {mixed_outages}", "--suite {mixed_outages}: scenarios[1]"
+     ".outages[0]: expected an integer, got '71'"),
+    ("detect --snapshot {boolean_outage}",
+     "--snapshot {boolean_outage}: outages[0]: expected an integer, got True"),
+    ("sced --loads {nested_load}", "--loads {nested_load}: bus 1: expected a number,"
+     " got [1]"),
+    ("sced --loads {string_array}", "--loads {string_array}: bus 1: expected a number,"
+     " got 'a'"),
+    ("sced --loads {string_loads}", "--loads {string_loads}: expected a list or an"
+     " object, got 'text'"),
+    ("sced --loads {word_load}", "--loads {word_load}: bus 1: expected a number,"
+     " got 'x'"),
+    ("sced --loads {null_load}", "--loads {null_load}: bus 1: expected a number,"
+     " got None"),
     ("sced --loads {overload}", "sced: dispatch infeasible for load 5302.5 MW;"
      " binding: 111, 118"),
     ("attack --loads {overload} --target 118 --ls 0.1 --n1 5",
@@ -326,6 +335,30 @@ NO_SUCH_FILE = "No such file or directory"
      " and finite, got nan"),
     ("attack --target 118 --ls 0.1 --n1 inf", "attack: l1 budget must be nonnegative"
      " and finite, got inf"),
+    ("run-experiment --suite {boolean_target}", "--suite {boolean_target}: scenarios[1]"
+     ".attack.target_branch: expected an integer, got True"),
+    ("run-experiment --suite {fractional_target}", "--suite {fractional_target}:"
+     " scenarios[1].attack.target_branch: expected an integer, got 118.7"),
+    ("run-experiment --suite {string_target}", "--suite {string_target}: scenarios[1]"
+     ".attack.target_branch: expected an integer, got '118'"),
+    ("run-experiment --suite {boolean_sigma}", "--suite {boolean_sigma}: scenarios[1]"
+     ".fluctuation.sigma: expected a number, got True"),
+    ("run-experiment --suite {string_mu}", "--suite {string_mu}: scenarios[1]"
+     ".fluctuation.mu: expected a number, got '0.0'"),
+    ("run-experiment --suite {fractional_index}", "--suite {fractional_index}:"
+     " scenarios[1].index: expected an integer, got 2.9"),
+    ("run-experiment --suite {misspelt_key}", "--suite {misspelt_key}: scenarios[1]:"
+     " unknown key 'fluctuaton'"),
+    ("run-experiment --suite {duplicate_index}", "--suite {duplicate_index}:"
+     " scenarios[0] and scenarios[1] both have index 0"),
+    ("detect --snapshot {misspelt_outages}",
+     "--snapshot {misspelt_outages}: unknown key 'outage'"),
+    ("detect --snapshot {string_series}",
+     "--snapshot {string_series}: measured_flows[1]: expected a number, got '0.5'"),
+    ("detect --snapshot {boolean_series}",
+     "--snapshot {boolean_series}: prev_loads[0]: expected a number, got True"),
+    ("attack --case {case3} --loads {negative_load} --target 1 --ls 0.1 --n1 1",
+     "attack: bus 3 has base load -10 MW; a load shift needs a nonnegative load"),
 ], ids=["snapshot-missing", "snapshot-not-json", "snapshot-case-missing",
         "suite-missing", "suite-not-json", "loads-missing", "loads-not-json",
         "case-missing", "outage-not-a-number", "outage-out-of-range",
@@ -336,24 +369,37 @@ NO_SUCH_FILE = "No such file or directory"
         "loads-string", "loads-word-value", "loads-null-value", "sced-unservable-loads",
         "attack-unservable-loads", "attack-target-not-in-service",
         "attack-shift-above-one", "attack-shift-nan", "attack-negative-budget",
-        "attack-budget-nan", "attack-budget-inf"])
-def test_input_errors_end_in_one_line(case118_path, net118, tmp_path, args, message):
+        "attack-budget-nan", "attack-budget-inf", "scenario-boolean-target",
+        "scenario-fractional-target", "scenario-string-target", "scenario-boolean-sigma",
+        "scenario-string-mu", "scenario-fractional-index", "scenario-misspelt-key",
+        "scenario-duplicate-index", "snapshot-misspelt-outages", "snapshot-string-series",
+        "snapshot-boolean-series", "attack-negative-load"])
+def test_input_errors_end_in_one_line(case3_path, case118_path, net118, tmp_path, args,
+                                      message):
     paths = {name: tmp_path / f"{name}.json" for name in (
         "missing", "text", "snapshot", "object", "array", "short", "numeric_case",
         "fractional_outage", "no_seed", "string_outage", "mixed_outages",
         "boolean_outage", "nested_load", "string_array", "string_loads", "word_load",
-        "null_load", "overload")}
-    paths.update(case=case118_path, missing_case=tmp_path / "missing.m")
+        "null_load", "overload", "boolean_target", "fractional_target",
+        "string_target", "boolean_sigma", "string_mu", "fractional_index",
+        "misspelt_key", "duplicate_index", "misspelt_outages", "string_series",
+        "boolean_series", "negative_load")}
+    paths.update(case=case118_path, case3=case3_path, missing_case=tmp_path / "missing.m")
+    series = {key: [1.0] for key in ("prev_flows", "prev_loads", "measured_flows",
+                                     "measured_loads", "sced_flows")}
     paths["text"].write_text("not json\n")
-    paths["snapshot"].write_text(json.dumps({"case": str(paths["missing_case"])}))
+    # a complete snapshot, so that reading reaches its case
+    paths["snapshot"].write_text(json.dumps({"case": str(paths["missing_case"]), **series}))
     paths["object"].write_text("{}")
     paths["array"].write_text("[]")
     paths["numeric_case"].write_text(json.dumps({"case": 0}))
     paths["fractional_outage"].write_text(
         json.dumps({"case": str(case118_path), "outages": [1.5]}))
-    paths["short"].write_text(json.dumps({"case": str(case118_path), **{
-        key: [1.0] for key in ("prev_flows", "prev_loads", "measured_flows",
-                               "measured_loads", "sced_flows")}}))
+    paths["short"].write_text(json.dumps({"case": str(case118_path), **series}))
+    for name, extra in (("misspelt_outages", {"outage": [71]}),
+                        ("string_series", {"measured_flows": [1.0, "0.5"]}),
+                        ("boolean_series", {"prev_loads": [True]})):
+        paths[name].write_text(json.dumps({"case": str(case118_path), **series, **extra}))
     scenario = {"case": str(case118_path), "mode": "fluctuation_only", "seed": 1}
     paths["no_seed"].write_text(json.dumps({"scenarios": [
         scenario, {key: scenario[key] for key in ("case", "mode")}]}))
@@ -362,9 +408,21 @@ def test_input_errors_end_in_one_line(case118_path, net118, tmp_path, args, mess
         paths[name].write_text(json.dumps({"case": str(case118_path), "outages": outages}))
     paths["mixed_outages"].write_text(json.dumps({"scenarios": [
         scenario, {**scenario, "outages": ["71", 9999]}]}))
+    attack = {"target_branch": 118, "load_shift_factor": 0.1, "l1_limit": 5.0}
+    for name, change in (
+            ("boolean_target", {"attack": {**attack, "target_branch": True}}),
+            ("fractional_target", {"attack": {**attack, "target_branch": 118.7}}),
+            ("string_target", {"attack": {**attack, "target_branch": "118"}}),
+            ("boolean_sigma", {"fluctuation": {"mu": 0.0, "sigma": True}}),
+            ("string_mu", {"fluctuation": {"mu": "0.0", "sigma": 0.03}}),
+            ("fractional_index", {"index": 2.9}),
+            ("misspelt_key", {"fluctuaton": {"mu": 0.0, "sigma": 0.03}}),
+            ("duplicate_index", {})):
+        paths[name].write_text(json.dumps({"scenarios": [
+            scenario, {**scenario, "mode": "attack", **change}]}))
     for name, loads in (("nested_load", {"1": [1]}), ("string_array", ["a", 1]),
                         ("string_loads", "text"), ("word_load", {"1": "x"}),
-                        ("null_load", {"1": None}),
+                        ("null_load", {"1": None}), ("negative_load", [0.0, 90.0, -10.0]),
                         ("overload", (net118.load_mw * 1.25).tolist())):
         paths[name].write_text(json.dumps(loads))
     out = tmp_path / "out"
@@ -392,9 +450,12 @@ def test_suite_on_a_missing_case_fails_its_scenarios(tmp_path):
 def test_run_experiment_counts_failures_and_exits_1(case118_path, tmp_path):
     suite_file = tmp_path / "suite.json"
     main(["gen-scenarios", "--case", str(case118_path), "--out", str(suite_file)])
-    ok, bad = _read(suite_file)["scenarios"][:2]
+    scenarios = _read(suite_file)["scenarios"]
+    ok, bad, negative = scenarios[0], scenarios[1], scenarios[80]
     bad["noise_sigma"] = {"flows": 0.01}
-    suite_file.write_text(json.dumps({"scenarios": [ok, bad]}))
+    # loads drawn below zero leave the attack no load shift bound
+    negative["fluctuation"] = {"mu": -1.5, "sigma": 0.03}
+    suite_file.write_text(json.dumps({"scenarios": [ok, bad, negative]}))
     out_dir = tmp_path / "results"
     env = {**os.environ, "PYTHONPATH": str(Path(gridfdi.__file__).parents[1])}
     done = subprocess.run(
@@ -403,10 +464,19 @@ def test_run_experiment_counts_failures_and_exits_1(case118_path, tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 1
-    assert done.stdout.rstrip().endswith("; 1 failed")
-    assert done.stderr.startswith("1 of 2 scenarios failed")
+    assert done.stdout.rstrip().endswith("; 2 failed")
+    assert done.stderr.startswith("2 of 3 scenarios failed")
     # every report is still written, the failure in its own
     assert _read(out_dir / "scenario_000.json")["error"] is None
     assert _read(out_dir / "scenario_001.json")["error"].startswith(
         "ValueError: noise_sigma['flows']")
-    assert [g["failures"] for g in _read(out_dir / "summary.json")["groups"]] == [1]
+    assert _read(out_dir / "scenario_080.json")["error"].startswith(
+        "ValueError: bus 1 has base load -")
+    assert [g["failures"] for g in _read(out_dir / "summary.json")["groups"]] == [1, 1]
+
+
+def test_suite_configs_round_trip(case118_path):
+    for suite in (study_118_suite(case118_path),
+                  outage_robustness_suite(case118_path, 71)):
+        text = json.dumps({"scenarios": [_config_to_dict(c) for c in suite]})
+        assert _read_suite(json.loads(text)) == suite
