@@ -222,7 +222,7 @@ def _assumptions(net) -> dict:
 
 
 def _dump(path, payload) -> None:
-    with open(path, "w") as fh:
+    with _one_line(f"--out {path}"), open(path, "w") as fh:
         json.dump(_plain(payload), fh, indent=1)
 
 
@@ -335,7 +335,8 @@ def _cmd_run_experiment(args):
     with _one_line(f"--suite {args.suite}"):
         suite = _read_suite(_read_json(args.suite))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _one_line(f"--out {out_dir}"):
+        out_dir.mkdir(parents=True, exist_ok=True)
     cache = NetworkCache()
     report = run_experiment(suite, cache)
 

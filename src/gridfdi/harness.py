@@ -28,7 +28,7 @@ from .estimation import (
     estimated_flows,
     wls_estimate,
 )
-from .powerflow import compute_ptdf, solve_dc
+from .powerflow import compute_ptdf
 from .sced import Dispatch, base_dispatch, run_sced
 
 FLUCTUATION_CUTOFF = 1.96   # clip standard-normal draws; 95% two-sided band
@@ -129,12 +129,6 @@ def _gen_by_bus(net: Network, dispatch: Dispatch) -> np.ndarray:
     return out
 
 
-def _balanced_flows(net: Network, gen_mw, loads_mw):
-    inj = (np.asarray(gen_mw) - np.asarray(loads_mw)) / net.base_mva
-    inj[net.reference_bus] -= inj.sum()
-    return solve_dc(net, inj).flows
-
-
 def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
     """Simulate one scenario and assemble the detector snapshot plus ground
     truth; deterministic for identical (config, seed)."""
@@ -157,7 +151,9 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
         )
     else:
         loads_true = loads_prev.copy()
-    true_flows_t0 = _balanced_flows(net, gen_prev, loads_true)
+    # The PTDF's reference column is zero, so it maps the unbalanced
+    # injections to the flows with the imbalance on the reference bus.
+    true_flows_t0 = ptdf.matrix @ ((gen_prev - loads_true) / net.base_mva)
     gen_metered = gen_prev.copy()
     gen_metered[net.reference_bus] += loads_true.sum() - gen_prev.sum()
 
@@ -190,7 +186,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
     gen_next = _gen_by_bus(net, dispatch_next)
 
     # Ground truth: the new dispatch against the *real* loads.
-    true_flows_next = _balanced_flows(net, gen_next, loads_true)
+    true_flows_next = ptdf.matrix @ ((gen_next - loads_true) / net.base_mva)
     limits = net.limits_pu
     violations_mw = (np.abs(true_flows_next) - limits) * net.base_mva
 

@@ -1,14 +1,15 @@
 """DC security-constrained economic dispatch.
 
 Minimizes linear generation cost subject to power balance, generator bounds
-and two-sided thermal limits on every in-service branch (flows via the
-network's cached PTDF).  Scheduled flows are what the detector later compares against.
+and one two-sided row per in-service branch that keeps its flow, taken
+through the network's cached PTDF, within the thermal limit.  Scheduled flows
+are what the detector later compares against.
 
-With ``soft_limits`` the branch constraints become elastic at a penalty price
-far above any generation cost, the way production dispatch engines keep
-running when a load pattern is not servable within ratings; violations then
-show up in the schedule and in ``Dispatch.violations_mw`` instead of an
-exception.
+With ``soft_limits`` each branch row becomes elastic, one violation variable
+per direction, at a penalty price far above any generation cost, the way
+production dispatch engines keep running when a load pattern is not servable
+within ratings; violations then show up in the schedule and in
+``Dispatch.violations_mw`` instead of an exception.
 
 Both modes generate their limit rows (Zhai, Guan, Cheng & Wu, "Fast
 identification of inactive security constraints in SCUC problems", IEEE
@@ -58,9 +59,9 @@ class Dispatch:
 
 @dataclass(frozen=True)
 class _Operators:
-    """The SCED LP's constants over [p, v] for one network, read-only:
-    generator buses, bounds and costs, and the rows, a +- limit pair per
-    in-service branch, ``+-PTDF_gen p - v_k``, then the balance row."""
+    """The SCED LP's constants over [p, v+, v-] for one network, read-only:
+    generator buses, bounds and costs, and the rows, one per in-service
+    branch, ``PTDF_gen p - v+_k + v-_k``, then the balance row."""
 
     gen_bus: np.ndarray
     p_min: np.ndarray        # p.u.
@@ -82,14 +83,14 @@ def _operators(net: Network) -> _Operators:
     base = net.base_mva
     ng, m = len(gens), ptdf.n_branches
     gen_bus = np.array([g.bus for g in gens], dtype=int)
-    sign = np.tile([1.0, -1.0], m)
-    limits = np.repeat(ptdf.matrix[:, gen_bus], 2, axis=0) * sign[:, None]
-    r, c = np.nonzero(limits)
+    sens = ptdf.matrix[:, gen_bus]
+    r, c = np.nonzero(sens)
+    branch = np.arange(m)
     rows = sparse.csr_array(
-        (np.concatenate([limits[r, c], -np.ones(2 * m), np.ones(ng)]),
-         (np.concatenate([r, np.arange(2 * m), np.full(ng, 2 * m)]),
-          np.concatenate([c, ng + np.repeat(np.arange(m), 2), np.arange(ng)]))),
-        shape=(2 * m + 1, ng + m),
+        (np.concatenate([sens[r, c], -np.ones(m), np.ones(m), np.ones(ng)]),
+         (np.concatenate([r, branch, branch, np.full(ng, m)]),
+          np.concatenate([c, ng + branch, ng + m + branch, np.arange(ng)]))),
+        shape=(m + 1, ng + 2 * m),
     )
     return _Operators(
         gen_bus=gen_bus,
@@ -101,23 +102,23 @@ def _operators(net: Network) -> _Operators:
 
 
 def _dispatch_lp(net, d_pu, soft):
-    """The SCED LP over [p, v]: the limit pairs, each capped at
-    ``limit +- PTDF d``, then the balance row.  The elastic ``v >= 0`` is
-    priced at ``VIOLATION_PENALTY``; without ``soft`` it is fixed at zero."""
+    """The SCED LP over [p, v+, v-]: one row per branch, kept within
+    ``PTDF d +- limit``, then the balance row.  The elastic ``v+, v- >= 0``
+    are priced at ``VIOLATION_PENALTY``; without ``soft`` they are fixed at
+    zero."""
     ops = _operators(net)
     limits = net.limits_pu
-    m = limits.size
+    elastic = np.zeros(2 * limits.size)
     shift = compute_ptdf(net).matrix @ d_pu
     total = d_pu.sum()
-    caps = np.column_stack([limits + shift, limits - shift]).ravel()
     return lp.LinearProgram(
         sense="min",
-        objective=np.concatenate([ops.cost, np.full(m, VIOLATION_PENALTY * net.base_mva)]),
-        lower=np.concatenate([ops.p_min, np.zeros(m)]),
-        upper=np.concatenate([ops.p_max, np.full(m, np.inf if soft else 0.0)]),
+        objective=np.append(ops.cost, elastic + VIOLATION_PENALTY * net.base_mva),
+        lower=np.append(ops.p_min, elastic),
+        upper=np.append(ops.p_max, elastic + (np.inf if soft else 0.0)),
         a=ops.rows,
-        row_lower=np.append(np.full(2 * m, -np.inf), total),
-        row_upper=np.append(caps, total),
+        row_lower=np.append(shift - limits, total),
+        row_upper=np.append(shift + limits, total),
     )
 
 
@@ -156,7 +157,7 @@ def _base(net: Network) -> _Base:
 def _empty_start(net):
     """No limit row and no basis: a cold solve that generates each limit row
     it needs.  The balance row is in every working set."""
-    working = np.zeros(2 * net.limits_pu.size + 1, dtype=bool)
+    working = np.zeros(net.limits_pu.size + 1, dtype=bool)
     working[-1] = True
     return lp.Basis(working)
 
@@ -198,7 +199,7 @@ def _solve(net, loads_mw, soft, start):
         scheduled_flows=flows,
         total_cost=float(sol.objective_value),
         binding_branches=binding,
-        violations_mw=sol.values[ng:] * base,
+        violations_mw=sol.values[ng:].reshape(2, -1).sum(axis=0) * base,
     )
     return dispatch, sol.basis
 

@@ -359,6 +359,8 @@ NO_SUCH_FILE = "No such file or directory"
      "--snapshot {boolean_series}: prev_loads[0]: expected a number, got True"),
     ("attack --case {case3} --loads {negative_load} --target 1 --ls 0.1 --n1 1",
      "attack: bus 3 has base load -10 MW; a load shift needs a nonnegative load"),
+    ("sced --out {missing_dir}/x.json", "--out {missing_dir}/x.json: " + NO_SUCH_FILE),
+    ("run-experiment --suite {one_scenario} --out {text}", "--out {text}: File exists"),
 ], ids=["snapshot-missing", "snapshot-not-json", "snapshot-case-missing",
         "suite-missing", "suite-not-json", "loads-missing", "loads-not-json",
         "case-missing", "outage-not-a-number", "outage-out-of-range",
@@ -373,7 +375,8 @@ NO_SUCH_FILE = "No such file or directory"
         "scenario-fractional-target", "scenario-string-target", "scenario-boolean-sigma",
         "scenario-string-mu", "scenario-fractional-index", "scenario-misspelt-key",
         "scenario-duplicate-index", "snapshot-misspelt-outages", "snapshot-string-series",
-        "snapshot-boolean-series", "attack-negative-load"])
+        "snapshot-boolean-series", "attack-negative-load", "out-in-missing-dir",
+        "out-dir-is-a-file"])
 def test_input_errors_end_in_one_line(case3_path, case118_path, net118, tmp_path, args,
                                       message):
     paths = {name: tmp_path / f"{name}.json" for name in (
@@ -383,8 +386,9 @@ def test_input_errors_end_in_one_line(case3_path, case118_path, net118, tmp_path
         "null_load", "overload", "boolean_target", "fractional_target",
         "string_target", "boolean_sigma", "string_mu", "fractional_index",
         "misspelt_key", "duplicate_index", "misspelt_outages", "string_series",
-        "boolean_series", "negative_load")}
-    paths.update(case=case118_path, case3=case3_path, missing_case=tmp_path / "missing.m")
+        "boolean_series", "negative_load", "one_scenario")}
+    paths.update(case=case118_path, case3=case3_path, missing_case=tmp_path / "missing.m",
+                 missing_dir=tmp_path / "no_dir")
     series = {key: [1.0] for key in ("prev_flows", "prev_loads", "measured_flows",
                                      "measured_loads", "sced_flows")}
     paths["text"].write_text("not json\n")
@@ -403,6 +407,7 @@ def test_input_errors_end_in_one_line(case3_path, case118_path, net118, tmp_path
     scenario = {"case": str(case118_path), "mode": "fluctuation_only", "seed": 1}
     paths["no_seed"].write_text(json.dumps({"scenarios": [
         scenario, {key: scenario[key] for key in ("case", "mode")}]}))
+    paths["one_scenario"].write_text(json.dumps({"scenarios": [scenario]}))
     # a string would be read digit by digit, and a mixed list not sorted
     for name, outages in (("string_outage", "71"), ("boolean_outage", [True])):
         paths[name].write_text(json.dumps({"case": str(case118_path), "outages": outages}))
@@ -426,8 +431,9 @@ def test_input_errors_end_in_one_line(case3_path, case118_path, net118, tmp_path
                         ("overload", (net118.load_mw * 1.25).tolist())):
         paths[name].write_text(json.dumps(loads))
     out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in args.split()]
     with pytest.raises(SystemExit) as exit_:
-        main([arg.format(**paths) for arg in args.split()] + ["--out", str(out)])
+        main(argv if "--out" in argv else argv + ["--out", str(out)])
     assert isinstance(exit_.value.code, str)       # printed to stderr, status 1
     assert "\n" not in exit_.value.code
     assert exit_.value.code.startswith(message.format(**paths))

@@ -19,6 +19,7 @@ from gridfdi.harness import (
     run_scenario,
     run_timeline,
 )
+from gridfdi.powerflow import solve_dc
 from gridfdi.sced import base_dispatch, run_sced
 
 
@@ -197,6 +198,26 @@ def test_truth_equals_schedule_plus_hidden_deviation(case118_path, cache):
         result.snapshot.sced_flows + result.attack.delta_p,
         atol=1e-8,
     )
+
+
+@pytest.mark.parametrize("scenario", ["constant-attack", "fluctuating", "outage-71"])
+def test_true_flows_match_the_balanced_dc_solve(case118_path, cache, scenario):
+    # the timeline maps unbalanced injections through the PTDF; the DC
+    # solve with the imbalance put on the reference bus must agree
+    config = {
+        "constant-attack": _config(case118_path, mode="attack", seed=(11, 4),
+                                   attack_params=AttackParams(118, 0.10, 5.0)),
+        "fluctuating": _config(case118_path, fluctuation=FluctuationSpec(0.01, 0.03)),
+        "outage-71": outage_robustness_suite(case118_path, 71)[71],
+    }[scenario]
+    result = run_timeline(config, cache)
+    net = cache.get(config.case_path, config.outages)[0]
+    for dispatch, flows in ((result.dispatch_prev, result.true_flows_t0),
+                            (result.dispatch_next, result.true_flows_next)):
+        inj = -result.loads_true / net.base_mva
+        np.add.at(inj, [g.bus for g in net.generators], dispatch.gen_output / net.base_mva)
+        inj[net.reference_bus] -= inj.sum()
+        assert np.abs(flows - solve_dc(net, inj).flows).max() <= 1e-12
 
 
 @pytest.mark.parametrize("target", [118, 111])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridfdi import lp
+from gridfdi import lp, sced
 from gridfdi.cases import parse_matpower, validate_case
 from gridfdi.sced import VIOLATION_PENALTY, DispatchError, base_dispatch, run_sced
 
@@ -139,6 +139,32 @@ def test_cost_matches_row_oracle_118(net118, ptdf118, scale, soft):
     oracle = lp.solve_lp(problem)
     assert oracle.status == lp.OPTIMAL
     assert dispatch.total_cost == pytest.approx(oracle.objective_value, abs=1e-9)
+
+
+def test_one_row_per_branch_and_overloads_both_ways_118(net118, ptdf118):
+    # one two-sided row per in-service branch plus the balance row, over
+    # [p, v+, v-]
+    m, ng = ptdf118.n_branches, len(net118.generators)
+    problem = sced._dispatch_lp(net118, net118.load_mw / net118.base_mva, True)
+    assert problem.a.shape == (m + 1, ng + 2 * m)
+    assert problem.row_lower.shape == problem.row_upper.shape == (m + 1,)
+    # 1.25x the case loads overload branch 111 with its flow and branch 118
+    # against it; the pair-form LP built row by row prices both the same
+    loads = net118.load_mw * 1.25
+    soft = run_sced(net118, loads, soft_limits=True)
+    forward, backward = net118.branch_position(111), net118.branch_position(118)
+    assert soft.scheduled_flows[forward] > net118.limits_pu[forward]
+    assert soft.scheduled_flows[backward] < -net118.limits_pu[backward]
+    problem, gs, vs = dispatch_lp_rows(net118, ptdf118, loads / net118.base_mva,
+                                       soft_penalty=VIOLATION_PENALTY)
+    oracle = lp.solve_lp(problem)
+    assert oracle.status == lp.OPTIMAL
+    assert soft.total_cost == pytest.approx(oracle.objective_value, rel=1e-9)
+    assert soft.violations_mw == pytest.approx(oracle.values[vs] * net118.base_mva,
+                                               abs=1e-7)
+    assert soft.violations_mw[backward] > 1.0
+    over = (np.abs(soft.scheduled_flows) - net118.limits_pu) * net118.base_mva
+    assert soft.violations_mw == pytest.approx(np.maximum(over, 0.0), abs=1e-7)
 
 
 def test_capacity_shortfall():
