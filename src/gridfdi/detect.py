@@ -28,6 +28,9 @@ INDEX_THRESHOLDS = (0.20, 0.35, 0.50)    # Monitor / Warning / Danger
 
 TOP_N = 10          # branches pooled into the system-wide score
 TOP_SUSPECTS = 3    # combined-score ranks always treated as suspects
+# Sorted combined scores this close to their neighbour rank as ties: series
+# branches carry one flow, and their scores differ by roundoff alone.
+CAI_TIE_TOL = 1e-9
 
 
 class ConfigError(Exception):
@@ -94,10 +97,6 @@ class Snapshot:
         if np.any(self.limits <= 0):
             raise ValueError("all branch limits must be positive")
 
-    @property
-    def n_branches(self):
-        return self.ptdf.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class Suspect:
@@ -136,44 +135,36 @@ class DetectionReport:
 
 
 def _load_direction(snap: Snapshot) -> np.ndarray:
-    """+1 / 0 / -1 per bus from the relative load change, dead-banded.
+    """+1 / 0 / -1 per bus from the load change relative to the size of the
+    previous load, dead-banded.
 
     Buses with zero previous load carry no evidence and map to 0.
     """
-    prev = np.asarray(snap.prev_loads, dtype=float)
-    rel = np.zeros_like(prev)
-    nz = prev != 0
-    rel[nz] = (snap.measured_loads[nz] - prev[nz]) / prev[nz]
+    size = np.abs(np.asarray(snap.prev_loads, dtype=float))
+    rel = np.divide(snap.measured_loads - snap.prev_loads, size,
+                    out=np.zeros_like(size), where=size > 0)
     band = DEAD_BAND - _BAND_SLOP
-    return np.where(rel >= band, 1.0, np.where(rel <= -band, -1.0, 0.0)) * nz
+    return np.where(rel >= band, 1.0, np.where(rel <= -band, -1.0, 0.0))
 
 
-def _indicators(snap: Snapshot) -> np.ndarray:
-    """Indicator matrix (branch x bus): direction of each critical load's
-    impact on the branch flow, zero outside the critical sets."""
-    direction = _load_direction(snap)
-    ind = direction[None, :] * np.sign(snap.ptdf.matrix)
-    ind[~snap.ptdf.critical_mask] = 0.0
-    return ind
+def _mldi(snap: Snapshot, direction: np.ndarray) -> np.ndarray:
+    """Mean directional consensus of the critical-load changes ``direction``
+    (from :func:`_load_direction`), per branch, signed so that positive means
+    'loads conspire to shrink this flow'."""
+    ptdf = snap.ptdf
+    sizes = np.maximum(ptdf.critical_sizes, 1)
+    return np.sign(snap.prev_flows) * (ptdf.critical_signs @ direction) / sizes
 
 
-def _mldi(snap: Snapshot, ind: np.ndarray) -> np.ndarray:
-    """Mean directional consensus of critical-load changes, per branch,
-    signed so that positive means 'loads conspire to shrink this flow';
-    ``ind`` is the :func:`_indicators` matrix."""
-    sizes = np.maximum(snap.ptdf.critical_sizes, 1)
-    return np.sign(snap.prev_flows) * ind.sum(axis=1) / sizes
-
-
-def _emldi(snap: Snapshot, ind: np.ndarray) -> np.ndarray:
+def _emldi(snap: Snapshot, direction: np.ndarray) -> np.ndarray:
     """Like :func:`_mldi` but weighting each critical load by its share of
     |load change x sensitivity|; zero when no critical load moved at all."""
-    delta = snap.measured_loads - snap.prev_loads
-    weight = np.abs(delta[None, :] * snap.ptdf.matrix)
-    weight[~snap.ptdf.critical_mask] = 0.0
-    norm = weight.sum(axis=1)
+    ptdf = snap.ptdf
+    change = np.abs(snap.measured_loads - snap.prev_loads)
+    # |critical| @ |change| without forming |critical|
+    norm = np.einsum("kn,kn,n->k", ptdf.critical_signs, ptdf.critical, change)
     safe = np.where(norm > 0, norm, 1.0)
-    return np.sign(snap.prev_flows) * (weight * ind).sum(axis=1) / safe
+    return np.sign(snap.prev_flows) * (ptdf.critical @ (change * direction)) / safe
 
 
 def bori_all(snap: Snapshot):
@@ -204,37 +195,23 @@ def smldi(mldi_values: np.ndarray, eligible: np.ndarray, top_n: int = TOP_N):
 
 def cai_ranking(emldi_values: np.ndarray, bori_values: np.ndarray,
                 ordinals: np.ndarray):
-    """Combined attack score (product) and its deterministic 1-based ranking
-    (descending score, lower ordinal first on ties)."""
+    """Combined attack score (product) and its deterministic 1-based ranking:
+    descending score, where a run of sorted scores whose neighbours lie
+    within ``CAI_TIE_TOL`` is a tie, ordered by lower ordinal first."""
     cai = np.asarray(emldi_values) * np.asarray(bori_values)
-    order = np.lexsort((ordinals, -cai))
+    order = np.argsort(-cai, kind="stable")
+    ranked = cai[order]
+    run = np.cumsum(np.diff(ranked, prepend=ranked[:1]) < -CAI_TIE_TOL)
+    order = order[np.lexsort((np.asarray(ordinals)[order], run))]
     rank = np.empty(len(cai), dtype=int)
     rank[order] = np.arange(1, len(cai) + 1)
     return cai, rank
 
 
-def run_two_stage(snap: Snapshot) -> DetectionReport:
-    """Full pipeline: system-wide awareness, then target identification.
-
-    Stage 2 runs only when the stage-1 alert reaches Warning; suspects are
-    the Danger-marked branches plus the top-ranked positive combined scores.
-    """
-    ind = _indicators(snap)
-    mldi_values = _mldi(snap, ind)
-    smldi_value, alert = smldi(mldi_values, snap.ptdf.eligible)
-    under_attack = alert >= AlertLevel.WARNING
-    if not under_attack:
-        return DetectionReport(
-            branch_ordinals=snap.branch_ordinals,
-            mldi=mldi_values,
-            smldi=smldi_value,
-            stage1_alert=alert,
-            under_attack=False,
-            stage2=None,
-        )
-
+def _stage2(snap: Snapshot, direction: np.ndarray) -> Stage2Report:
+    """Target identification: per-branch alerts, CAI ranking and suspects."""
     bori1, bori2, bori_values = bori_all(snap)
-    emldi_values = _emldi(snap, ind)
+    emldi_values = _emldi(snap, direction)
     flow_idx = _levels(bori_values, BORI_THRESHOLDS)
     load_idx = _levels(emldi_values, INDEX_THRESHOLDS)
     combined_idx = _COMBINED_INDEX[flow_idx, load_idx]
@@ -259,23 +236,35 @@ def run_two_stage(snap: Snapshot) -> DetectionReport:
         )
         for k, reasons in sorted(chosen.items(), key=lambda kv: rank[kv[0]])
     )
+    return Stage2Report(
+        bori1=bori1,
+        bori2=bori2,
+        bori=bori_values,
+        flow_alerts=flow_alerts,
+        emldi=emldi_values,
+        load_alerts=load_alerts,
+        combined_alerts=combined,
+        cai=cai,
+        cai_rank=rank,
+        suspects=suspects,
+    )
 
+
+def run_two_stage(snap: Snapshot) -> DetectionReport:
+    """Full pipeline: system-wide awareness, then target identification.
+
+    Stage 2 runs only when the stage-1 alert reaches Warning; suspects are
+    the Danger-marked branches plus the top-ranked positive combined scores.
+    """
+    direction = _load_direction(snap)
+    mldi_values = _mldi(snap, direction)
+    smldi_value, alert = smldi(mldi_values, snap.ptdf.eligible)
+    under_attack = alert >= AlertLevel.WARNING
     return DetectionReport(
         branch_ordinals=snap.branch_ordinals,
         mldi=mldi_values,
         smldi=smldi_value,
         stage1_alert=alert,
-        under_attack=True,
-        stage2=Stage2Report(
-            bori1=bori1,
-            bori2=bori2,
-            bori=bori_values,
-            flow_alerts=flow_alerts,
-            emldi=emldi_values,
-            load_alerts=load_alerts,
-            combined_alerts=combined,
-            cai=cai,
-            cai_rank=rank,
-            suspects=suspects,
-        ),
+        under_attack=under_attack,
+        stage2=_stage2(snap, direction) if under_attack else None,
     )

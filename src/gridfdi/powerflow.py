@@ -62,6 +62,16 @@ class Ptdf:
         """Per branch: critical set of at least MIN_CRITICAL_SET (read-only)."""
         return read_only(self.critical_sizes >= MIN_CRITICAL_SET)
 
+    @cached_property
+    def critical(self) -> np.ndarray:
+        """The PTDF inside each critical set, zero outside it (read-only)."""
+        return read_only(np.where(self.critical_mask, self.matrix, 0.0))
+
+    @cached_property
+    def critical_signs(self) -> np.ndarray:
+        """Sign of :attr:`critical`: +-1 inside each critical set (read-only)."""
+        return read_only(np.sign(self.critical))
+
 
 @dataclass(frozen=True)
 class Topology:

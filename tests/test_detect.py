@@ -4,6 +4,7 @@ import pytest
 from gridfdi.detect import (
     AlertLevel,
     BORI_THRESHOLDS,
+    CAI_TIE_TOL,
     COMBINED_ALERT,
     ConfigError,
     INDEX_THRESHOLDS,
@@ -13,8 +14,8 @@ from gridfdi.detect import (
     run_two_stage,
     smldi,
     _emldi,
-    _indicators,
     _levels,
+    _load_direction,
     _mldi,
 )
 from gridfdi.powerflow import CRITICAL_PTDF, Ptdf
@@ -22,12 +23,12 @@ from gridfdi.powerflow import CRITICAL_PTDF, Ptdf
 
 def mldi_all(snap):
     """MLDI of every branch from one snapshot."""
-    return _mldi(snap, _indicators(snap))
+    return _mldi(snap, _load_direction(snap))
 
 
 def emldi_all(snap):
     """EMLDI of every branch from one snapshot."""
-    return _emldi(snap, _indicators(snap))
+    return _emldi(snap, _load_direction(snap))
 
 
 def _level(value, thresholds):
@@ -54,8 +55,11 @@ def bori(k, snap):
 
 
 def mldi(k, snap):
-    """Deviation index of branch k plus its indicators over the critical set."""
-    return mldi_all(snap)[k], _indicators(snap)[k, snap.ptdf.critical_mask[k]]
+    """Deviation index of branch k plus its indicators over the critical set:
+    each critical load's direction times its sensitivity's sign."""
+    critical = snap.ptdf.critical_mask[k]
+    indicators = _load_direction(snap)[critical] * np.sign(snap.ptdf.matrix[k, critical])
+    return mldi_all(snap)[k], indicators
 
 
 def emldi(k, snap):
@@ -184,6 +188,16 @@ def test_mldi_zero_previous_load_is_neutral():
     assert indicators[1] == 0.0    # bus with zero previous load
 
 
+def test_load_direction_relative_to_previous_size():
+    # a negative previous load that grows in size (-10 -> -5 is a rise of
+    # 5 MW) reads as an increase, as a positive one does
+    prev = np.array([100.0, -10.0, -10.0, 100.0, 100.0, 0.0])
+    measured = np.array([106.0, -5.0, -15.0, 96.0, 94.0, 5.0])
+    snap = make_snapshot(FIVE_LOADS, [1.0, 1.0], prev_loads=prev,
+                         measured_loads=measured)
+    assert _load_direction(snap).tolist() == [1.0, 1.0, -1.0, 0.0, -1.0, 0.0]
+
+
 def test_emldi_degenerate_no_change():
     snap = make_snapshot(FIVE_LOADS, [1.0, 1.0])
     value, level = emldi(0, snap)
@@ -221,7 +235,7 @@ def reference_metrics(snap, dead_band=0.05):
             if prev == 0:
                 indicator = 0.0
             else:
-                rel = (snap.measured_loads[n] - prev) / prev
+                rel = (snap.measured_loads[n] - prev) / abs(prev)
                 if rel >= dead_band - 1e-9:
                     indicator = np.sign(ptdf.matrix[k, n])
                 elif rel <= -(dead_band - 1e-9):
@@ -263,19 +277,37 @@ def test_vectorized_matches_reference(rng):
         assert np.allclose(bori_all(snap)[2], ref_bori, atol=1e-12)
 
 
-def test_reference_oracle_on_real_snapshot(case118_path):
-    from gridfdi.detect import bori_all
-    from gridfdi.harness import (
-        AttackParams, FluctuationSpec, NetworkCache, ScenarioConfig,
-        run_timeline,
-    )
+def _attack_118(case):
+    """An attack on branch 118 over N(0,3%) loads that reaches Stage 2."""
+    from gridfdi.harness import AttackParams, FluctuationSpec, ScenarioConfig
 
-    config = ScenarioConfig(
-        case_path=str(case118_path), mode="attack", seed=(3, 3),
+    return ScenarioConfig(
+        case_path=str(case), mode="attack", seed=(3, 3),
         fluctuation=FluctuationSpec(0.0, 0.03),
         attack_params=AttackParams(118, 0.10, 5.0), group="x", index=0,
     )
-    snap = run_timeline(config, NetworkCache()).snapshot
+
+
+def _fluctuation_only(case):
+    from gridfdi.harness import study_118_suite
+
+    return study_118_suite(case)[0]
+
+
+def _outage_71_attack(case):
+    """Target 111 over fluctuating loads with branch 71 out; its series
+    branches 126 and 127 tie on the combined score."""
+    from gridfdi.harness import outage_robustness_suite
+
+    return outage_robustness_suite(case, 71)[67]
+
+
+@pytest.mark.parametrize("scenario", [_attack_118, _fluctuation_only, _outage_71_attack],
+                         ids=["attack-stage2", "fluctuation-only", "outage-71"])
+def test_reference_oracle_on_real_snapshot(case118_path, scenario):
+    from gridfdi.harness import NetworkCache, run_timeline
+
+    snap = run_timeline(scenario(case118_path), NetworkCache()).snapshot
     ref_mldi, ref_emldi, ref_bori = reference_metrics(snap)
     assert np.allclose(mldi_all(snap), ref_mldi, atol=1e-12)
     assert np.allclose(emldi_all(snap), ref_emldi, atol=1e-12)
@@ -348,21 +380,13 @@ def test_vector_levels_match_scalar(rng):
 
 
 def test_stage2_alerts_match_scalar_levels(case118_path):
-    from gridfdi.harness import (
-        AttackParams, FluctuationSpec, NetworkCache, ScenarioConfig,
-        run_timeline,
-    )
+    from gridfdi.harness import NetworkCache, run_timeline
 
-    config = ScenarioConfig(
-        case_path=str(case118_path), mode="attack", seed=(3, 3),
-        fluctuation=FluctuationSpec(0.0, 0.03),
-        attack_params=AttackParams(118, 0.10, 5.0), group="x", index=0,
-    )
-    snap = run_timeline(config, NetworkCache()).snapshot
+    snap = run_timeline(_attack_118(case118_path), NetworkCache()).snapshot
     report = run_two_stage(snap)
     s2 = report.stage2
     assert s2 is not None
-    # one indicator matrix serves both indices
+    # one load direction serves both indices
     assert np.array_equal(report.mldi, mldi_all(snap))
     assert np.array_equal(s2.emldi, emldi_all(snap))
     flow = tuple(_level(v, BORI_THRESHOLDS) for v in s2.bori)
@@ -414,6 +438,14 @@ def test_cai_product_and_ranking():
     )
     assert cai[0] == 0.0
     assert np.array_equal(rank, [3, 1, 2, 4])  # tie broken by lower ordinal
+    # series branches: equal in exact arithmetic, apart by roundoff; a run of
+    # near-equal scores ranks by ordinal, and the scores stay as computed
+    emldi = np.array([0.6, 0.5, 0.5 + 3e-16, 0.5 + 6e-16, 0.5 - 2e-6])
+    cai, rank = cai_ranking(emldi, np.ones(5), ordinals=np.array([9, 2, 3, 4, 1]))
+    assert np.array_equal(cai, emldi)
+    assert np.array_equal(rank, [1, 2, 3, 4, 5])
+    # a gap above the tolerance still ranks by score
+    assert 2e-6 > CAI_TIE_TOL
 
 
 def test_two_stage_gating_quiet():

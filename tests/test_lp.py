@@ -12,30 +12,6 @@ from oracles import boxed_vertex_verdict, enumerate_vertices, matrix_lp, random_
 INF = np.inf
 
 
-# Every name of scipy.optimize._highspy._core that lp calls, dotted from the
-# module; the binding is private, so a scipy release may drop one.
-HIGHS_NAMES = (
-    "_Highs.passOptions", "_Highs.passModel", "_Highs.setBasis", "_Highs.getBasis",
-    "_Highs.run", "_Highs.getModelStatus", "_Highs.modelStatusToString",
-    "_Highs.getInfo", "_Highs.getSolution", "HighsOptions", "HighsStatus.kError",
-    "HighsModelStatus.kOptimal", "HighsModelStatus.kInfeasible",
-    "HighsModelStatus.kUnbounded", "HighsDebugLevel.kHighsDebugLevelNone",
-    "HighsBasis", "HighsBasisStatus.kBasic", "MatrixFormat.kRowwise",
-    "ObjSense.kMinimize", "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
-)
-
-
-def test_scipy_binding_has_every_highs_name_lp_uses():
-    missing = []
-    for name in HIGHS_NAMES:
-        found = lp.highs
-        for part in name.split("."):
-            found = getattr(found, part, None)
-        if found is None:
-            missing.append(name)
-    assert not missing, f"scipy.optimize._highspy._core lacks {', '.join(missing)}"
-
-
 def _single_var(a_ub=(), b_ub=()):
     return matrix_lp("max", [1.0], [0.0], [1.0], a_ub, b_ub)
 

@@ -99,8 +99,17 @@ def test_ptdf_cached_read_only(net118, ptdf118):
     assert compute_ptdf(net118) is ptdf118
     assert net118.operators["ptdf"] is ptdf118
     for arr in (ptdf118.matrix, ptdf118.critical_mask, ptdf118.critical_sizes,
-                ptdf118.eligible):
+                ptdf118.eligible, ptdf118.critical, ptdf118.critical_signs):
         assert not arr.flags.writeable
+    # the critical views are stored once: the PTDF inside each critical set
+    # and its sign, zero outside
+    assert ptdf118.critical is ptdf118.critical
+    assert ptdf118.critical_signs is ptdf118.critical_signs
+    mask = ptdf118.critical_mask
+    assert np.array_equal(ptdf118.critical[mask], ptdf118.matrix[mask])
+    assert not ptdf118.critical[~mask].any()
+    assert np.array_equal(ptdf118.critical_signs, np.sign(ptdf118.critical))
+    assert np.array_equal(np.abs(ptdf118.critical_signs), mask)
     with pytest.raises(ValueError):
         ptdf118.matrix[0, 0] = 1.0
 
