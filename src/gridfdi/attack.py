@@ -12,8 +12,11 @@ generator and zero-injection telemetry cannot be forged.
 Only the right-hand sides of the attack LP depend on the load shift, the
 budget and the loads; the objective depends on the network, the target and
 the sign of its base flow.  So each solve starts from the optimal basis of
-one canonical instance per (network, target, sign), solved on first use, and
-answers do not depend on call order.
+the same attack (target, sign, shift and budget) on the network's case
+loads, solved on first use.  That start is itself solved from the *anchor*,
+the attack with shift ``ANCHOR_SHIFT`` and budget ``ANCHOR_BUDGET`` on the
+case loads, which alone is solved cold.  Starts depend on the network and
+the attack alone, so answers do not depend on call order.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .estimation import FLOW, INJECTION, MeasurementSet, estimated_flows
 from .powerflow import topology
 
 AUDIT_TOL = 1e-7
+ANCHOR_SHIFT = 0.10   # load shift of the attack every start resumes from
+ANCHOR_BUDGET = 5.0   # and its l1 budget (rad)
 
 
 class ContractError(Exception):
@@ -170,23 +175,33 @@ def solve_attack(net: Network, spec: AttackSpec) -> AttackResult:
 
 @per_network("attack_starts")
 def _starts(net: Network) -> dict:
-    """Starting bases of the attack LP by (target, sign of its base flow),
-    each added on first use."""
+    """Optimal bases of attacks on the case loads by (target, sign of its
+    base flow, shift, budget), each added on first use."""
     return {}
 
 
-def _start(net: Network, spec: AttackSpec) -> lp.Basis | None:
-    """The optimal basis of the canonical instance for ``spec``'s target and
-    flow sign: shift 0.10 and budget 5 on the case loads.  Only the
-    right-hand sides differ between the two LPs, so the basis stays dual
-    feasible and the dual simplex resumes from it."""
+def _start(net: Network, spec: AttackSpec) -> lp.Basis:
+    """The optimal basis of ``spec``'s attack on the case loads, solved from
+    the anchor's; only the right-hand sides differ between any two of these
+    LPs, so each basis stays dual feasible for the others and the dual
+    simplex resumes from it."""
     starts = _starts(net)
-    key = (spec.target_branch, float(np.sign(spec.target_flow(net))))
+    sign = float(np.sign(spec.target_flow(net)))
+    anchor = (spec.target_branch, sign, ANCHOR_SHIFT, ANCHOR_BUDGET)
+    key = (spec.target_branch, sign, spec.load_shift_factor, spec.l1_limit)
+    if anchor not in starts:
+        starts[anchor] = _case_basis(net, spec, anchor, None)
     if key not in starts:
-        canonical = replace(spec, load_shift_factor=0.10, l1_limit=5.0,
-                            base_loads=net.load_mw)
-        starts[key] = lp.solve_lp(build_attack_lp(net, canonical)).basis
+        starts[key] = _case_basis(net, spec, key, starts[anchor])
     return starts[key]
+
+
+def _case_basis(net: Network, spec: AttackSpec, key, start) -> lp.Basis:
+    """Optimal basis of the attack ``key`` names, on the case loads, solved
+    from ``start``."""
+    _, _, shift, budget = key
+    case = replace(spec, load_shift_factor=shift, l1_limit=budget, base_loads=net.load_mw)
+    return lp.solve_lp(build_attack_lp(net, case), start).basis
 
 
 def audit_attack(net: Network, spec: AttackSpec, result: AttackResult) -> None:

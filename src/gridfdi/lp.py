@@ -16,9 +16,11 @@ with zeros, so a certified point is optimal for the full LP.
 
 Each working set is one call into HiGHS, Huangfu & Hall's dual revised
 simplex (Math. Prog. Comp. 2018), through the bindings scipy ships as
-``scipy.optimize._highspy._core``.  Every call builds a fresh solver with the
-same fixed options (presolve on, dual simplex, no output, no debug checks).
-The working rows go in row-wise, gathered from the CSR arrays of ``a``.
+``scipy.optimize._highspy._core``.  Each thread keeps one solver, given the
+fixed options (presolve on, dual simplex, no output, no debug checks) once
+when it is built; every call passes it a whole new model, which clears the
+model, basis and solution of the call before.  The working rows go in
+row-wise, gathered from the CSR arrays of ``a``.
 
 A start that holds HiGHS statuses too, such as the basis an optimal answer
 returns, starts warm, and each later round starts from the round before,
@@ -48,6 +50,7 @@ a non-finite point or marginal, which every comparison would let through.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +237,7 @@ def _highs_options():
 
 
 _OPTIONS = _highs_options()
+_THREAD = threading.local()   # .solver: this thread's HiGHS instance
 _ROWWISE = int(highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(highs.ObjSense.kMinimize)
 _STATUS = {
@@ -259,15 +263,14 @@ class _Answer:
 
 def _run_highs(c, lower, upper, a, row_lower, row_upper, start=None) -> _Answer:
     """Solve ``min c x`` over the bounds and ``row_lower <= a x <= row_upper``
-    with a fresh HiGHS instance, from the basis ``start`` if one is given.
-    ``a`` is a CSR triple ``(indptr, indices, data)``."""
+    with this thread's HiGHS instance, from the basis ``start`` if one is
+    given.  ``a`` is a CSR triple ``(indptr, indices, data)``."""
     indptr, indices, data = a
-    solver = highs._Highs()
+    solver = _solver()
     error = highs.HighsStatus.kError
     # The passModel overload that takes arrays reads their buffers, where a
     # HighsLp copies each array element by element; every column continuous.
-    failed = (solver.passOptions(_OPTIONS) == error
-              or solver.passModel(
+    failed = (solver.passModel(
                   c.size, row_lower.size, int(indptr[-1]), _ROWWISE, _MINIMIZE, 0.0,
                   c, lower, upper, row_lower, row_upper,
                   indptr.astype(np.int32, copy=False), indices.astype(np.int32, copy=False),
@@ -292,6 +295,20 @@ def _run_highs(c, lower, upper, a, row_lower, row_upper, start=None) -> _Answer:
     answer.col_dual = np.array(solution.col_dual)
     answer.basis = solver.getBasis()
     return answer
+
+
+def _solver():
+    """This thread's HiGHS instance, built with ``_OPTIONS`` on first use.
+    Building one and passing it the options costs about as much as passing
+    it the model, so it is kept; ``passModel`` clears everything a solve
+    leaves in it but the options."""
+    solver = getattr(_THREAD, "solver", None)
+    if solver is None:
+        solver = highs._Highs()
+        if solver.passOptions(_OPTIONS) == highs.HighsStatus.kError:
+            raise SolverError("HiGHS refused the solver options")
+        _THREAD.solver = solver
+    return solver
 
 
 def _check_primal(name, v, lower, upper):

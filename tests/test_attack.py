@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from gridfdi import attack
 from gridfdi.attack import (
+    ANCHOR_BUDGET,
+    ANCHOR_SHIFT,
     AttackSpec,
     ContractError,
     apply_attack,
@@ -9,7 +12,7 @@ from gridfdi.attack import (
     build_attack_lp,
     solve_attack,
 )
-from gridfdi.cases import parse_matpower, validate_case
+from gridfdi.cases import load_case, parse_matpower, validate_case
 from gridfdi.estimation import build_measurements, wls_estimate
 from gridfdi.powerflow import solve_dc
 from gridfdi import lp
@@ -241,3 +244,42 @@ def test_lp_structure(net3):
     a = problem.a.toarray()
     assert np.array_equal(a[:-1, 3:], -a[:-1, :3])
     assert np.array_equal(a[-1], np.ones(6))
+
+
+def test_starts_per_attack_resume_from_the_anchor(case118_path, monkeypatch):
+    # a network of its own, so that it keeps no start yet
+    net = load_case(case118_path)
+    loads, _, flows = _state_118(net)
+    sign = float(np.sign(flows[net.branch_position(118)]))
+    starts = attack._starts(net)
+    solved = []
+    solve = lp.solve_lp
+
+    def spy(problem, start=None):
+        sol = solve(problem, start)
+        solved.append((start, sol))
+        return sol
+
+    def run(shift, budget, loads):
+        """Solve one attack; returns the starts it added and its solves."""
+        before = set(starts)
+        solved.clear()
+        solve_attack(net, AttackSpec(118, shift, budget, flows, loads))
+        return {key: starts[key] for key in set(starts) - before}, list(solved)
+
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    # the anchor: one start LP, solved cold, and the attack on the case
+    # loads resumes from its optimum with no pivot
+    added, [(cold, anchor), (start, sol)] = run(ANCHOR_SHIFT, ANCHOR_BUDGET, loads)
+    assert added == {(118, sign, ANCHOR_SHIFT, ANCHOR_BUDGET): anchor.basis}
+    assert cold is None and anchor.iterations > 0
+    assert start is anchor.basis and sol.iterations == 0
+    # another shift and budget: its own start, solved from the anchor
+    added, [(warm, own), (start, sol)] = run(0.05, 2.0, loads)
+    assert added == {(118, sign, 0.05, 2.0): own.basis}
+    assert warm is anchor.basis and 0 < own.iterations < anchor.iterations
+    assert start is own.basis and sol.iterations == 0
+    # the same attack on other loads adds nothing and resumes from its own
+    added, [(start, sol)] = run(0.05, 2.0, loads * 1.02)
+    assert added == {} and start is own.basis
+    assert sol.iterations < own.iterations

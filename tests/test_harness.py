@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gridfdi import harness, lp
+from gridfdi import attack, harness, lp
 from gridfdi.detect import AlertLevel
 from gridfdi.harness import (
     AttackParams,
@@ -354,17 +354,27 @@ def test_warm_starts_agree_with_cold_solves(case118_path, monkeypatch):
         return sol
 
     monkeypatch.setattr(lp, "solve_lp", spy)
-    run_experiment(_mixed_subset(case118_path), NetworkCache())
+    suite, cache = _mixed_subset(case118_path), NetworkCache()
+    run_experiment(suite, cache)
     monkeypatch.undo()
     assert {problem.sense for problem, _ in warm} == {"max", "min"}
-    cold_iterations = 0
+    # the attack starts, solved on the case loads, are the bases the
+    # networks keep; the rest of the attack LPs are the scenarios'
+    kept = {id(basis) for config in suite
+            for basis in attack._starts(cache.get(case118_path, config.outages)[0]).values()}
+    warm_iterations, cold_iterations = np.zeros((2, 2), dtype=int)
     for problem, sol in warm:
         cold = lp.solve_lp(problem)
         assert np.abs(sol.values - cold.values).max() <= 1e-9
         assert sol.objective_value == pytest.approx(cold.objective_value,
                                                     abs=lp.FEASIBILITY_TOL)
-        cold_iterations += cold.iterations
-    assert sum(sol.iterations for _, sol in warm) < cold_iterations
+        scenario_attack = problem.sense == "max" and id(sol.basis) not in kept
+        warm_iterations[int(scenario_attack)] += sol.iterations
+        cold_iterations[int(scenario_attack)] += cold.iterations
+    assert warm_iterations.sum() < cold_iterations.sum()
+    # a scenario's attack resumes from the same attack on the case loads
+    assert cold_iterations[1] > 0
+    assert 10 * warm_iterations[1] <= cold_iterations[1]
 
 
 def test_group_statistics_do_not_depend_on_suite_order(case118_path, monkeypatch):

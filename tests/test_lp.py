@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -290,6 +291,87 @@ def test_other_highs_status_raises(monkeypatch):
     monkeypatch.delitem(lp._STATUS, lp.highs.HighsModelStatus.kInfeasible)
     with pytest.raises(lp.SolverError, match="HiGHS failed: Infeasible"):
         lp.solve_lp(p)
+
+
+def _fresh_solver():
+    solver = lp.highs._Highs()
+    assert solver.passOptions(lp._OPTIONS) == lp.highs.HighsStatus.kOk
+    return solver
+
+
+def _highs_calls(monkeypatch, job):
+    """Each HiGHS call ``job`` makes, as its answer with the basis statuses
+    read out, and then how the job ended: its solution or its error."""
+    calls = []
+    real = lp._run_highs
+
+    def spy(*args):
+        ans = real(*args)
+        basis = ans.basis and [list(map(int, ans.basis.col_status)),
+                               list(map(int, ans.basis.row_status))]
+        calls.append(dataclasses.astuple(dataclasses.replace(ans, basis=basis)))
+        return ans
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_run_highs", spy)
+        try:
+            end = dataclasses.astuple(dataclasses.replace(job(m), basis=None))
+        except lp.SolverError as exc:
+            end = str(exc)
+    return calls, end
+
+
+def test_reused_solver_leaks_no_state(monkeypatch):
+    # a shuffled run of every kind of solve through the one solver this
+    # thread keeps, against the same solves on a fresh solver each call
+    p = _chained_lazy_lp()
+    moved = dataclasses.replace(p, row_upper=np.array([11.0, 2.0]))
+    basis = lp.solve_lp(p).basis
+    infeasible = matrix_lp("max", [1.0], [-INF], [INF], [[-1.0], [1.0]], [-2.0, 1.0])
+
+    def unmapped(m):
+        # the status of test_other_highs_status_raises
+        m.delitem(lp._STATUS, lp.highs.HighsModelStatus.kInfeasible)
+        return lp.solve_lp(infeasible)
+
+    jobs = [
+        lambda m: lp.solve_lp(p),                           # optimal, cold
+        lambda m: lp.solve_lp(moved, basis),                # optimal, warm
+        lambda m: lp.solve_lp(p, _working(False, False)),   # three rounds
+        lambda m: lp.solve_lp(infeasible),
+        lambda m: lp.solve_lp(matrix_lp("max", [1.0], [0.0], [INF])),  # unbounded
+        unmapped,
+    ]
+    # each job three times in a shuffled order, then a normal solve, so that
+    # one follows every error
+    order = np.random.default_rng(7).permutation(3 * len(jobs)) % len(jobs)
+    order = np.append(order, 0)
+    kept = [_highs_calls(monkeypatch, jobs[k]) for k in order]
+    assert lp._solver() is lp._solver()
+    monkeypatch.setattr(lp, "_solver", _fresh_solver)
+    fresh = [_highs_calls(monkeypatch, jobs[k]) for k in order]
+    np.testing.assert_equal(kept, fresh)
+    ends = [end for _, end in kept]
+    assert ends.count("HiGHS failed: Infeasible") == 3
+    # one call per job but the lazy one's three; the failed call returns none
+    assert sum(len(calls) for calls, _ in kept) == 3 * (1 + 1 + 3 + 1 + 1) + 1
+
+
+def test_each_thread_keeps_its_own_solver():
+    p = _chained_lazy_lp()
+    here = lp.solve_lp(p)
+    there = []
+
+    def other():
+        there.append((lp._solver(), lp.solve_lp(p)))
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    [(solver, sol)] = there
+    assert solver is not lp._solver()
+    assert np.array_equal(sol.values, here.values) and sol.iterations == here.iterations
 
 
 def test_validate_rejects_non_csr_blocks():
