@@ -21,6 +21,7 @@ the attack alone, so answers do not depend on call order.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from .powerflow import topology
 AUDIT_TOL = 1e-7
 ANCHOR_SHIFT = 0.10   # load shift of the attack every start resumes from
 ANCHOR_BUDGET = 5.0   # and its l1 budget (rad)
+START_CAP = 128       # attack starts kept per network; the study grid has 80
 
 
 class ContractError(Exception):
@@ -174,25 +176,32 @@ def solve_attack(net: Network, spec: AttackSpec) -> AttackResult:
 
 
 @per_network("attack_starts")
-def _starts(net: Network) -> dict:
+def _starts(net: Network) -> OrderedDict:
     """Optimal bases of attacks on the case loads by (target, sign of its
-    base flow, shift, budget), each added on first use."""
-    return {}
+    base flow, shift, budget), each added on first use, least recently used
+    first; at most ``START_CAP`` are kept."""
+    return OrderedDict()
 
 
 def _start(net: Network, spec: AttackSpec) -> lp.Basis:
     """The optimal basis of ``spec``'s attack on the case loads, solved from
     the anchor's; only the right-hand sides differ between any two of these
     LPs, so each basis stays dual feasible for the others and the dual
-    simplex resumes from it."""
+    simplex resumes from it.  A start evicted and asked for again is solved
+    again, to the same basis."""
     starts = _starts(net)
     sign = float(np.sign(spec.target_flow(net)))
     anchor = (spec.target_branch, sign, ANCHOR_SHIFT, ANCHOR_BUDGET)
     key = (spec.target_branch, sign, spec.load_shift_factor, spec.l1_limit)
-    if anchor not in starts:
-        starts[anchor] = _case_basis(net, spec, anchor, None)
     if key not in starts:
-        starts[key] = _case_basis(net, spec, key, starts[anchor])
+        if anchor not in starts:
+            starts[anchor] = _case_basis(net, spec, anchor, None)
+        starts.move_to_end(anchor)   # so the eviction below spares it
+        if key not in starts:        # unless it is the anchor
+            starts[key] = _case_basis(net, spec, key, starts[anchor])
+        while len(starts) > START_CAP:
+            starts.popitem(last=False)
+    starts.move_to_end(key)
     return starts[key]
 
 

@@ -283,3 +283,24 @@ def test_starts_per_attack_resume_from_the_anchor(case118_path, monkeypatch):
     added, [(start, sol)] = run(0.05, 2.0, loads * 1.02)
     assert added == {} and start is own.basis
     assert sol.iterations < own.iterations
+
+
+def test_start_store_keeps_at_most_its_cap(case118_path, monkeypatch):
+    # the study grid asks one network for 80 starts, which must all stay
+    assert attack.START_CAP >= 80
+    # more distinct budgets than a small cap, each asked for twice in a
+    # shuffled order: an evicted start is solved again, to the same basis, so
+    # each answer equals the same attack solved alone on a network of its own
+    monkeypatch.setattr(attack, "START_CAP", 4)
+    net = load_case(case118_path)
+    loads, _, flows = _state_118(net)
+    loads = loads * (1 + np.random.default_rng(3).normal(0, 0.03, net.n_bus))
+    starts = attack._starts(net)
+    budgets = np.random.default_rng(4).permutation(np.tile(np.arange(1.0, 9.0), 2))
+    for budget in budgets:
+        spec = AttackSpec(118, 0.15, float(budget), flows, loads)
+        shared = solve_attack(net, spec)
+        assert len(starts) <= 4
+        alone = solve_attack(load_case(case118_path), spec)
+        assert np.array_equal(shared.c, alone.c)
+        assert shared.objective == alone.objective

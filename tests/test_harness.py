@@ -345,36 +345,77 @@ def test_outcomes_do_not_depend_on_scenario_order(case118_path):
 def test_warm_starts_agree_with_cold_solves(case118_path, monkeypatch):
     # each attack and soft-SCED LP, solved again without its start
     warm = []
-    solve = lp.solve_lp
+    solve, case_basis = lp.solve_lp, attack._case_basis
+    starting = []   # set while an attack start is solved on the case loads
 
     def spy(problem, start=None):
         sol = solve(problem, start)
         if start is not None:
-            warm.append((problem, sol))
+            warm.append((problem, sol, bool(starting)))
         return sol
 
+    def start_spy(*args):
+        starting.append(True)
+        try:
+            return case_basis(*args)
+        finally:
+            starting.pop()
+
     monkeypatch.setattr(lp, "solve_lp", spy)
-    suite, cache = _mixed_subset(case118_path), NetworkCache()
-    run_experiment(suite, cache)
+    monkeypatch.setattr(attack, "_case_basis", start_spy)
+    run_experiment(_mixed_subset(case118_path), NetworkCache())
     monkeypatch.undo()
-    assert {problem.sense for problem, _ in warm} == {"max", "min"}
-    # the attack starts, solved on the case loads, are the bases the
-    # networks keep; the rest of the attack LPs are the scenarios'
-    kept = {id(basis) for config in suite
-            for basis in attack._starts(cache.get(case118_path, config.outages)[0]).values()}
+    assert {problem.sense for problem, _, _ in warm} == {"max", "min"}
+    # a basis answer returns its start as its basis, so the scenario attack
+    # LPs are told from the start solves by the call they come from
     warm_iterations, cold_iterations = np.zeros((2, 2), dtype=int)
-    for problem, sol in warm:
+    for problem, sol, start_solve in warm:
         cold = lp.solve_lp(problem)
         assert np.abs(sol.values - cold.values).max() <= 1e-9
         assert sol.objective_value == pytest.approx(cold.objective_value,
                                                     abs=lp.FEASIBILITY_TOL)
-        scenario_attack = problem.sense == "max" and id(sol.basis) not in kept
+        scenario_attack = problem.sense == "max" and not start_solve
         warm_iterations[int(scenario_attack)] += sol.iterations
         cold_iterations[int(scenario_attack)] += cold.iterations
     assert warm_iterations.sum() < cold_iterations.sum()
     # a scenario's attack resumes from the same attack on the case loads
     assert cold_iterations[1] > 0
     assert 10 * warm_iterations[1] <= cold_iterations[1]
+
+
+def test_basis_answers_match_highs_from_the_same_start(case118_path, monkeypatch):
+    # every warm solve of the seed-2018 grid and the outage-71 suite, solved
+    # again by HiGHS alone from the same start
+    solve, basis_point = lp.solve_lp, lp._basis_point
+    highs_only = []
+    pairs = []
+
+    def point(*args):
+        return None if highs_only else basis_point(*args)
+
+    def spy(problem, start=None):
+        sol = solve(problem, start)
+        if start is not None and start.statuses is not None:
+            highs_only.append(True)
+            pairs.append((sol, solve(problem, start)))
+            highs_only.pop()
+        return sol
+
+    monkeypatch.setattr(lp, "_basis_point", point)
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    cache = NetworkCache()
+    for suite in (study_118_suite(case118_path), outage_robustness_suite(case118_path, 71)):
+        assert all(o.error is None for o in run_experiment(suite, cache).outcomes)
+    monkeypatch.undo()
+    answered = [sol.rounds == 0 for sol, _ in pairs]
+    # a basis answer exactly where HiGHS needs one call and no pivot
+    assert answered == [(highs.rounds, highs.iterations) == (1, 0) for _, highs in pairs]
+    assert sum(answered) > len(pairs) // 4
+    for sol, highs in pairs:
+        assert sol.status == highs.status == lp.OPTIMAL
+        if sol.rounds == 0:
+            assert sol.iterations == 0
+            assert np.abs(sol.values - highs.values).max() <= 1e-12
 
 
 def test_group_statistics_do_not_depend_on_suite_order(case118_path, monkeypatch):

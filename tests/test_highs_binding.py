@@ -20,7 +20,8 @@ HIGHS_NAMES = (
     "HighsOptions.presolve", "HighsOptions.simplex_strategy", "HighsOptions.output_flag",
     "HighsOptions.log_to_console", "HighsOptions.highs_debug_level",
     "HighsBasis.col_status", "HighsBasis.row_status", "HighsBasis.valid",
-    "HighsBasisStatus.kBasic", "MatrixFormat.kRowwise", "ObjSense.kMinimize",
+    "HighsBasisStatus.kBasic", "HighsBasisStatus.kLower", "HighsBasisStatus.kUpper",
+    "HighsBasisStatus.__members__", "MatrixFormat.kRowwise", "ObjSense.kMinimize",
     "HighsModelStatus.kOptimal", "HighsModelStatus.kInfeasible",
     "HighsModelStatus.kUnbounded", "HighsStatus.kError",
     "HighsDebugLevel.kHighsDebugLevelNone",

@@ -325,7 +325,10 @@ def test_reused_solver_leaks_no_state(monkeypatch):
     # a shuffled run of every kind of solve through the one solver this
     # thread keeps, against the same solves on a fresh solver each call
     p = _chained_lazy_lp()
+    # the start basis answers ``moved`` at (6.5, 4.5) with no HiGHS call; it
+    # puts x at 11.5 in ``beyond``, past its bound, so HiGHS resumes from it
     moved = dataclasses.replace(p, row_upper=np.array([11.0, 2.0]))
+    beyond = dataclasses.replace(p, row_upper=np.array([22.0, 1.0]))
     basis = lp.solve_lp(p).basis
     infeasible = matrix_lp("max", [1.0], [-INF], [INF], [[-1.0], [1.0]], [-2.0, 1.0])
 
@@ -336,7 +339,8 @@ def test_reused_solver_leaks_no_state(monkeypatch):
 
     jobs = [
         lambda m: lp.solve_lp(p),                           # optimal, cold
-        lambda m: lp.solve_lp(moved, basis),                # optimal, warm
+        lambda m: lp.solve_lp(moved, basis),                # optimal, basis answer
+        lambda m: lp.solve_lp(beyond, basis),               # optimal, warm
         lambda m: lp.solve_lp(p, _working(False, False)),   # three rounds
         lambda m: lp.solve_lp(infeasible),
         lambda m: lp.solve_lp(matrix_lp("max", [1.0], [0.0], [INF])),  # unbounded
@@ -353,8 +357,9 @@ def test_reused_solver_leaks_no_state(monkeypatch):
     np.testing.assert_equal(kept, fresh)
     ends = [end for _, end in kept]
     assert ends.count("HiGHS failed: Infeasible") == 3
-    # one call per job but the lazy one's three; the failed call returns none
-    assert sum(len(calls) for calls, _ in kept) == 3 * (1 + 1 + 3 + 1 + 1) + 1
+    # one call per job but the basis answer's none and the lazy one's three;
+    # the failed call returns none
+    assert sum(len(calls) for calls, _ in kept) == 3 * (1 + 0 + 1 + 3 + 1 + 1) + 1
 
 
 def test_each_thread_keeps_its_own_solver():
@@ -555,6 +560,108 @@ def test_solution_carries_solver_statistics(net118):
     infeasible = lp.solve_lp(matrix_lp("max", [1.0], [-INF], [INF], [[-1.0], [1.0]],
                                        [-2.0, 1.0]))
     assert (infeasible.stationarity, infeasible.gap) == (None, None)
+
+
+def _counted_highs_calls(monkeypatch):
+    """A list that grows by one entry per HiGHS call from here on."""
+    calls = []
+    real = lp._run_highs
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_run_highs", count)
+    return calls
+
+
+def test_basis_answer_needs_no_highs_call(monkeypatch, capfd):
+    # a basis with no basic column: its bounds alone place the point, and
+    # LAPACK, which refuses an empty matrix (and says so), is not called
+    single = _single_var()
+    again = lp.solve_lp(single, lp.solve_lp(single).basis)
+    assert (again.rounds, again.values.tolist()) == (0, [1.0])
+    assert capfd.readouterr() == ("", "")
+    # only the row bounds move, and the optimal basis of the chained LP stays
+    # optimal: (6.5, 5.5) moves to (6.5, 4.5)
+    p = _chained_lazy_lp()
+    cold = lp.solve_lp(p)
+    moved = dataclasses.replace(p, row_upper=np.array([11.0, 2.0]))
+    calls = _counted_highs_calls(monkeypatch)
+    sol = lp.solve_lp(moved, cold.basis)
+    assert calls == []
+    assert (sol.status, sol.rounds, sol.iterations) == (lp.OPTIMAL, 0, 0)
+    assert sol.basis is cold.basis
+    assert sol.values == pytest.approx([6.5, 4.5], abs=1e-12)
+    assert sol.objective_value == pytest.approx(17.5, abs=1e-12)
+    assert 0.0 <= sol.stationarity <= lp.FEASIBILITY_TOL
+    assert 0.0 <= sol.gap <= lp.FEASIBILITY_TOL
+    # and HiGHS, from the same start, ends at the same point with no pivot
+    monkeypatch.setattr(lp, "_basis_point", lambda *args: None)
+    highs = lp.solve_lp(moved, cold.basis)
+    assert (len(calls), highs.rounds, highs.iterations) == (1, 1, 0)
+    assert np.abs(highs.values - sol.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["column", "outside-row", "zero-status", "singular",
+                                  "objective"])
+def test_start_falls_back_to_highs(case, monkeypatch):
+    p = _chained_lazy_lp()
+    if case == "column":
+        # the basis puts x at 11.5, beyond its bound of 10
+        start = lp.solve_lp(p).basis
+        p = dataclasses.replace(p, row_upper=np.array([22.0, 1.0]))
+    elif case == "outside-row":
+        # working set: the first row; at (10, 2) the second, outside, reads 8 > 1
+        start = lp.solve_lp(dataclasses.replace(p, row_upper=np.array([12.0, 20.0])),
+                            _working(True, False)).basis
+        assert start.working.tolist() == [True, False]
+    elif case == "zero-status":
+        # the free column x0 is in no row and costs nothing: HiGHS leaves it
+        # nonbasic at zero, a status that names no bound
+        p = matrix_lp("min", [0.0, 1.0], [-INF, 0.0], [INF, 10.0], [[0.0, -1.0]], [-1.0])
+        start = lp.solve_lp(p).basis
+        assert lp.highs.HighsBasisStatus.kZero in start.statuses.col_status
+        assert start._layout is None
+    elif case == "singular":
+        # parallel rows, and the optimal basis edited so that both columns
+        # are basic and both rows at their upper bounds
+        p = matrix_lp("max", [2.0, 1.0], [0.0, 0.0], [10.0, 10.0],
+                      [[1.0, 1.0], [2.0, 2.0]], [12.0, 30.0])
+        edited = lp.highs.HighsBasis()
+        edited.col_status = [lp.highs.HighsBasisStatus.kBasic] * 2
+        edited.row_status = [lp.highs.HighsBasisStatus.kUpper] * 2
+        edited.valid = True
+        start = dataclasses.replace(lp.solve_lp(p).basis, statuses=edited)
+        assert start._layout is None
+    else:
+        # a start of another objective: its marginals do not price this one
+        start = lp.solve_lp(dataclasses.replace(p, objective=np.array([1.0, 2.0]))).basis
+    calls = _counted_highs_calls(monkeypatch)
+    sol = lp.solve_lp(p, start)
+    assert len(calls) == sol.rounds >= 1
+    assert sol.objective_value == pytest.approx(lp.solve_lp(p).objective_value, abs=1e-9)
+
+
+def test_highs_sees_only_the_columns_of_its_working_rows(monkeypatch):
+    # the chained LP with a third column x2, priced -1, only in the second
+    # row: round 1 leaves it out at its lower bound, round 2 takes it in
+    p = matrix_lp("max", [2.0, 1.0, -1.0], [0.0] * 3, [10.0] * 3,
+                  [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]], [12.0, 1.0])
+    _, best = enumerate_vertices(p)
+    calls = _counted_highs_calls(monkeypatch)
+    sol = lp.solve_lp(p, _working(True, False))
+    assert [args[0].size for args in calls] == [2, 3]
+    assert sol.objective_value == pytest.approx(best, abs=1e-9)
+    assert sol.basis._codes[0].size == 3
+    # with the second row slack x2 never joins: its cost alone places it at
+    # its lower bound, and its marginal is that cost
+    q = dataclasses.replace(p, row_upper=np.array([12.0, 20.0]))
+    sol = lp.solve_lp(q, _working(True, False))
+    assert sol.rounds == 1 and [args[0].size for args in calls[2:]] == [2]
+    assert sol.values == pytest.approx([10.0, 2.0, 0.0], abs=1e-12)
+    assert sol.basis.fixed.tolist() == [-1, -1, int(lp.highs.HighsBasisStatus.kLower)]
+    assert sol.basis.dual.z[2] == 1.0
 
 
 def test_start_from_a_basis():
