@@ -29,7 +29,7 @@ from scipy import sparse
 
 from . import lp
 from .cases import Network, per_network
-from .estimation import FLOW, INJECTION, MeasurementSet, estimated_flows
+from .estimation import MeasurementSet, estimated_flows
 from .powerflow import topology
 
 AUDIT_TOL = 1e-7
@@ -255,9 +255,8 @@ def apply_attack(clean: MeasurementSet, result: AttackResult) -> MeasurementSet:
     buses drop by the malicious load deviation (higher cyber load means lower
     net injection).  Generator-only buses are untouched.
     """
-    kinds = np.array(clean.kinds, dtype=object)
-    is_flow, is_inj = kinds == FLOW, kinds == INJECTION
-    n_flow = int(is_flow.sum())
+    is_flow, is_inj = clean.is_flow, ~clean.is_flow
+    n_flow = int(np.count_nonzero(is_flow))
     if n_flow and n_flow != len(result.delta_p):
         raise ContractError(
             f"measurement set has {n_flow} flow entries, attack has"

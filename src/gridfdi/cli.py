@@ -22,7 +22,8 @@ import numpy as np
 from . import bundled_case
 from .attack import AttackSpec, solve_attack
 from .cases import CaseError, load_case
-from .detect import DEAD_BAND, TOP_N, ConfigError, Snapshot, run_two_stage
+from .detect import (DEAD_BAND, LEVELS, TOP_N, AlertLevel, ConfigError, Snapshot,
+                     run_two_stage)
 from .harness import (AttackParams, FluctuationSpec, NetworkCache, ScenarioConfig,
                       outage_robustness_suite, run_experiment, study_118_suite)
 from .powerflow import compute_ptdf
@@ -196,11 +197,15 @@ def _load_loads(net, path: str | None) -> np.ndarray:
     return loads
 
 
-def _plain(obj):
+def _plain(obj, levels=False):
     """JSON-ready copy of a record: dataclasses become dicts of their fields,
-    alert levels their names, arrays and numpy scalars lists and numbers."""
+    alert levels their names (in ``LEVELS`` fields too), arrays and numpy
+    scalars lists and numbers."""
+    if levels:
+        return [str(AlertLevel(i)) for i in obj.tolist()]
     if dataclasses.is_dataclass(obj):
-        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: _plain(getattr(obj, f.name), f.metadata == LEVELS)
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, enum.Enum):
         return str(obj)
     if isinstance(obj, (np.ndarray, np.generic)):

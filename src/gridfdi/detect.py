@@ -11,10 +11,11 @@ interval's (possibly forged) measurements and the freshly scheduled flows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cases import read_only
 from .powerflow import Ptdf
 
 # Relative load changes inside the dead band carry no directional evidence.
@@ -86,14 +87,15 @@ class Snapshot:
 
     def __post_init__(self):
         m, n = self.ptdf.matrix.shape
-        for name in ("prev_flows", "measured_flows", "sced_flows", "limits",
-                     "branch_ordinals", "prev_loads", "measured_loads"):
-            values = np.asarray(getattr(self, name))
+        names = ("prev_flows", "measured_flows", "sced_flows", "limits",
+                 "branch_ordinals", "prev_loads", "measured_loads")
+        for name in names:
             size, per = (n, "bus") if name.endswith("loads") else (m, "in-service branch")
-            if values.shape != (size,):
+            if np.shape(getattr(self, name)) != (size,):
                 raise ValueError(f"{name} must have one entry per {per}")
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} has NaN or infinite entries")
+        if not np.isfinite(np.concatenate([getattr(self, name) for name in names])).all():
+            bad = next(name for name in names if not np.isfinite(getattr(self, name)).all())
+            raise ValueError(f"{bad} has NaN or infinite entries")
         if np.any(self.limits <= 0):
             raise ValueError("all branch limits must be positive")
 
@@ -107,15 +109,18 @@ class Suspect:
     reasons: tuple[str, ...]
 
 
+LEVELS = {"alert_levels": True}   # field metadata: read-only integer AlertLevels
+
+
 @dataclass(frozen=True)
 class Stage2Report:
     bori1: np.ndarray
     bori2: np.ndarray
     bori: np.ndarray
-    flow_alerts: tuple[AlertLevel, ...]      # per-branch, from BORI
+    flow_alerts: np.ndarray = field(metadata=LEVELS)  # per-branch, from BORI
     emldi: np.ndarray
-    load_alerts: tuple[AlertLevel, ...]      # per-branch, from EMLDI
-    combined_alerts: tuple[AlertLevel, ...]
+    load_alerts: np.ndarray = field(metadata=LEVELS)  # per-branch, from EMLDI
+    combined_alerts: np.ndarray = field(metadata=LEVELS)
     cai: np.ndarray
     cai_rank: np.ndarray                     # 1-based, deterministic ties
     suspects: tuple[Suspect, ...]
@@ -161,8 +166,7 @@ def _emldi(snap: Snapshot, direction: np.ndarray) -> np.ndarray:
     |load change x sensitivity|; zero when no critical load moved at all."""
     ptdf = snap.ptdf
     change = np.abs(snap.measured_loads - snap.prev_loads)
-    # |critical| @ |change| without forming |critical|
-    norm = np.einsum("kn,kn,n->k", ptdf.critical_signs, ptdf.critical, change)
+    norm = ptdf.critical_abs @ change
     safe = np.where(norm > 0, norm, 1.0)
     return np.sign(snap.prev_flows) * (ptdf.critical @ (change * direction)) / safe
 
@@ -212,42 +216,23 @@ def _stage2(snap: Snapshot, direction: np.ndarray) -> Stage2Report:
     """Target identification: per-branch alerts, CAI ranking and suspects."""
     bori1, bori2, bori_values = bori_all(snap)
     emldi_values = _emldi(snap, direction)
-    flow_idx = _levels(bori_values, BORI_THRESHOLDS)
-    load_idx = _levels(emldi_values, INDEX_THRESHOLDS)
-    combined_idx = _COMBINED_INDEX[flow_idx, load_idx]
-    flow_alerts, load_alerts, combined = (
-        tuple(_LEVELS[i] for i in idx.tolist())
-        for idx in (flow_idx, load_idx, combined_idx)
-    )
+    flow = read_only(_levels(bori_values, BORI_THRESHOLDS))
+    load = read_only(_levels(emldi_values, INDEX_THRESHOLDS))
+    combined = read_only(_COMBINED_INDEX[flow, load])
     cai, rank = cai_ranking(emldi_values, bori_values, snap.branch_ordinals)
 
-    chosen: dict[int, list[str]] = {}
-    for k in np.flatnonzero(combined_idx == AlertLevel.DANGER).tolist():
-        chosen.setdefault(k, []).append("danger-alert")
-    for k in np.flatnonzero((rank <= TOP_SUSPECTS) & (cai > 0)).tolist():
-        chosen.setdefault(k, []).append("top-cai")
+    danger, top = combined == AlertLevel.DANGER, (rank <= TOP_SUSPECTS) & (cai > 0)
+    picked = np.flatnonzero(danger | top)
+    # ranks are unique; "stable" spares the SIMD sort's 0.3 MB of peak RSS
     suspects = tuple(
-        Suspect(
-            ordinal=int(snap.branch_ordinals[k]),
-            cai=float(cai[k]),
-            cai_rank=int(rank[k]),
-            alert=combined[k],
-            reasons=tuple(reasons),
-        )
-        for k, reasons in sorted(chosen.items(), key=lambda kv: rank[kv[0]])
+        Suspect(ordinal=int(snap.branch_ordinals[k]), cai=float(cai[k]),
+                cai_rank=int(rank[k]), alert=_LEVELS[combined[k]],
+                reasons=("danger-alert",) * bool(danger[k]) + ("top-cai",) * bool(top[k]))
+        for k in picked[np.argsort(rank[picked], kind="stable")].tolist()
     )
-    return Stage2Report(
-        bori1=bori1,
-        bori2=bori2,
-        bori=bori_values,
-        flow_alerts=flow_alerts,
-        emldi=emldi_values,
-        load_alerts=load_alerts,
-        combined_alerts=combined,
-        cai=cai,
-        cai_rank=rank,
-        suspects=suspects,
-    )
+    return Stage2Report(bori1=bori1, bori2=bori2, bori=bori_values, flow_alerts=flow,
+                        emldi=emldi_values, load_alerts=load, combined_alerts=combined,
+                        cai=cai, cai_rank=rank, suspects=suspects)
 
 
 def run_two_stage(snap: Snapshot) -> DetectionReport:

@@ -37,12 +37,26 @@ class ObservabilityError(Exception):
 @dataclass(frozen=True)
 class MeasurementSet:
     """Parallel arrays: kind ('flow'|'injection'), index (in-service branch
-    position or bus index), value (p.u.) and weight (1/sigma^2)."""
+    position or bus index), value (p.u.), weight (1/sigma^2) and ``is_flow``,
+    built from ``kinds`` unless given (an unknown kind raises ``ValueError``)."""
 
     kinds: tuple[str, ...]
     indices: np.ndarray
     values: np.ndarray
     weights: np.ndarray
+    is_flow: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.is_flow is None:
+            for kind in self.kinds:
+                if kind not in (FLOW, INJECTION):
+                    raise ValueError(f"unknown measurement kind {kind!r}")
+            is_flow = np.array([kind == FLOW for kind in self.kinds], dtype=bool)
+            object.__setattr__(self, "is_flow", read_only(is_flow))
+        sizes = {len(self.kinds), len(self.indices), len(self.values),
+                 len(self.weights), len(self.is_flow)}
+        if len(sizes) > 1:
+            raise ValueError(f"measurement arrays have unequal lengths {sorted(sizes)}")
 
     def __len__(self):
         return len(self.kinds)
@@ -82,11 +96,13 @@ def build_measurements(
     ``ValueError``.  Same seed, same set.
     """
     flows_pu = np.asarray(flows_pu, dtype=float)
-    m, n = len(net.in_service_branches), net.n_bus
-    if flows_pu.shape != (m,):
-        raise ValueError(f"expected {m} branch flows, got {flows_pu.shape}")
     loads_mw = np.asarray(loads_mw, dtype=float)
     gen_mw = np.asarray(gen_mw, dtype=float)
+    m, n = len(net.in_service_branches), net.n_bus
+    for what, given, size in (("branch flows", flows_pu, m), ("bus loads", loads_mw, n),
+                              ("bus generation entries", gen_mw, n)):
+        if given.shape != (size,):
+            raise ValueError(f"expected {size} {what}, got {given.shape}")
     inj_pu = (gen_mw - loads_mw) / net.base_mva
 
     sigma = {FLOW: 0.0, INJECTION: 0.0}
@@ -97,23 +113,25 @@ def build_measurements(
                              f" or {INJECTION!r} with a finite real sigma >= 0")
         sigma[kind] = value
 
-    counts = [m, n]
+    indices, is_flow = _layout(net)
     values = np.concatenate([flows_pu, inj_pu])
-    noise_scale = np.repeat([sigma[FLOW], sigma[INJECTION]], counts)
+    noise_scale = np.where(is_flow, sigma[FLOW], sigma[INJECTION])
     if np.any(noise_scale > 0):
         rng = np.random.default_rng(seed)
         values = values + rng.standard_normal(len(values)) * noise_scale
-
-    return MeasurementSet(
-        kinds=(FLOW,) * m + (INJECTION,) * n,
-        indices=np.concatenate([np.arange(m), np.arange(n)]),
-        values=values,
-        weights=np.repeat([_weight(sigma[FLOW]), _weight(sigma[INJECTION])], counts),
-    )
+    weights = np.where(is_flow, _weight(sigma[FLOW]), _weight(sigma[INJECTION]))
+    return MeasurementSet((FLOW,) * m + (INJECTION,) * n, indices, values, weights, is_flow)
 
 
 def _weight(sigma: float) -> float:
     return 1.0 / sigma**2 if sigma > 0 else 1.0
+
+
+@per_network("measurement_layout")
+def _layout(net: Network) -> tuple:
+    """Indices and flow mask shared by the network's full sets."""
+    m, n = len(net.in_service_branches), net.n_bus
+    return np.concatenate([np.arange(m), np.arange(n)]), np.repeat([True, False], [m, n])
 
 
 def measurement_matrix(meas: MeasurementSet, net: Network) -> np.ndarray:
@@ -121,12 +139,7 @@ def measurement_matrix(meas: MeasurementSet, net: Network) -> np.ndarray:
     estimating): flow rows of Bf, injection rows of B = A'Bf."""
     topo = topology(net)
     m, n = topo.bf.shape
-    kinds = np.array(meas.kinds, dtype=object)
-    is_flow = kinds == FLOW
-    unknown = ~is_flow & (kinds != INJECTION)
-    if np.any(unknown):
-        raise ValueError(f"unknown measurement kind {kinds[unknown][0]!r}")
-    idx = np.asarray(meas.indices)
+    is_flow, idx = meas.is_flow, np.asarray(meas.indices)
     if np.any((idx < 0) | (idx >= np.where(is_flow, m, n))):
         raise ValueError("measurement index outside the network")
     return np.vstack([topo.bf, topo.b])[np.where(is_flow, idx, m + idx)]
@@ -144,7 +157,7 @@ def _wls_factors(meas: MeasurementSet, net: Network):
     measurements, for this measurement layout and weight set.  Cached on the
     network; an unobservable set raises and is never cached."""
     weights = np.asarray(meas.weights, dtype=float)
-    key = (tuple(meas.kinds), np.asarray(meas.indices, dtype=np.int64).tobytes(),
+    key = (meas.is_flow.tobytes(), np.asarray(meas.indices, dtype=np.int64).tobytes(),
            weights.tobytes())
     cache = _wls_cache(net)
     if key in cache:

@@ -21,13 +21,8 @@ import numpy as np
 
 from .attack import AttackResult, AttackSpec, apply_attack, solve_attack
 from .cases import Network, load_case, per_network
-from .detect import ConfigError, DetectionReport, Snapshot, run_two_stage
-from .estimation import (
-    INJECTION,
-    build_measurements,
-    estimated_flows,
-    wls_estimate,
-)
+from .detect import AlertLevel, ConfigError, DetectionReport, Snapshot, run_two_stage
+from .estimation import build_measurements, estimated_flows, wls_estimate
 from .powerflow import compute_ptdf
 from .sced import Dispatch, base_dispatch, run_sced
 
@@ -231,9 +226,8 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
 def _loads_from_measurements(net: Network, meas, gen_mw: np.ndarray) -> np.ndarray:
     """Load telemetry as the control room reads it: trusted generation minus
     the (possibly forged) net-injection measurements."""
-    is_inj = np.array(meas.kinds, dtype=object) == INJECTION
     inj = np.zeros(net.n_bus)
-    inj[meas.indices[is_inj]] = meas.values[is_inj]
+    inj[meas.indices[~meas.is_flow]] = meas.values[~meas.is_flow]
     return np.asarray(gen_mw) - inj * net.base_mva
 
 
@@ -292,7 +286,7 @@ def run_scenario(config: ScenarioConfig, cache: NetworkCache) -> ScenarioOutcome
         if report.stage2 is not None:
             pos = int(np.nonzero(report.branch_ordinals == target)[0][0])
             rank = int(report.stage2.cai_rank[pos])
-            danger = report.stage2.combined_alerts[pos].name == "DANGER"
+            danger = bool(report.stage2.combined_alerts[pos] == AlertLevel.DANGER)
             in_suspects = any(s.ordinal == target for s in report.stage2.suspects)
     tampered_count = None
     if timeline.attack is not None:

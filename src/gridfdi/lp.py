@@ -55,6 +55,9 @@ and 41 dispatches, exactly those on which HiGHS takes one call and no pivot.
 ``LinearProgram.validate`` refuses non-finite data, NaN bounds and a bound
 infinite on the wrong side before anything reaches HiGHS, since a NaN bound
 would pass every comparison below; columns and rows obey the same rules.
+The checks of ``a`` alone run once for a block whose arrays are read-only,
+such as a network's dispatch and attack rows; the objective and the bounds
+are checked on every call.
 Every optimal answer is certified before it is returned.  The primal check
 re-tests the bounds of every column and row at ``FEASIBILITY_TOL``.  The
 dual certificate reads the HiGHS marginals ``y`` (rows) and ``z`` (columns)
@@ -73,6 +76,7 @@ A basis answer is certified with the marginals of the start's own solve.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,18 +122,33 @@ class LinearProgram:
     def validate(self):
         if self.sense not in ("max", "min"):
             raise ValueError(f"unknown sense {self.sense!r}")
-        n = self.n_var
+        n, a = self.n_var, self.a
         if self.objective.shape != (n,):
             raise ValueError("objective length does not match variable count")
-        if getattr(self.a, "format", None) != "csr":
+        ref = _sound_blocks.get(id(a))
+        known = ref is not None and ref() is a and _frozen(a)
+        if not known and getattr(a, "format", None) != "csr":
             raise ValueError("a is not a CSR matrix")
-        if self.a.ndim != 2 or self.a.shape[1] != n:
-            raise ValueError(f"a shape {self.a.shape} has not {n} columns")
-        for name, v in (("objective", self.objective), ("a", self.a.data)):
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"a shape {a.shape} has not {n} columns")
+        for name, v in (("objective", self.objective), ("a", () if known else a.data)):
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} holds a non-finite value")
+        if not known and _frozen(a):
+            key = id(a)
+            _sound_blocks[key] = weakref.ref(a, lambda _: _sound_blocks.pop(key, None))
         _check_bounds("variable", self.lower, self.upper, n)
         _check_bounds("row", self.row_lower, self.row_upper, self.a.shape[0])
+
+
+# Read-only row blocks, such as a network's dispatch and attack rows, that
+# passed the checks of ``a`` alone, by id while they live: checked once.
+_sound_blocks: dict[int, weakref.ref] = {}
+
+
+def _frozen(a) -> bool:
+    """Whether no array of the CSR block ``a`` can be written."""
+    return not any(v.flags.writeable for v in (a.data, a.indices, a.indptr))
 
 
 def _check_bounds(name, lower, upper, size):
@@ -139,10 +158,10 @@ def _check_bounds(name, lower, upper, size):
     if lower.shape != (size,) or upper.shape != (size,):
         raise ValueError(f"{name} bounds have shapes {lower.shape} and {upper.shape},"
                          f" not ({size},)")
-    # written so that a NaN fails it too
-    if not ((lower < np.inf).all() and (upper > -np.inf).all()):
-        raise ValueError(f"a {name} bound is NaN or infinite on the wrong side")
-    if np.any(lower > upper + 1e-15):
+    # written so that a NaN fails it too; the failure then names its rule
+    if not ((lower < np.inf) & (upper > -np.inf) & (lower <= upper + 1e-15)).all():
+        if not ((lower < np.inf).all() and (upper > -np.inf).all()):
+            raise ValueError(f"a {name} bound is NaN or infinite on the wrong side")
         raise ValueError(f"a {name} has lower bound above its upper bound")
 
 

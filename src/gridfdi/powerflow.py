@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
 from .cases import Network, per_network, read_only
@@ -71,6 +72,15 @@ class Ptdf:
     def critical_signs(self) -> np.ndarray:
         """Sign of :attr:`critical`: +-1 inside each critical set (read-only)."""
         return read_only(np.sign(self.critical))
+
+    @cached_property
+    def critical_abs(self) -> sparse.csr_array:
+        """Magnitude of :attr:`critical` as CSR (read-only): a product with it
+        sums each row's nonzeros in bus order, one after another."""
+        mask, shape = self.critical_mask, self.matrix.shape
+        cols = np.broadcast_to(np.arange(shape[1]), shape)[mask]
+        indptr = np.append(0, np.cumsum(self.critical_sizes))
+        return read_only(sparse.csr_array((np.abs(self.matrix[mask]), cols, indptr), shape=shape))
 
 
 @dataclass(frozen=True)

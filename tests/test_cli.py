@@ -11,6 +11,7 @@ import pytest
 
 import gridfdi
 from gridfdi.cli import _config_to_dict, _read_suite, main
+from gridfdi.detect import BORI_THRESHOLDS, COMBINED_ALERT, INDEX_THRESHOLDS
 from gridfdi.harness import (
     AttackParams,
     NetworkCache,
@@ -21,6 +22,8 @@ from gridfdi.harness import (
 )
 from gridfdi.powerflow import MIN_CRITICAL_SET
 from gridfdi.sced import base_dispatch
+
+from test_detect import _level
 
 
 def _read(path):
@@ -117,6 +120,19 @@ def test_detect_command_roundtrip(case118_path, tmp_path):
     assert report["stage1_alert"] in ("Warning", "Danger")
     suspects = [s["ordinal"] for s in report["stage2"]["suspects"]]
     assert 118 in suspects
+    # every written alert is the name the scalar oracle gives its value
+    s2 = report["stage2"]
+    flow = [_level(v, BORI_THRESHOLDS) for v in s2["bori"]]
+    load = [_level(v, INDEX_THRESHOLDS) for v in s2["emldi"]]
+    assert s2["flow_alerts"] == [str(a) for a in flow]
+    assert s2["load_alerts"] == [str(a) for a in load]
+    combined = [COMBINED_ALERT[f][d] for f, d in zip(flow, load)]
+    assert s2["combined_alerts"] == [str(a) for a in combined]
+    assert "Danger" in s2["combined_alerts"]
+    position = {ordinal: k for k, ordinal in enumerate(report["branch_ordinals"])}
+    for suspect in s2["suspects"]:
+        assert suspect["alert"] == str(combined[position[suspect["ordinal"]]])
+        assert suspect["alert"] in ("Normal", "Monitor", "Warning", "Danger")
 
 
 def test_gen_scenarios_and_run_experiment(case118_path, tmp_path, monkeypatch):

@@ -391,12 +391,12 @@ def test_stage2_alerts_match_scalar_levels(case118_path):
     assert np.array_equal(s2.emldi, emldi_all(snap))
     flow = tuple(_level(v, BORI_THRESHOLDS) for v in s2.bori)
     load = tuple(_level(v, INDEX_THRESHOLDS) for v in s2.emldi)
-    assert s2.flow_alerts == flow
-    assert s2.load_alerts == load
-    assert s2.combined_alerts == tuple(map(combine_alert, flow, load))
+    assert tuple(s2.flow_alerts.tolist()) == flow
+    assert tuple(s2.load_alerts.tolist()) == load
+    assert tuple(s2.combined_alerts.tolist()) == tuple(map(combine_alert, flow, load))
     for alerts in (s2.flow_alerts, s2.load_alerts, s2.combined_alerts):
-        assert isinstance(alerts, tuple)
-        assert all(type(a) is AlertLevel for a in alerts)
+        assert isinstance(alerts, np.ndarray) and alerts.dtype.kind == "i"
+        assert not alerts.flags.writeable
     assert AlertLevel.DANGER in s2.combined_alerts
 
 

@@ -133,6 +133,55 @@ def test_flow_shape_checked(net3):
         build_measurements(net3, np.zeros(5), net3.load_mw, np.zeros(3))
 
 
+@pytest.mark.parametrize("short", ["loads", "gen"])
+def test_load_and_generation_lengths_checked(net118, short):
+    # one bus short used to build 303 values under 304 kinds, and WLS then
+    # failed inside matmul
+    loads, gen, sol = _true_state(net118)
+    args = {"loads": loads, "gen": gen}
+    args[short] = args[short][:-1]
+    what = {"loads": "bus loads", "gen": "bus generation entries"}[short]
+    with pytest.raises(ValueError, match=f"expected 118 {what}, got \\(117,\\)"):
+        build_measurements(net118, sol.flows, args["loads"], args["gen"])
+
+
+@pytest.mark.parametrize("field", ["indices", "values", "weights"])
+def test_measurement_arrays_must_be_parallel(field):
+    arrays = {"indices": np.array([0, 1]), "values": np.array([0.3, 0.1]),
+              "weights": np.ones(2)}
+    arrays[field] = arrays[field][:1]
+    with pytest.raises(ValueError, match="unequal lengths"):
+        MeasurementSet(kinds=("flow", "flow"), **arrays)
+
+
+def test_unknown_measurement_kind_is_named():
+    with pytest.raises(ValueError, match="unknown measurement kind 'voltage'"):
+        MeasurementSet(kinds=("flow", "voltage"), indices=np.array([0, 1]),
+                       values=np.zeros(2), weights=np.ones(2))
+
+
+def test_sets_of_one_network_share_one_flow_mask(net118, case118_path):
+    loads, gen, sol = _true_state(net118)
+    first = build_measurements(net118, sol.flows, loads, gen)
+    noisy = build_measurements(net118, sol.flows, loads, gen,
+                               {"flow": 0.01, "injection": 0.01}, seed=3)
+    moved = first.with_values(first.values + 1.0)
+    assert first.is_flow is noisy.is_flow is moved.is_flow
+    assert not first.is_flow.flags.writeable
+    assert first.is_flow.dtype == bool
+    assert first.is_flow.tolist() == [kind == "flow" for kind in first.kinds]
+    other = load_case(case118_path, (71,))
+    _, _, sol71 = _true_state(other)
+    elsewhere = build_measurements(other, sol71.flows, loads, gen)
+    assert elsewhere.is_flow is not first.is_flow
+    # a set built from its kinds alone gets a mask of its own, equal in value
+    rebuilt = MeasurementSet(first.kinds, first.indices, first.values, first.weights)
+    assert rebuilt.is_flow is not first.is_flow
+    assert np.array_equal(rebuilt.is_flow, first.is_flow)
+    assert np.array_equal(wls_estimate(rebuilt, net118).angles,
+                          wls_estimate(first, net118).angles)
+
+
 def _noisy(net, sigma, seed):
     loads, gen, sol = _true_state(net)
     return build_measurements(net, sol.flows, loads, gen, sigma, seed=seed)

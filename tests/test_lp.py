@@ -7,6 +7,7 @@ import scipy.optimize
 import scipy.sparse
 
 from gridfdi import attack, lp, sced
+from gridfdi.cases import read_only
 
 from oracles import boxed_vertex_verdict, enumerate_vertices, matrix_lp, random_bounded_lp
 
@@ -404,6 +405,46 @@ def test_validate_rejects_non_finite_data(block, value):
                "lower": "variable bound is NaN", "upper": "variable bound is NaN"}[block]
     with pytest.raises(ValueError, match=message):
         lp.solve_lp(matrix_lp("min", **args))
+
+
+def test_read_only_block_is_checked_on_its_first_solve():
+    # a network's row block is read-only and its own checks run once; one
+    # holding a NaN is refused on its first solve, and on every later one
+    p = matrix_lp("min", [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 0.0], [1.0, 1.0]],
+                  [1.0, 1.5])
+    bad = p.a.copy()
+    bad.data[0] = np.nan
+    with_nan = dataclasses.replace(p, a=read_only(bad))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="a holds a non-finite value"):
+            lp.solve_lp(with_nan)
+    assert id(bad) not in lp._sound_blocks
+
+    sound = read_only(p.a.copy())
+    on_sound = dataclasses.replace(p, a=sound)
+    assert np.array_equal(lp.solve_lp(on_sound).values, lp.solve_lp(p).values)
+    assert lp._sound_blocks[id(sound)]() is sound
+    assert id(p.a) not in lp._sound_blocks      # writable: checked on every call
+    # a block made writable again is checked in full again
+    sound.data.setflags(write=True)
+    sound.data[0] = np.nan
+    with pytest.raises(ValueError, match="a holds a non-finite value"):
+        lp.solve_lp(on_sound)
+    sound.data[0] = 1.0
+    read_only(sound)
+    # the objective and every bound are still checked on each call
+    for change, message in (({"objective": np.array([np.nan, 1.0])}, "objective holds"),
+                            ({"upper": np.array([1.0, np.nan])}, "variable bound is NaN"),
+                            ({"row_upper": np.array([1.0, -np.inf])}, "row bound is NaN"),
+                            ({"lower": np.array([2.0, 0.0])}, "lower bound above")):
+        with pytest.raises(ValueError, match=message):
+            lp.solve_lp(dataclasses.replace(on_sound, **change))
+    with pytest.raises(ValueError, match="has not 3 columns"):
+        dataclasses.replace(on_sound, objective=np.ones(3), lower=np.zeros(3),
+                            upper=np.ones(3)).validate()
+    key = id(sound)
+    del sound, on_sound
+    assert key not in lp._sound_blocks
 
 
 def _working(*flags):
