@@ -126,6 +126,11 @@ class Network:
         return read_only(
             np.array([b.limit_mw for b in self.in_service_branches]) / self.base_mva)
 
+    @cached_property
+    def branch_ordinals(self) -> np.ndarray:
+        """The 1-based file ordinal per in-service branch (read-only)."""
+        return read_only(np.array([b.ordinal for b in self.in_service_branches]))
+
     @property
     def load_mw(self) -> np.ndarray:
         return np.array([b.load_mw for b in self.buses])
@@ -136,7 +141,10 @@ class Network:
             {br.ordinal: pos for pos, br in enumerate(self.in_service_branches)})
 
     def branch_position(self, ordinal: int) -> int:
-        """Position of a 1-based file ordinal inside the in-service vector."""
+        """Position of a 1-based file ordinal inside the in-service vector.
+        A bool is refused: True hashes as 1, so it would find branch 1."""
+        if isinstance(ordinal, (bool, np.bool_)):
+            raise DataError(f"branch ordinal {ordinal!r} is a bool, not an integer")
         try:
             return self._positions[ordinal]
         except KeyError:

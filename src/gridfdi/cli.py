@@ -22,8 +22,7 @@ import numpy as np
 from . import bundled_case
 from .attack import AttackSpec, solve_attack
 from .cases import CaseError, load_case
-from .detect import (DEAD_BAND, LEVELS, TOP_N, AlertLevel, ConfigError, Snapshot,
-                     run_two_stage)
+from .detect import LEVELS, TOP_N, AlertLevel, ConfigError, Snapshot, run_two_stage
 from .harness import (AttackParams, FluctuationSpec, NetworkCache, ScenarioConfig,
                       outage_robustness_suite, run_experiment, study_118_suite)
 from .powerflow import compute_ptdf
@@ -110,28 +109,17 @@ def _object(required: dict, optional: dict = {}, build=dict):
     return read
 
 
-def _fixed(key: str, setting):
-    """A detector setting that older files carry: only its fixed value reads."""
-    def read(value, where: str):
-        if value != setting:
-            raise ValueError(f"{where} = {value!r} is not supported;"
-                             f" the detector runs with {key} = {setting}")
-    return read
-
-
 def _seed(value, where: str):
     return (_list(_integer) if isinstance(value, list) else _integer)(value, where)
 
 
-def _scenario(case, attack=None, top_n=None, dead_band=None, **fields):
+def _scenario(case, attack=None, **fields):
     return ScenarioConfig(case_path=case, attack_params=attack, **fields)
 
 
-_DETECTOR = {key: _fixed(key, value) for key, value in (("top_n", TOP_N),
-                                                        ("dead_band", DEAD_BAND))}
 _SERIES = ("prev_flows", "prev_loads", "measured_flows", "measured_loads", "sced_flows")
 _SNAPSHOT = _object({"case": _string, **dict.fromkeys(_SERIES, _list(_number))},
-                    {"outages": _list(_integer), **_DETECTOR})
+                    {"outages": _list(_integer)})
 # noise_sigma's keys and values, and the mode, are the library's to check.
 _SCENARIO = _object({"case": _string, "mode": _string, "seed": _seed}, {
     "outages": _list(_integer),
@@ -140,7 +128,7 @@ _SCENARIO = _object({"case": _string, "mode": _string, "seed": _seed}, {
     "attack": _nullable(_object({"target_branch": _integer,
                                  "load_shift_factor": _number,
                                  "l1_limit": _number}, build=AttackParams)),
-    "noise_sigma": _mapping, "group": _string, "index": _integer, **_DETECTOR,
+    "noise_sigma": _mapping, "group": _string, "index": _integer,
 }, build=_scenario)
 
 
@@ -243,7 +231,7 @@ def _cmd_ptdf(args):
         "case": str(args.case),
         "outages": list(_parse_outages(args.outage)),
         "reference_bus": net.buses[net.reference_bus].external_id,
-        "branch_ordinals": [b.ordinal for b in net.in_service_branches],
+        "branch_ordinals": net.branch_ordinals,
         "bus_ids": [b.external_id for b in net.buses],
         "matrix": ptdf.matrix,
         "critical_sets": {
@@ -268,7 +256,7 @@ def _cmd_sced(args):
         "gen_output_mw": dispatch.gen_output,
         "gen_buses": [net.buses[g.bus].external_id for g in net.generators],
         "scheduled_flows_pu": dispatch.scheduled_flows,
-        "branch_ordinals": [b.ordinal for b in net.in_service_branches],
+        "branch_ordinals": net.branch_ordinals,
         "binding_branches": list(dispatch.binding_branches),
     }
     _write_json(args.out, payload)
@@ -295,7 +283,7 @@ def _cmd_attack(args):
         "delta_d_mw": result.delta_d,
         "tampered_loads_mw": result.tampered_loads,
         "cyber_flows_pu": result.cyber_flows,
-        "branch_ordinals": [b.ordinal for b in net.in_service_branches],
+        "branch_ordinals": net.branch_ordinals,
         "bus_ids": [b.external_id for b in net.buses],
         "base_mva": result.base_mva,
         "reference_bus": net.buses[net.reference_bus].external_id,
@@ -312,8 +300,7 @@ def _cmd_detect(args):
     with _one_line(source):
         snap = Snapshot(**{key: np.array(data[key]) for key in _SERIES},
                         limits=net.limits_pu, ptdf=compute_ptdf(net),
-                        branch_ordinals=np.array(
-                            [b.ordinal for b in net.in_service_branches]))
+                        branch_ordinals=net.branch_ordinals)
         payload = _plain(run_two_stage(snap))
     payload["assumptions"] = _assumptions(net)
     _write_json(args.out, payload)

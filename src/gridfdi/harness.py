@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attack import AttackResult, AttackSpec, apply_attack, solve_attack
-from .cases import Network, load_case, per_network
+from .cases import Network, load_case
 from .detect import AlertLevel, ConfigError, DetectionReport, Snapshot, run_two_stage
 from .estimation import build_measurements, estimated_flows, wls_estimate
 from .powerflow import compute_ptdf
@@ -118,12 +118,6 @@ class NetworkCache:
         return net, compute_ptdf(net)
 
 
-@per_network("branch_ordinals")
-def _branch_ordinals(net: Network) -> np.ndarray:
-    """The 1-based file ordinal of each in-service branch, read-only."""
-    return np.array([b.ordinal for b in net.in_service_branches])
-
-
 def _gen_by_bus(net: Network, dispatch: Dispatch) -> np.ndarray:
     out = np.zeros(net.n_bus)
     np.add.at(out, [g.bus for g in net.generators], dispatch.gen_output)
@@ -204,7 +198,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
         sced_flows=dispatch_next.scheduled_flows,
         limits=limits,
         ptdf=ptdf,
-        branch_ordinals=_branch_ordinals(net),
+        branch_ordinals=net.branch_ordinals,
     )
     return TimelineResult(
         snapshot=snapshot,

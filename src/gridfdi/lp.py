@@ -53,11 +53,11 @@ seed-2018 grid 173 of the 478 warm solves are basis answers: 132 attack LPs
 and 41 dispatches, exactly those on which HiGHS takes one call and no pivot.
 
 ``LinearProgram.validate`` refuses non-finite data, NaN bounds and a bound
-infinite on the wrong side before anything reaches HiGHS, since a NaN bound
-would pass every comparison below; columns and rows obey the same rules.
-The checks of ``a`` alone run once for a block whose arrays are read-only,
-such as a network's dispatch and attack rows; the objective and the bounds
-are checked on every call.
+infinite on the wrong side before anything reaches HiGHS, on every call;
+columns and rows obey the same rules.  Past it, one test decides whether a
+value leaves its bounds, for the basis answer, the rows joining the working
+set and the primal check alike, and a NaN leaves every bound; every residual
+test of the certificate is written so that a NaN fails it too.
 Every optimal answer is certified before it is returned.  The primal check
 re-tests the bounds of every column and row at ``FEASIBILITY_TOL``.  The
 dual certificate reads the HiGHS marginals ``y`` (rows) and ``z`` (columns)
@@ -69,14 +69,13 @@ stationarity and marginals to ``max(1, |c|_inf)``, the gap to
 ``max(1, |objective|)``.  A primal point that passes both is optimal up to
 those tolerances, whatever produced it; a failure raises
 :class:`SolverError` rather than returning a silently wrong answer.  So does
-a non-finite point or marginal, which every comparison would let through.
+a non-finite point or marginal.
 A basis answer is certified with the marginals of the start's own solve.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,30 +124,15 @@ class LinearProgram:
         n, a = self.n_var, self.a
         if self.objective.shape != (n,):
             raise ValueError("objective length does not match variable count")
-        ref = _sound_blocks.get(id(a))
-        known = ref is not None and ref() is a and _frozen(a)
-        if not known and getattr(a, "format", None) != "csr":
+        if getattr(a, "format", None) != "csr":
             raise ValueError("a is not a CSR matrix")
         if a.ndim != 2 or a.shape[1] != n:
             raise ValueError(f"a shape {a.shape} has not {n} columns")
-        for name, v in (("objective", self.objective), ("a", () if known else a.data)):
+        for name, v in (("objective", self.objective), ("a", a.data)):
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} holds a non-finite value")
-        if not known and _frozen(a):
-            key = id(a)
-            _sound_blocks[key] = weakref.ref(a, lambda _: _sound_blocks.pop(key, None))
         _check_bounds("variable", self.lower, self.upper, n)
-        _check_bounds("row", self.row_lower, self.row_upper, self.a.shape[0])
-
-
-# Read-only row blocks, such as a network's dispatch and attack rows, that
-# passed the checks of ``a`` alone, by id while they live: checked once.
-_sound_blocks: dict[int, weakref.ref] = {}
-
-
-def _frozen(a) -> bool:
-    """Whether no array of the CSR block ``a`` can be written."""
-    return not any(v.flags.writeable for v in (a.data, a.indices, a.indptr))
+        _check_bounds("row", self.row_lower, self.row_upper, a.shape[0])
 
 
 def _check_bounds(name, lower, upper, size):
@@ -333,7 +317,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         x[cols] = ans.x
         basis = Basis(working, ans.basis, fixed)
         ax = lp.a @ x
-        violated = ~working & ((ax > lp.row_upper) | (ax < lp.row_lower))
+        violated = ~working & _outside(ax, lp.row_lower, lp.row_upper, 0.0)
         if not violated.any():
             break
         working = working | violated
@@ -368,15 +352,18 @@ def _basis_point(lp, c, start):
         return None             # a status names an infinite bound
     if basic.size:
         x[basic] = factor.solve(rhs - (lp.a @ x)[rows])
-    if not _within(x, lp.lower, lp.upper):
+    if _outside(x, lp.lower, lp.upper, FEASIBILITY_TOL).any():
         return None
     ax = lp.a @ x
-    return (x, ax) if _within(ax, lp.row_lower, lp.row_upper) else None
+    if _outside(ax, lp.row_lower, lp.row_upper, FEASIBILITY_TOL).any():
+        return None
+    return x, ax
 
 
-def _within(v, lower, upper):
-    """Every ``v`` within its bounds at ``FEASIBILITY_TOL``; a NaN is not."""
-    return bool(np.maximum(lower - v, v - upper).max(initial=-np.inf) <= FEASIBILITY_TOL)
+def _outside(v, lower, upper, tol):
+    """Per entry, whether ``v`` leaves ``[lower, upper]`` by more than
+    ``tol``; written so that a NaN does."""
+    return ~(np.maximum(lower - v, v - upper) <= tol)
 
 
 def _certified(lp, c, sign, x, ax, fun, dual, rounds, iterations, basis):
@@ -516,10 +503,11 @@ def _solver():
 def _check_primal(name, v, lower, upper):
     """Every ``v`` within its bounds at ``FEASIBILITY_TOL``: the columns'
     values or the rows' activities."""
-    excess = np.maximum(lower - v, v - upper)
-    if excess.size and excess.max() > FEASIBILITY_TOL:
-        i = int(np.argmax(excess))
-        raise SolverError(f"{name} {i} outside its bounds by {excess[i]:.3e}")
+    outside = _outside(v, lower, upper, FEASIBILITY_TOL)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise SolverError(f"{name} {i} outside its bounds by"
+                          f" {np.maximum(lower[i] - v[i], v[i] - upper[i]):.3e}")
 
 
 def _check_dual(lp, c, obj, y, z):
@@ -533,7 +521,7 @@ def _check_dual(lp, c, obj, y, z):
 
     stationarity = c - _transpose_times(lp.a, y) - z
     worst = float(np.abs(stationarity).max(initial=0.0))
-    if worst > tol:
+    if not worst <= tol:        # written so that a NaN fails it too
         i = int(np.argmax(np.abs(stationarity)))
         raise SolverError(f"dual stationarity off by {stationarity[i]:.3e}"
                           f" at variable {i}")
@@ -551,7 +539,7 @@ def _priced(name, marginal, lower, upper, tol):
     a marginal beyond ``tol`` on an infinite bound is no certificate."""
     bound = np.where(marginal > 0.0, lower, upper)
     infinite = ~np.isfinite(bound)
-    wrong = infinite & (np.abs(marginal) > tol)
+    wrong = infinite & ~(np.abs(marginal) <= tol)
     if wrong.any():
         i = int(np.argmax(wrong))
         raise SolverError(f"{name} {i} has marginal {marginal[i]:.3e} on an infinite bound")

@@ -226,6 +226,23 @@ def test_branch_position_and_limits(net3):
     assert np.allclose(net3.limits_pu, 1.0)
 
 
+@pytest.mark.parametrize("ordinal", [True, False, np.True_],
+                         ids=["True", "False", "np_True"])
+def test_branch_position_refuses_a_bool(net3, ordinal):
+    # a bool hashes as 0 or 1, so a lookup would find branch 1 for True
+    with pytest.raises(DataError, match=re.escape(f"branch ordinal {ordinal!r} is a bool")):
+        net3.branch_position(ordinal)
+
+
+def test_branch_ordinals_follow_the_in_service_branches(case118_path):
+    net = load_case(case118_path, (71,))
+    ordinals = net.branch_ordinals
+    assert ordinals.tolist() == [b.ordinal for b in net.in_service_branches]
+    assert 71 not in ordinals and ordinals.size == 185
+    assert not ordinals.flags.writeable
+    assert net.branch_ordinals is ordinals
+
+
 def test_branch_position_out_of_service():
     net = validate_case(parse_matpower(TRIANGLE), (2,))
     with pytest.raises(DataError):

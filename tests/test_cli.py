@@ -11,7 +11,8 @@ import pytest
 
 import gridfdi
 from gridfdi.cli import _config_to_dict, _read_suite, main
-from gridfdi.detect import BORI_THRESHOLDS, COMBINED_ALERT, INDEX_THRESHOLDS
+from gridfdi.detect import (BORI_THRESHOLDS, COMBINED_ALERT, DEAD_BAND, INDEX_THRESHOLDS,
+                            TOP_N)
 from gridfdi.harness import (
     AttackParams,
     NetworkCache,
@@ -221,31 +222,31 @@ def test_negative_loads_allowed(case3_path, tmp_path):
 
 
 def _one_scenario_suite(case118_path, tmp_path, **settings):
-    """A one-scenario suite in the older format that carried the detector
-    settings, with ``settings`` overriding them."""
+    """A one-scenario suite whose scenario carries the detector ``settings``,
+    as files of an older format did."""
     suite_file = tmp_path / "suite.json"
     main(["gen-scenarios", "--case", str(case118_path), "--out", str(suite_file)])
     scenario = _read(suite_file)["scenarios"][80]
-    scenario.update({"top_n": 10, "dead_band": 0.05, **settings})
+    scenario.update(settings)
     suite_file.write_text(json.dumps({"scenarios": [scenario]}))
     return suite_file
 
 
-def test_suite_with_fixed_detector_settings_runs(case118_path, tmp_path):
-    suite_file = _one_scenario_suite(case118_path, tmp_path)
-    main(["run-experiment", "--suite", str(suite_file),
-          "--out", str(tmp_path / "results")])
-    payload = _read(tmp_path / "results" / "scenario_080.json")
-    assert payload["error"] is None
-    assert "top_n" not in payload["config"]
-    assert payload["report"]["under_attack"] is True
+def test_suite_with_fixed_detector_settings_refused(case118_path, tmp_path):
+    # the settings the detector runs with are refused like any unknown key
+    suite_file = _one_scenario_suite(case118_path, tmp_path, top_n=TOP_N,
+                                     dead_band=DEAD_BAND)
+    with pytest.raises(SystemExit, match=r"scenarios\[0\]: unknown key 'top_n'$"):
+        main(["run-experiment", "--suite", str(suite_file),
+              "--out", str(tmp_path / "results")])
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("key, value", [("top_n", 12), ("dead_band", 0.04)])
 def test_suite_with_other_detector_settings_refused(case118_path, tmp_path,
                                                    key, value):
     suite_file = _one_scenario_suite(case118_path, tmp_path, **{key: value})
-    with pytest.raises(SystemExit, match=f"{key} = {value}"):
+    with pytest.raises(SystemExit, match=rf"scenarios\[0\]: unknown key '{key}'$"):
         main(["run-experiment", "--suite", str(suite_file),
               "--out", str(tmp_path / "results")])
     assert not (tmp_path / "results").exists()
@@ -265,22 +266,19 @@ def _steady_snapshot(case_path, net, tmp_path, **extra):
     return snap_file
 
 
-@pytest.mark.parametrize("key, value, refused", [
+@pytest.mark.parametrize("key, value, other", [
     ("top_n", 10, False), ("dead_band", 0.05, False),
     ("top_n", 8, True), ("dead_band", 0.1, True),
 ])
 def test_snapshot_detector_settings(case118_path, net118, tmp_path, key, value,
-                                    refused):
+                                    other):
+    # refused as an unknown key, whether or not the detector runs with the value
+    assert (value != {"top_n": TOP_N, "dead_band": DEAD_BAND}[key]) == other
     snap_file = _steady_snapshot(case118_path, net118, tmp_path, **{key: value})
-    args = ["detect", "--snapshot", str(snap_file), "--out", str(tmp_path / "r.json")]
-    if refused:
-        with pytest.raises(SystemExit, match=f"{key} = {value}"):
-            main(args)
-    else:
-        main(args)
-        report = _read(tmp_path / "r.json")
-        assert report["under_attack"] is False
-        assert report["assumptions"]["smldi_top_n"] == 10
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit, match=f"unknown key '{key}'$"):
+        main(["detect", "--snapshot", str(snap_file), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_detect_without_eligible_branch_fails_in_one_line(case3_path, net3, tmp_path):

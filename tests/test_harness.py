@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridfdi import attack, harness, lp
+from gridfdi.cases import DataError
 from gridfdi.detect import AlertLevel
 from gridfdi.harness import (
     AttackParams,
@@ -183,6 +184,14 @@ def test_attack_timeline_detects_and_overloads(case118_path, cache):
     # per-branch deviation metric on the target, from the kept report
     pos = int(np.nonzero(outcome.report.branch_ordinals == 118)[0][0])
     assert outcome.report.mldi[pos] > 0.5
+
+
+def test_boolean_target_is_refused(case118_path, cache):
+    # True hashes as 1: taken as an ordinal, it would attack branch 1
+    config = dataclasses.replace(study_118_suite(case118_path)[80],
+                                 attack_params=AttackParams(True, 0.1, 5.0))
+    with pytest.raises(DataError, match="branch ordinal True is a bool"):
+        run_timeline(config, cache)
 
 
 def test_truth_equals_schedule_plus_hidden_deviation(case118_path, cache):
