@@ -9,7 +9,7 @@ alert pipeline driven by branch-flow and load-deviation metrics.
 from importlib import resources
 
 from .cases import Network, RawCase, load_case, parse_matpower, validate_case
-from .powerflow import DcSolution, Ptdf, compute_ptdf, solve_dc
+from .powerflow import Ptdf, compute_ptdf
 from .lp import LinearProgram, LpSolution, solve_lp
 from .sced import Dispatch, DispatchError, run_sced
 from .estimation import MeasurementSet, SeResult, build_measurements, wls_estimate

@@ -16,19 +16,19 @@ the same attack (target, sign, shift and budget) on the network's case
 loads, solved on first use.  That start is itself solved from the *anchor*,
 the attack with shift ``ANCHOR_SHIFT`` and budget ``ANCHOR_BUDGET`` on the
 case loads, which alone is solved cold.  Starts depend on the network and
-the attack alone, so answers do not depend on call order.
+the attack alone, so answers do not depend on call order.  The network keeps
+at most ``START_CAP`` of them, read-only, through :func:`cases.kept`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
 from . import lp
-from .cases import Network, per_network
+from .cases import Network, kept, per_network
 from .estimation import MeasurementSet, estimated_flows
 from .powerflow import topology
 
@@ -175,42 +175,23 @@ def solve_attack(net: Network, spec: AttackSpec) -> AttackResult:
     return result
 
 
-@per_network("attack_starts")
-def _starts(net: Network) -> OrderedDict:
-    """Optimal bases of attacks on the case loads by (target, sign of its
-    base flow, shift, budget), each added on first use, least recently used
-    first; at most ``START_CAP`` are kept."""
-    return OrderedDict()
-
-
 def _start(net: Network, spec: AttackSpec) -> lp.Basis:
-    """The optimal basis of ``spec``'s attack on the case loads, solved from
-    the anchor's; only the right-hand sides differ between any two of these
-    LPs, so each basis stays dual feasible for the others and the dual
-    simplex resumes from it.  A start evicted and asked for again is solved
-    again, to the same basis."""
-    starts = _starts(net)
+    """The optimal basis of ``spec``'s attack on the case loads, kept
+    read-only by the network.  Only the right-hand sides differ between any
+    two of these LPs, so each basis stays dual feasible for the others and
+    the dual simplex resumes from it.  A start is solved from the anchor's,
+    which its build asks for first, so eviction spares it; the anchor itself
+    is solved cold.  A start evicted and asked for again is solved again,
+    to the same basis."""
     sign = float(np.sign(spec.target_flow(net)))
-    anchor = (spec.target_branch, sign, ANCHOR_SHIFT, ANCHOR_BUDGET)
     key = (spec.target_branch, sign, spec.load_shift_factor, spec.l1_limit)
-    if key not in starts:
-        if anchor not in starts:
-            starts[anchor] = _case_basis(net, spec, anchor, None)
-        starts.move_to_end(anchor)   # so the eviction below spares it
-        if key not in starts:        # unless it is the anchor
-            starts[key] = _case_basis(net, spec, key, starts[anchor])
-        while len(starts) > START_CAP:
-            starts.popitem(last=False)
-    starts.move_to_end(key)
-    return starts[key]
 
-
-def _case_basis(net: Network, spec: AttackSpec, key, start) -> lp.Basis:
-    """Optimal basis of the attack ``key`` names, on the case loads, solved
-    from ``start``."""
-    _, _, shift, budget = key
-    case = replace(spec, load_shift_factor=shift, l1_limit=budget, base_loads=net.load_mw)
-    return lp.solve_lp(build_attack_lp(net, case), start).basis
+    def build():
+        anchor = replace(spec, load_shift_factor=ANCHOR_SHIFT, l1_limit=ANCHOR_BUDGET)
+        start = None if key[2:] == (ANCHOR_SHIFT, ANCHOR_BUDGET) else _start(net, anchor)
+        case = replace(spec, base_loads=net.load_mw)
+        return lp.solve_lp(build_attack_lp(net, case), start).basis
+    return kept(net, "attack_starts", START_CAP, key, build)
 
 
 def audit_attack(net: Network, spec: AttackSpec, result: AttackResult) -> None:

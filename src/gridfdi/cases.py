@@ -13,6 +13,7 @@ reports) are 1-based row positions in the case file.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, wraps
 from types import MappingProxyType
@@ -112,7 +113,8 @@ class Network:
     @cached_property
     def operators(self) -> dict:
         """Per-topology operators derived from this network, by name; each
-        is built on first use by a :func:`per_network` builder."""
+        is built on first use by a :func:`per_network` builder, or is a
+        bounded store of :func:`kept` entries."""
         return {}
 
     @cached_property
@@ -182,6 +184,22 @@ def per_network(name: str):
             return ops[name]
         return get
     return decorate
+
+
+def kept(net: Network, name: str, cap: int, key, build):
+    """``build()`` for ``key``, made :func:`read_only` and kept in the store
+    ``net.operators[name]``, which holds at most ``cap`` entries and evicts
+    the least recently used first.  A build that raises stores nothing."""
+    store = net.operators.get(name)
+    if store is None:
+        store = net.operators[name] = OrderedDict()
+    if key in store:
+        store.move_to_end(key)
+        return store[key]
+    value = store[key] = read_only(build())
+    while len(store) > cap:
+        store.popitem(last=False)
+    return value
 
 
 # One ``mpc.NAME = ...`` assignment at the start of a line of comment-free

@@ -33,7 +33,8 @@ from .sced import DispatchError, run_sced
 def _one_line(source: str):
     """End the run with one line naming ``source`` when that input is refused:
     a file that is missing or not JSON, JSON not of the declared kinds, a case
-    that does not load, or a value the library refuses."""
+    that does not load or is numerically singular, or a value the library
+    refuses."""
     try:
         yield
     except OSError as exc:
@@ -153,10 +154,13 @@ def _parse_outages(text: str | None) -> tuple[int, ...]:
 
 
 def _case_network(args):
-    """The ``--case`` network with the ``--outage`` branches out of service."""
+    """The ``--case`` network with the ``--outage`` branches out of service,
+    its PTDF built, so that a numerically singular case fails here."""
     outages = _parse_outages(args.outage)
     with _one_line(f"--case {args.case}"):
-        return load_case(args.case, outages)
+        net = load_case(args.case, outages)
+        compute_ptdf(net)
+    return net
 
 
 def _load_loads(net, path: str | None) -> np.ndarray:
@@ -297,9 +301,10 @@ def _cmd_detect(args):
         data = _SNAPSHOT(_read_json(args.snapshot), "")
     with _one_line(f"{source}: case {data['case']}"):
         net = load_case(data["case"], data.get("outages", ()))
+        ptdf = compute_ptdf(net)
     with _one_line(source):
         snap = Snapshot(**{key: np.array(data[key]) for key in _SERIES},
-                        limits=net.limits_pu, ptdf=compute_ptdf(net),
+                        limits=net.limits_pu, ptdf=ptdf,
                         branch_ordinals=net.branch_ordinals)
         payload = _plain(run_two_stage(snap))
     payload["assumptions"] = _assumptions(net)

@@ -185,8 +185,11 @@ def smldi(mldi_values: np.ndarray, eligible: np.ndarray, top_n: int = TOP_N):
     """Mean of the top ``top_n`` eligible per-branch indices and its alert.
 
     Ties at the pool boundary break on the lower branch position for
-    determinism.  Raises :class:`ConfigError` when nothing is eligible.
+    determinism.  Raises :class:`ConfigError` when nothing is eligible or
+    ``top_n`` is below 1.
     """
+    if top_n < 1:
+        raise ConfigError(f"SMLDI pool size top_n must be at least 1, got {top_n!r}")
     idx = np.nonzero(np.asarray(eligible))[0]
     if len(idx) == 0:
         raise ConfigError("no branch has a large enough critical load set")

@@ -10,13 +10,12 @@ builder exploits and the detector metrics are for.
 from __future__ import annotations
 
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
 
-from .cases import Network, per_network, read_only
+from .cases import Network, kept, per_network, read_only
 from .powerflow import topology
 
 LNR_THRESHOLD = 3.0
@@ -145,43 +144,32 @@ def measurement_matrix(meas: MeasurementSet, net: Network) -> np.ndarray:
     return np.vstack([topo.bf, topo.b])[np.where(is_flow, idx, m + idx)]
 
 
-@per_network("wls")
-def _wls_cache(net: Network) -> OrderedDict:
-    """The network's LRU of :func:`_wls_factors` entries."""
-    return OrderedDict()
-
-
 def _wls_factors(meas: MeasurementSet, net: Network):
     """H without the reference column, the gain G^-1 H'W (x_hat = gain @ z),
     and the residual standard deviations at the positions of the non-critical
-    measurements, for this measurement layout and weight set.  Cached on the
-    network; an unobservable set raises and is never cached."""
+    measurements, for this measurement layout and weight set.  Kept in the
+    network's ``wls`` store of at most ``_WLS_CACHE_SIZE``; an unobservable
+    set raises and is never kept."""
     weights = np.asarray(meas.weights, dtype=float)
     key = (meas.is_flow.tobytes(), np.asarray(meas.indices, dtype=np.int64).tobytes(),
            weights.tobytes())
-    cache = _wls_cache(net)
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
 
-    keep = topology(net).keep
-    h = measurement_matrix(meas, net)[:, keep]
-    hw = (h * weights[:, None]).T
-    try:
-        cho = linalg.cho_factor(hw @ h)
-    except linalg.LinAlgError:
-        raise ObservabilityError(
-            f"measurement set rank {np.linalg.matrix_rank(h)} < {len(keep)}"
-        )
-    # Residual covariance: Omega = W^-1 - H G^-1 H'.
-    hg = linalg.cho_solve(cho, h.T)       # G^-1 H'
-    omega = 1.0 / weights - np.einsum("ij,ji->i", h, hg)
-    noncritical = np.flatnonzero(omega > CRITICAL_OMEGA / weights)
-    cache[key] = read_only(
-        (h, hg * weights[None, :], np.sqrt(omega[noncritical]), noncritical))
-    if len(cache) > _WLS_CACHE_SIZE:
-        cache.popitem(last=False)
-    return cache[key]
+    def build():
+        keep = topology(net).keep
+        h = measurement_matrix(meas, net)[:, keep]
+        hw = (h * weights[:, None]).T
+        try:
+            cho = linalg.cho_factor(hw @ h)
+        except linalg.LinAlgError:
+            raise ObservabilityError(
+                f"measurement set rank {np.linalg.matrix_rank(h)} < {len(keep)}"
+            )
+        # Residual covariance: Omega = W^-1 - H G^-1 H'.
+        hg = linalg.cho_solve(cho, h.T)       # G^-1 H'
+        omega = 1.0 / weights - np.einsum("ij,ji->i", h, hg)
+        noncritical = np.flatnonzero(omega > CRITICAL_OMEGA / weights)
+        return h, hg * weights[None, :], np.sqrt(omega[noncritical]), noncritical
+    return kept(net, "wls", _WLS_CACHE_SIZE, key, build)
 
 
 def wls_estimate(meas: MeasurementSet, net: Network) -> SeResult:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
-from .cases import Network, per_network, read_only
+from .cases import CaseError, Network, per_network, read_only
 
 # A load bus belongs to a branch's critical set when the magnitude of its
 # transfer sensitivity reaches this threshold.
@@ -27,8 +27,8 @@ BALANCE_TOL = 1e-9
 MIN_PIVOT_RATIO = 1e-10
 
 
-class NumericError(Exception):
-    """Singular or numerically unusable system matrix."""
+class NumericError(CaseError):
+    """The case's system matrix is singular or numerically unusable."""
 
 
 @dataclass(frozen=True)

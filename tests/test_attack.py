@@ -14,6 +14,7 @@ from gridfdi.attack import (
 )
 from gridfdi.cases import load_case, parse_matpower, validate_case
 from gridfdi.estimation import build_measurements, wls_estimate
+from gridfdi.harness import NetworkCache, run_scenario, study_118_suite
 from gridfdi.powerflow import solve_dc
 from gridfdi import lp
 
@@ -251,7 +252,6 @@ def test_starts_per_attack_resume_from_the_anchor(case118_path, monkeypatch):
     net = load_case(case118_path)
     loads, _, flows = _state_118(net)
     sign = float(np.sign(flows[net.branch_position(118)]))
-    starts = attack._starts(net)
     solved = []
     solve = lp.solve_lp
 
@@ -262,9 +262,10 @@ def test_starts_per_attack_resume_from_the_anchor(case118_path, monkeypatch):
 
     def run(shift, budget, loads):
         """Solve one attack; returns the starts it added and its solves."""
-        before = set(starts)
+        before = set(net.operators.get("attack_starts", ()))
         solved.clear()
         solve_attack(net, AttackSpec(118, shift, budget, flows, loads))
+        starts = net.operators["attack_starts"]
         return {key: starts[key] for key in set(starts) - before}, list(solved)
 
     monkeypatch.setattr(lp, "solve_lp", spy)
@@ -285,6 +286,33 @@ def test_starts_per_attack_resume_from_the_anchor(case118_path, monkeypatch):
     assert sol.iterations < own.iterations
 
 
+def test_a_basis_answer_cannot_write_to_the_stored_start(case118_path, monkeypatch):
+    # a basis answer returns the network's stored start itself as its basis;
+    # a write through it would leave every later solve of that attack a
+    # start whose marginals no longer certify
+    config = study_118_suite(case118_path)[80]
+    assert config.mode == "attack"
+    cache = NetworkCache()
+    answers = []
+    solve = lp.solve_lp
+
+    def spy(problem, start=None):
+        sol = solve(problem, start)
+        answers.append(sol)
+        return sol
+
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    assert run_scenario(config, cache).error is None
+    starts = cache.get(case118_path, config.outages)[0].operators["attack_starts"]
+    [basis] = [sol.basis for sol in answers if sol.rounds == 0
+               and any(sol.basis is start for start in starts.values())]
+    for array in (basis.working, basis.fixed, basis.dual.c, basis.dual.y, basis.dual.z):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0
+    # the next solve of that attack still certifies
+    assert run_scenario(config, cache).error is None
+
+
 def test_start_store_keeps_at_most_its_cap(case118_path, monkeypatch):
     # the study grid asks one network for 80 starts, which must all stay
     assert attack.START_CAP >= 80
@@ -295,12 +323,11 @@ def test_start_store_keeps_at_most_its_cap(case118_path, monkeypatch):
     net = load_case(case118_path)
     loads, _, flows = _state_118(net)
     loads = loads * (1 + np.random.default_rng(3).normal(0, 0.03, net.n_bus))
-    starts = attack._starts(net)
     budgets = np.random.default_rng(4).permutation(np.tile(np.arange(1.0, 9.0), 2))
     for budget in budgets:
         spec = AttackSpec(118, 0.15, float(budget), flows, loads)
         shared = solve_attack(net, spec)
-        assert len(starts) <= 4
+        assert len(net.operators["attack_starts"]) <= 4
         alone = solve_attack(load_case(case118_path), spec)
         assert np.array_equal(shared.c, alone.c)
         assert shared.objective == alone.objective

@@ -11,6 +11,7 @@ from gridfdi.cases import (
     Network,
     ParseError,
     StructureError,
+    kept,
     load_case,
     parse_matpower,
     per_network,
@@ -349,3 +350,40 @@ def test_per_network_stores_nothing_when_the_build_raises():
         with pytest.raises(DataError):
             failing(net)
     assert len(calls) == 2 and "test-failing" not in net.operators
+
+
+def test_kept_holds_at_most_its_cap_least_recently_used_first():
+    net = validate_case(parse_matpower(TRIANGLE))
+    calls = []
+
+    def get(key):
+        def build():
+            calls.append(key)
+            return np.full(2, key)
+        return kept(net, "test-kept", 3, key, build)
+
+    first = get(1)
+    assert get(1) is first and calls == [1]
+    assert not first.flags.writeable
+    for key in (2, 3, 1, 4):      # 1 used again, so 2 is the least recent
+        get(key)
+    assert list(net.operators["test-kept"]) == [3, 1, 4]
+    assert calls == [1, 2, 3, 4]
+    assert get(2)[0] == 2 and calls == [1, 2, 3, 4, 2]
+    assert list(net.operators["test-kept"]) == [1, 4, 2]
+    # each network keeps its own store
+    other = validate_case(parse_matpower(TRIANGLE))
+    assert kept(other, "test-kept", 3, 1, lambda: np.zeros(2)) is not first
+
+
+def test_kept_stores_nothing_when_the_build_raises():
+    net = validate_case(parse_matpower(TRIANGLE))
+    kept(net, "test-kept", 2, "good", lambda: np.zeros(1))
+
+    def failing():
+        raise DataError("no entry")
+
+    for _ in range(2):
+        with pytest.raises(DataError):
+            kept(net, "test-kept", 2, "bad", failing)
+    assert list(net.operators["test-kept"]) == ["good"]

@@ -291,6 +291,30 @@ def test_detect_without_eligible_branch_fails_in_one_line(case3_path, net3, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    "ptdf --case {case}", "sced --case {case}", "attack --case {case} --target 118"
+    " --ls 0.1 --n1 5", "detect --snapshot {snapshot}"],
+    ids=["ptdf", "sced", "attack", "detect"])
+def test_numerically_singular_case_fails_in_one_line(case118_path, tmp_path, command):
+    # branch 1 at 1e-14 p.u. leaves reduced B a pivot ratio of 2.7e-14
+    text = Path(case118_path).read_text()
+    row = "\t1\t2\t0.0303\t0.0999\t"
+    assert row in text
+    case = tmp_path / "singular.m"
+    case.write_text(text.replace(row, "\t1\t2\t0.0303\t1e-14\t", 1))
+    snapshot = tmp_path / "snapshot.json"
+    snapshot.write_text(json.dumps({"case": str(case), **{key: [1.0] for key in (
+        "prev_flows", "prev_loads", "measured_flows", "measured_loads", "sced_flows")}}))
+    out = tmp_path / "out.json"
+    argv = command.format(case=case, snapshot=snapshot).split() + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    source = f"--snapshot {snapshot}: case {case}" if "detect" in argv else f"--case {case}"
+    assert exit_.value.code == (f"{source}: reduced susceptance matrix is numerically"
+                                " singular: pivot ratio 2.7e-14 <= 1e-10")
+    assert not out.exists()
+
+
 NO_SUCH_FILE = "No such file or directory"
 
 

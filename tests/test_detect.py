@@ -419,6 +419,13 @@ def test_smldi_requires_eligible():
         smldi(np.ones(4), np.zeros(4, dtype=bool))
 
 
+@pytest.mark.parametrize("top_n", [0, -1])
+def test_smldi_refuses_an_empty_pool(top_n):
+    # an empty pool would average nothing: NaN, read as Normal
+    with pytest.raises(ConfigError, match=f"top_n must be at least 1, got {top_n}"):
+        smldi(np.ones(4), np.ones(4, dtype=bool), top_n)
+
+
 def test_smldi_top_pool_and_ties():
     values = np.array([0.9, 0.5, 0.9, 0.1, 0.3])
     eligible = np.array([True, True, True, True, False])

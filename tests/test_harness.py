@@ -354,7 +354,7 @@ def test_outcomes_do_not_depend_on_scenario_order(case118_path):
 def test_warm_starts_agree_with_cold_solves(case118_path, monkeypatch):
     # each attack and soft-SCED LP, solved again without its start
     warm = []
-    solve, case_basis = lp.solve_lp, attack._case_basis
+    solve, case_start = lp.solve_lp, attack._start
     starting = []   # set while an attack start is solved on the case loads
 
     def spy(problem, start=None):
@@ -366,12 +366,12 @@ def test_warm_starts_agree_with_cold_solves(case118_path, monkeypatch):
     def start_spy(*args):
         starting.append(True)
         try:
-            return case_basis(*args)
+            return case_start(*args)
         finally:
             starting.pop()
 
     monkeypatch.setattr(lp, "solve_lp", spy)
-    monkeypatch.setattr(attack, "_case_basis", start_spy)
+    monkeypatch.setattr(attack, "_start", start_spy)
     run_experiment(_mixed_subset(case118_path), NetworkCache())
     monkeypatch.undo()
     assert {problem.sense for problem, _, _ in warm} == {"max", "min"}
