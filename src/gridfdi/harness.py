@@ -14,6 +14,7 @@ score plus detection and identification counts).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -27,6 +28,7 @@ from .powerflow import compute_ptdf
 from .sced import Dispatch, base_dispatch, run_sced
 
 FLUCTUATION_CUTOFF = 1.96   # clip standard-normal draws; 95% two-sided band
+NETWORKS_KEPT = 16          # networks a NetworkCache holds, least recently used out
 
 
 @dataclass(frozen=True)
@@ -103,18 +105,18 @@ class TimelineResult:
 
 
 class NetworkCache:
-    """Per-(case, outages) network reuse across scenarios; each network keeps
-    its own operators, the PTDF among them."""
+    """Per-(case, outages) network reuse across scenarios, the
+    ``NETWORKS_KEPT`` used last; each network keeps its own operators, the
+    PTDF among them."""
 
     def __init__(self):
-        self._nets: dict = {}
+        # load_case is looked up by name on each miss, so a wrapper put on it
+        # after the cache was made sees the load
+        self._load = functools.lru_cache(NETWORKS_KEPT)(lambda *key: load_case(*key))
 
     def get(self, case_path: str, outages: tuple[int, ...]):
         """``(network, its PTDF)``, loading the case on first use."""
-        key = (str(case_path), tuple(outages))
-        net = self._nets.get(key)
-        if net is None:
-            net = self._nets[key] = load_case(case_path, outages)
+        net = self._load(str(case_path), tuple(outages))
         return net, compute_ptdf(net)
 
 

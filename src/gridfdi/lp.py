@@ -28,13 +28,14 @@ too.  Of the dispatch LP's 391 columns about 25 reach HiGHS.  The basis a
 solve returns still covers every column.
 
 A start that holds HiGHS statuses too, such as the basis an optimal answer
-returns, starts warm, and each later round starts from the round before,
-the new rows' slacks basic.  An optimal basis stays dual feasible when only
-the right-hand sides change (Bertsimas & Tsitsiklis, *Introduction to
-Linear Optimization*, 1997, §5.1), so the dual simplex resumes from it
-without a phase 1.  Answers do not depend on call order as long as each
-start comes from an instance fixed by the caller, never from the LP solved
-last, as the dispatch and attack layers do.
+returns, starts the first round warm when it covers the columns that round
+hands HiGHS; every later round, and the retry with every row, starts cold.
+An optimal basis stays dual feasible when only the right-hand sides change
+(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997, §5.1),
+so the dual simplex resumes from it without a phase 1; a basis remapped
+onto a grown working set is not that case.  Answers do not depend on call
+order as long as each start comes from an instance fixed by the caller,
+never from the LP solved last, as the dispatch and attack layers do.
 
 Such a start is first evaluated as it stands, with no HiGHS call: its
 nonbasic columns sit at the bound their status names, and the nonbasic
@@ -176,22 +177,16 @@ class Basis:
     dual: _Dual | None = None
 
     @cached_property
-    def _codes(self):
-        """The HiGHS status codes per column and per working row, as int8
-        arrays.  Each read of a HiGHS status list builds it anew, at about
-        half a microsecond an entry, so each list is read once."""
-        cols = self.fixed.copy()
-        cols[cols < 0] = np.fromiter(map(int, self.statuses.col_status), np.int8)
-        return cols, np.fromiter(map(int, self.statuses.row_status), np.int8)
-
-    @cached_property
     def _layout(self):
         """``(basic columns, per column whether it sits at its upper bound,
         the nonbasic working rows, per such row whether at its upper bound,
         the factor of those rows over the basic columns)``, built on first
         use from ``dual.a``; None when a status names no bound (``kZero``,
-        ``kNonbasic``) or that block is not square or singular."""
-        cols, rows = self._codes
+        ``kNonbasic``) or that block is not square or singular.  Each read of
+        a HiGHS status list builds it anew, so each is read once here."""
+        cols = self.fixed.copy()
+        cols[cols < 0] = np.fromiter(map(int, self.statuses.col_status), np.int8)
+        rows = np.fromiter(map(int, self.statuses.row_status), np.int8)
         if not (np.isin(cols, _NAMED).all() and np.isin(rows, _NAMED).all()):
             return None
         basic = np.flatnonzero(cols == _BASIC)
@@ -264,9 +259,9 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     and certify an optimal answer against every row; deterministic for
     identical input.  A ``start`` with statuses, such as ``LpSolution.basis``
     of an LP of the same shape, is first evaluated as it stands and answers
-    when its point is within every bound; otherwise HiGHS resumes from it,
-    adding violated rows until none is left, each later round starting from
-    the one before."""
+    when its point is within every bound; otherwise HiGHS resumes from it
+    on the first round, and violated rows join, each later round cold, until
+    none is left."""
     lp.validate()
     if start is None:
         start = Basis(np.ones(lp.row_lower.shape, dtype=bool))
@@ -289,7 +284,6 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     # marginal its cost, unless that bound is infinite
     picked = np.where(c < 0, lp.upper, lp.lower)
     side = np.where(c < 0, _UPPER, _LOWER).astype(np.int8)
-    basis = None if start.statuses is None else start
     rounds = iterations = 0
     while True:
         rounds += 1
@@ -301,10 +295,14 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
             seen[:] = True      # HiGHS calls a model with no column empty, not optimal
         cols = np.flatnonzero(seen)
         fixed = np.where(seen, np.int8(-1), side)
+        # HiGHS resumes from the start only on the first round, and only
+        # when the start covers the very columns it sees; later rounds go cold
+        warm = (rounds == 1 and start.statuses is not None
+                and np.array_equal(start.fixed, fixed))
         ans = _run_highs(c[cols], lp.lower[cols], lp.upper[cols],
                          (indptr, (np.cumsum(seen) - 1)[indices], data),
                          lp.row_lower[rows], lp.row_upper[rows],
-                         None if basis is None else _narrow(basis, working, fixed))
+                         start.statuses if warm else None)
         iterations += ans.iterations
         if ans.status == INFEASIBLE:
             return LpSolution(INFEASIBLE, None, None, rounds, iterations)
@@ -315,7 +313,6 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
             continue
         x = picked.copy()
         x[cols] = ans.x
-        basis = Basis(working, ans.basis, fixed)
         ax = lp.a @ x
         violated = ~working & _outside(ax, lp.row_lower, lp.row_upper, 0.0)
         if not violated.any():
@@ -393,22 +390,6 @@ def _row_block(a, rows):
     return indptr, a.indices[take], a.data[take]
 
 
-def _narrow(basis: Basis, working, fixed) -> highs.HighsBasis:
-    """``basis`` over the rows in ``working`` and the columns ``fixed``
-    leaves to HiGHS: a row outside ``basis.working`` enters basic, and a
-    column HiGHS did not see before at the bound it sat at."""
-    if np.array_equal(basis.working, working) and np.array_equal(basis.fixed, fixed):
-        return basis.statuses
-    cols, rows = basis._codes
-    known = np.full(working.size, _BASIC, dtype=np.int8)
-    known[basis.working] = rows
-    narrow = highs.HighsBasis()
-    narrow.col_status = [_BASIS_STATUS[k] for k in cols[fixed < 0].tolist()]
-    narrow.row_status = [_BASIS_STATUS[k] for k in known[working].tolist()]
-    narrow.valid = True
-    return narrow
-
-
 def _highs_options():
     """Presolve on, dual simplex, no output and no debug checks: the
     settings of scipy's ``method="highs"``."""
@@ -422,7 +403,6 @@ def _highs_options():
 
 
 _OPTIONS = _highs_options()
-_BASIS_STATUS = {int(s): s for s in highs.HighsBasisStatus.__members__.values()}
 _LOWER, _BASIC, _UPPER = (int(getattr(highs.HighsBasisStatus, s))
                           for s in ("kLower", "kBasic", "kUpper"))
 _NAMED = (_LOWER, _BASIC, _UPPER)   # the statuses that name a bound, or none

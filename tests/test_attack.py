@@ -331,3 +331,27 @@ def test_start_store_keeps_at_most_its_cap(case118_path, monkeypatch):
         alone = solve_attack(load_case(case118_path), spec)
         assert np.array_equal(shared.c, alone.c)
         assert shared.objective == alone.objective
+
+
+@pytest.mark.parametrize("target", [118, 111])
+def test_budget_dual_prices_each_step_of_the_budget(net118, target):
+    # the attack's best objective is concave in its l1 budget, and the
+    # budget row's marginal a slope of it: on the case loads, solved cold,
+    # that marginal never rises with the budget, and each 1-rad step of
+    # the objective lies between the marginals at its two ends
+    from gridfdi.sced import base_dispatch
+
+    flows = base_dispatch(net118).scheduled_flows
+    for shift in (0.05, 0.10, 0.15, 0.20):
+        objective, price = [], []
+        for budget in range(1, 11):
+            spec = AttackSpec(target, shift, float(budget), flows, net118.load_mw)
+            sol = lp.solve_lp(build_attack_lp(net118, spec))
+            assert sol.status == lp.OPTIMAL
+            objective.append(sol.objective_value)
+            price.append(-sol.basis.dual.y[-1])
+        tol = lp.FEASIBILITY_TOL
+        assert min(price) >= -tol
+        assert all(later <= earlier + tol for earlier, later in zip(price, price[1:]))
+        for k, step in enumerate(np.diff(objective)):
+            assert price[k + 1] - tol <= step <= price[k] + tol, (shift, k + 1)

@@ -351,6 +351,28 @@ def test_outcomes_do_not_depend_on_scenario_order(case118_path):
         np.testing.assert_equal(dataclasses.astuple(ahead), dataclasses.astuple(behind))
 
 
+def test_bounded_cache_matches_the_default_one(case118_path, monkeypatch):
+    # scenarios of four networks in a shuffled order through a cache that
+    # keeps two: evicted networks are loaded again, and every outcome is the
+    # one a cache that keeps all four gives
+    grid = study_118_suite(case118_path)
+    suite = [grid[k] for k in (0, 84, 163)]
+    for outage in (71, 30, 50):
+        mini = outage_robustness_suite(case118_path, outage)
+        suite += [mini[k] for k in (0, 45, 60)]
+    suite = [suite[k] for k in np.random.default_rng(3).permutation(len(suite))]
+    default = run_experiment(suite, NetworkCache())
+    loads = []
+    real = harness.load_case
+    monkeypatch.setattr(harness, "load_case", lambda *key: loads.append(key) or real(*key))
+    monkeypatch.setattr(harness, "NETWORKS_KEPT", 2)
+    bounded = run_experiment(suite, NetworkCache())
+    assert len(set(loads)) == 4 and len(loads) > 4
+    assert all(o.error is None for o in default.outcomes)
+    for kept, every in zip(bounded.outcomes, default.outcomes):
+        np.testing.assert_equal(dataclasses.astuple(kept), dataclasses.astuple(every))
+
+
 def test_warm_starts_agree_with_cold_solves(case118_path, monkeypatch):
     # each attack and soft-SCED LP, solved again without its start
     warm = []

@@ -722,7 +722,8 @@ def test_highs_sees_only_the_columns_of_its_working_rows(monkeypatch):
     sol = lp.solve_lp(p, _working(True, False))
     assert [args[0].size for args in calls] == [2, 3]
     assert sol.objective_value == pytest.approx(best, abs=1e-9)
-    assert sol.basis._codes[0].size == 3
+    assert sol.basis.fixed.tolist() == [-1, -1, -1]
+    assert len(sol.basis.statuses.col_status) == 3
     # with the second row slack x2 never joins: its cost alone places it at
     # its lower bound, and its marginal is that cost
     q = dataclasses.replace(p, row_upper=np.array([12.0, 20.0]))
@@ -733,7 +734,7 @@ def test_highs_sees_only_the_columns_of_its_working_rows(monkeypatch):
     assert sol.basis.dual.z[2] == 1.0
 
 
-def test_start_from_a_basis():
+def test_start_from_a_basis(monkeypatch):
     # an optimal basis restarts its own LP with no pivot
     p = _chained_lazy_lp()
     cold = lp.solve_lp(p)
@@ -741,16 +742,16 @@ def test_start_from_a_basis():
     assert again.iterations == 0
     assert again.values == pytest.approx(cold.values, abs=1e-12)
     assert lp.solve_lp(p, _working(False, False)).basis.working.tolist() == [True, True]
-    # a later round starts from the round before, each new row's slack
-    # basic: the reduced basis of ``loose`` solves round 1 of the chained LP
-    # with no pivot, x - y <= 1 then joins, and one dual pivot ends it
+    # only round 1 resumes from the start: the reduced basis of ``loose``
+    # solves it with no pivot, x - y <= 1 then joins, and round 2 starts cold
     loose = matrix_lp("max", [2.0, 1.0], [0.0, 0.0], [10.0, 10.0],
                       [[1.0, 1.0], [1.0, -1.0]], [12.0, 20.0])
     reduced = lp.solve_lp(loose, _working(True, False))
     assert reduced.basis.working.tolist() == [True, False]
     assert reduced.values == pytest.approx([10.0, 2.0], abs=1e-12)
-    warm = lp.solve_lp(p, reduced.basis)
-    assert (warm.rounds, warm.iterations) == (2, 1)
+    starts, warm = _highs_starts(monkeypatch, lambda: lp.solve_lp(p, reduced.basis))
+    assert starts == [True, False]
+    assert warm.rounds == 2
     assert warm.values == pytest.approx([6.5, 5.5], abs=1e-12)
     # a basis of another LP's shape is refused
     with pytest.raises(ValueError, match="start basis"):
@@ -763,3 +764,53 @@ def test_start_from_a_basis():
     infeasible = lp.solve_lp(matrix_lp("max", [1.0], [-INF], [INF], [[-1.0], [1.0]],
                                        [-2.0, 1.0]))
     assert infeasible.basis is None
+
+
+def _highs_starts(monkeypatch, job):
+    """Per HiGHS call ``job`` makes, whether it was handed a start, and the
+    job's result."""
+    starts = []
+    real = lp._run_highs
+
+    def spy(*args):
+        starts.append(args[6] is not None)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_run_highs", spy)
+        result = job()
+    return starts, result
+
+
+def test_highs_gets_a_start_only_on_the_first_round(monkeypatch):
+    # a start with no working row: its columns sit at (10, 10), which breaks
+    # both rows of the chained LP in turn, so three rounds, and only the
+    # first resumes from the start
+    p = _chained_lazy_lp()
+    slack = dataclasses.replace(p, row_upper=np.array([30.0, 20.0]))
+    start = lp.solve_lp(slack, _working(False, False)).basis
+    assert start.working.tolist() == [False, False]
+    starts, sol = _highs_starts(monkeypatch, lambda: lp.solve_lp(p, start))
+    assert starts == [True, False, False]
+    cold = lp.solve_lp(p, _working(False, False))
+    assert (sol.rounds, sol.iterations) == (cold.rounds, cold.iterations)
+    assert np.array_equal(sol.values, cold.values)
+
+
+def test_start_over_other_columns_goes_cold(monkeypatch):
+    # the start left x2, which is in no working row, at its lower bound; a
+    # cost of +1 puts it at its upper one, so round 1 hands HiGHS no start
+    # and the solve is the cold one
+    q = matrix_lp("max", [2.0, 1.0, -1.0], [0.0] * 3, [10.0] * 3,
+                  [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]], [12.0, 20.0])
+    start = lp.solve_lp(q, _working(True, False)).basis
+    lower, upper = (int(getattr(lp.highs.HighsBasisStatus, s)) for s in ("kLower", "kUpper"))
+    assert start.fixed.tolist() == [-1, -1, lower]
+    r = dataclasses.replace(q, objective=np.array([2.0, 1.0, 1.0]))
+    starts, sol = _highs_starts(monkeypatch, lambda: lp.solve_lp(r, start))
+    assert starts == [False]
+    assert sol.basis.fixed.tolist() == [-1, -1, upper]
+    cold = lp.solve_lp(r, _working(True, False))
+    assert (sol.rounds, sol.iterations) == (cold.rounds, cold.iterations)
+    assert np.array_equal(sol.values, cold.values)
+    assert sol.objective_value == cold.objective_value
