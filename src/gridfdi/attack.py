@@ -105,9 +105,8 @@ def _attack_rows(net: Network) -> sparse.csr_array:
     """The attack LP's rows over [c+, c-], built once per network and
     read-only: per bus, in bus order, the load deviation ``(-B)(c+ - c-)``;
     then the budget row ``sum(c+ + c-)``."""
-    deviation = sparse.csr_array(-topology(net).b)
-    return sparse.vstack([sparse.hstack([deviation, -deviation]),
-                          np.ones((1, 2 * net.n_bus))], format="csr")
+    b = topology(net).b
+    return sparse.csr_array(np.vstack([np.hstack([-b, b]), np.ones((1, 2 * net.n_bus))]))
 
 
 def build_attack_lp(net: Network, spec: AttackSpec) -> lp.LinearProgram:

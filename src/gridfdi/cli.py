@@ -342,7 +342,7 @@ def _cmd_run_experiment(args):
         _dump(out_dir / f"scenario_{outcome.config.index:03d}.json", payload)
 
     ran = [o.config for o in report.outcomes if o.error is None]
-    net = cache.get(ran[0].case_path, ran[0].outages)[0] if ran else None
+    net = cache.first[str(ran[0].case_path)] if ran else None
     _dump(out_dir / "summary.json", {
         "n_scenarios": len(report.outcomes),
         "assumptions": _assumptions(net),

@@ -107,16 +107,19 @@ class TimelineResult:
 class NetworkCache:
     """Per-(case, outages) network reuse across scenarios, the
     ``NETWORKS_KEPT`` used last; each network keeps its own operators, the
-    PTDF among them."""
+    PTDF among them.  ``first`` keeps the first network of each case file
+    past eviction, for the reference bus a report names: the case sets it."""
 
     def __init__(self):
         # load_case is looked up by name on each miss, so a wrapper put on it
         # after the cache was made sees the load
         self._load = functools.lru_cache(NETWORKS_KEPT)(lambda *key: load_case(*key))
+        self.first = {}
 
     def get(self, case_path: str, outages: tuple[int, ...]):
         """``(network, its PTDF)``, loading the case on first use."""
         net = self._load(str(case_path), tuple(outages))
+        self.first.setdefault(str(case_path), net)
         return net, compute_ptdf(net)
 
 

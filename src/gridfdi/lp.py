@@ -2,76 +2,72 @@
 
 An LP is ``sense c x`` over ``lower <= x <= upper`` and ``row_lower <= a x
 <= row_upper``: one CSR row block, an equality row having equal bounds and
-a one-sided row an infinite one.  The dispatch and attack builders pass
-their per-network blocks in as they are.
+a one-sided row an infinite one, passed in by the dispatch and attack
+builders as they are.
 
 A solve starts from a :class:`Basis`, which names the *working set*: the
-rows of ``a`` handed to HiGHS first; without one every row is.  After each
-solve every row outside the working set that the point violates joins it
-and the LP is solved again, until no row is violated.  The reduced LP is a
-relaxation of the full one, so its infeasibility is the full LP's; an
-unbounded reduced LP is re-solved with every row.  The final answer is
-certified against *all* rows, the marginals of rows left outside padded
-with zeros, so a certified point is optimal for the full LP.
+rows of ``a`` handed to HiGHS first; without one every row is.  Each row
+outside it that the point violates joins it and the LP is solved again,
+until none is.  The reduced LP is a relaxation of the full one, so its
+infeasibility is the full LP's; an unbounded one is re-solved with every
+row.  The answer is certified against *all* rows, the marginals of rows
+left out padded with zeros, so a certified point is optimal for the full LP.
 
 Each working set is one call into HiGHS, Huangfu & Hall's dual revised
 simplex (Math. Prog. Comp. 2018), through the bindings scipy ships as
-``scipy.optimize._highspy._core``.  Each thread keeps one solver, given the
-fixed options (presolve on, dual simplex, no output, no debug checks) once
-when it is built; every call passes it a whole new model, which clears the
-model, basis and solution of the call before.  The working rows go in
-row-wise, gathered from the CSR arrays of ``a``, and with them only the
-columns that have a nonzero in one of them.  Every other column sits at the
-bound its cost picks, the lower one for a nonnegative cost, and its
-marginal is its cost; one whose picked bound is infinite goes to HiGHS
-too.  Of the dispatch LP's 391 columns about 25 reach HiGHS.  The basis a
-solve returns still covers every column.
+``scipy.optimize._highspy._core``.  Each thread keeps one solver, given
+scipy's ``method="highs"`` options once (dual simplex, no output, no debug
+checks) but presolve off: HiGHS skips presolve from a basis anyway, and on
+a cold solve of these small LPs it takes about a fifth of the time and
+saves no pivot.  Every call passes the solver a
+whole new model, which clears the model, basis and solution of the call
+before.  The working rows go in row-wise, and with them only the columns
+that have a nonzero in one of them.  Every other column sits at the bound
+its cost picks, the lower one for a nonnegative cost, its marginal its
+cost; one whose picked bound is infinite goes to HiGHS too.  Of the
+dispatch LP's 391 columns about 25 reach HiGHS.  The basis a solve returns
+still covers every column.
 
 A start that holds HiGHS statuses too, such as the basis an optimal answer
 returns, starts the first round warm when it covers the columns that round
-hands HiGHS; every later round, and the retry with every row, starts cold.
-An optimal basis stays dual feasible when only the right-hand sides change
+hands HiGHS; later rounds, and the retry with every row, start cold.  An
+optimal basis stays dual feasible when only the right-hand sides change
 (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997, §5.1),
-so the dual simplex resumes from it without a phase 1; a basis remapped
-onto a grown working set is not that case.  Answers do not depend on call
-order as long as each start comes from an instance fixed by the caller,
-never from the LP solved last, as the dispatch and attack layers do.
+so the dual simplex resumes from it without a phase 1.  Answers do not
+depend on call order while each start comes from an instance fixed by the
+caller, never from the LP solved last, as in the dispatch and attack layers.
 
 Such a start is first evaluated as it stands, with no HiGHS call: its
-nonbasic columns sit at the bound their status names, and the nonbasic
-working rows at theirs fix the basic columns through one square solve.  If
-that point is within every column and row bound at ``FEASIBILITY_TOL``, rows
-outside the working set included, it is optimal, since the start's
-marginals price it (same section), and it is the answer: a *basis answer*,
-which reads ``rounds == 0`` and ``iterations == 0`` and returns the start
-as its basis.  This needs the start to come from a solve of the same ``c``
-and the very same ``a`` object, as the dispatch and attack starts do, and
-only a start whose statuses each name a bound or basic, with a nonsingular
-block.  Otherwise, and on any bound violation, HiGHS solves from the start
-as above; HiGHS stays the only optimiser.  The block's LU factor is built
-on first use and kept with the start, its nonzeros only.  On the
-seed-2018 grid 173 of the 478 warm solves are basis answers: 132 attack LPs
-and 41 dispatches, exactly those on which HiGHS takes one call and no pivot.
+nonbasic columns and working rows sit at the bounds their statuses name,
+which fix the basic columns through one square solve.  A point within every
+column and row bound at ``FEASIBILITY_TOL`` is optimal, since the start's
+marginals price it (same section), and is the answer: a *basis answer*,
+with ``rounds == 0``, ``iterations == 0`` and the start as its basis.  This
+needs a start solved with the same ``c`` and the very same ``a`` object, as
+the dispatch and attack starts are, whose statuses each name a bound or
+basic, with a nonsingular block; its LU factor, nonzeros only, is kept with
+the start.  Otherwise HiGHS solves from the start as above; it stays the
+only optimiser.  On the seed-2018 grid 173 of the 478 warm solves are basis
+answers: 132 attack LPs and 41 dispatches, exactly those on which HiGHS
+takes one call and no pivot.
 
 ``LinearProgram.validate`` refuses non-finite data, NaN bounds and a bound
 infinite on the wrong side before anything reaches HiGHS, on every call;
 columns and rows obey the same rules.  Past it, one test decides whether a
 value leaves its bounds, for the basis answer, the rows joining the working
-set and the primal check alike, and a NaN leaves every bound; every residual
-test of the certificate is written so that a NaN fails it too.
-Every optimal answer is certified before it is returned.  The primal check
+set and the primal check alike, and a NaN leaves every bound.  Every
+optimal answer is certified before it is returned.  The primal check
 re-tests the bounds of every column and row at ``FEASIBILITY_TOL``.  The
 dual certificate reads the HiGHS marginals ``y`` (rows) and ``z`` (columns)
 of the minimisation form and checks stationarity ``c = a' y + z`` and a
-primal-dual gap within ``FEASIBILITY_TOL``; each marginal prices one bound
-of its row or column, a positive one the lower and a negative one the
-upper, and a marginal on an infinite bound fails.  Residuals are relative:
-stationarity and marginals to ``max(1, |c|_inf)``, the gap to
-``max(1, |objective|)``.  A primal point that passes both is optimal up to
-those tolerances, whatever produced it; a failure raises
-:class:`SolverError` rather than returning a silently wrong answer.  So does
-a non-finite point or marginal.
-A basis answer is certified with the marginals of the start's own solve.
+primal-dual gap within ``FEASIBILITY_TOL``; a positive marginal prices the
+lower bound of its row or column and a negative one the upper, and one on
+an infinite bound fails.  Residuals are relative: stationarity and
+marginals to ``max(1, |c|_inf)``, the gap to ``max(1, |objective|)``.  A
+point that passes both is optimal up to those tolerances, whatever produced
+it; a failure, a non-finite point or marginal, and a NaN residual, raise
+:class:`SolverError` rather than return a silently wrong answer.  A basis
+answer is certified with the marginals of the start's own solve.
 """
 
 from __future__ import annotations
@@ -391,10 +387,11 @@ def _row_block(a, rows):
 
 
 def _highs_options():
-    """Presolve on, dual simplex, no output and no debug checks: the
-    settings of scipy's ``method="highs"``."""
+    """Scipy's ``method="highs"`` settings, dual simplex with no output and
+    no debug checks, but presolve off: only a cold call would run it, and on
+    these small LPs it costs more time than it saves."""
     options = highs.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.output_flag = False
     options.log_to_console = False

@@ -9,9 +9,10 @@ import dataclasses
 import itertools
 
 import numpy as np
+import scipy.optimize
 from scipy import sparse
 
-from gridfdi import lp
+from gridfdi import lp, powerflow
 
 _TOL = 1e-9
 
@@ -246,3 +247,31 @@ def attack_lp_rows(net, spec):
     ub.append(budget)
     ub_rhs.append(spec.l1_limit)
     return matrix_lp("max", objective, lower, upper, ub, ub_rhs, eq, np.zeros(len(eq)))
+
+
+def linprog_reference(problem, rows=None):
+    """scipy's ``linprog(method="highs")``, presolve on, as a reference: the
+    LP ``problem`` over the rows ``rows`` of ``a`` (every row without), a row
+    with equal bounds as an ``A_eq`` row and each other finite row bound as
+    an ``A_ub`` row; returns (x, objective)."""
+    sign = -1.0 if problem.sense == "max" else 1.0
+    if rows is None:
+        rows = np.arange(problem.a.shape[0])
+    a, lo, hi = problem.a[rows], problem.row_lower[rows], problem.row_upper[rows]
+    eq = lo == hi
+    below, above = ~eq & np.isfinite(hi), ~eq & np.isfinite(lo)
+    res = scipy.optimize.linprog(
+        sign * problem.objective, A_ub=sparse.vstack([a[below], -a[above]]),
+        b_ub=np.concatenate([hi[below], -lo[above]]), A_eq=a[eq], b_eq=lo[eq],
+        bounds=np.column_stack([problem.lower, problem.upper]), method="highs",
+        options={"presolve": True})
+    assert res.status == 0, res.message
+    return res.x, sign * res.fun
+
+
+def stacked_attack_rows(net):
+    """The attack LP's rows over [c+, c-] built block by block, sparse
+    throughout: ``-B`` beside ``B``, then the budget row of ones."""
+    deviation = sparse.csr_array(-powerflow.topology(net).b)
+    return sparse.vstack([sparse.hstack([deviation, -deviation]),
+                          np.ones((1, 2 * net.n_bus))], format="csr")

@@ -12,13 +12,14 @@ from gridfdi.attack import (
     build_attack_lp,
     solve_attack,
 )
-from gridfdi.cases import load_case, parse_matpower, validate_case
+from gridfdi.cases import IslandError, load_case, parse_matpower, validate_case
 from gridfdi.estimation import build_measurements, wls_estimate
 from gridfdi.harness import NetworkCache, run_scenario, study_118_suite
 from gridfdi.powerflow import solve_dc
-from gridfdi import lp
+from gridfdi import lp, sced
 
-from oracles import attack_lp_rows, enumerate_vertices
+from oracles import (attack_lp_rows, enumerate_vertices, linprog_reference,
+                     stacked_attack_rows)
 from test_cases import TRIANGLE
 
 
@@ -245,6 +246,54 @@ def test_lp_structure(net3):
     a = problem.a.toarray()
     assert np.array_equal(a[:-1, 3:], -a[:-1, :3])
     assert np.array_equal(a[-1], np.ones(6))
+
+
+@pytest.mark.parametrize("outages", [(), (71,)])
+def test_attack_rows_equal_the_stacked_build(case118_path, outages):
+    # one dense-to-CSR conversion: the very arrays of the block-by-block build
+    net = load_case(case118_path, outages)
+    rows, stacked = attack._attack_rows(net), stacked_attack_rows(net)
+    assert rows.shape == stacked.shape and rows.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(rows, name), getattr(stacked, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+def test_cold_contingency_lps_match_linprog(case118_path, monkeypatch):
+    # a fresh outage network solves two LPs cold, with presolve off: its base
+    # dispatch, in lazy rounds, and its anchor attack.  Each reaches the
+    # optimum linprog finds with presolve on over every row.
+    solved = []
+
+    def spy(problem, start=None):
+        assert start is None or start.statuses is None
+        sol = solve(problem, start)
+        solved.append((problem, sol))
+        return sol
+
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    with open(case118_path) as fh:
+        raw = parse_matpower(fh.read())
+    networks = 0
+    for k in range(1, len(raw.branch_rows) + 1):
+        try:
+            net = validate_case(raw, (k,))
+        except IslandError:
+            continue
+        flows = sced.base_dispatch(net).scheduled_flows
+        anchor = AttackSpec(111 if k == 118 else 118, ANCHOR_SHIFT, ANCHOR_BUDGET,
+                            flows, net.load_mw)
+        attack._start(net, anchor)
+        networks += 1
+    monkeypatch.undo()
+    assert len(solved) == 2 * networks
+    for problem, sol in solved:
+        assert sol.status == lp.OPTIMAL
+        _, objective = linprog_reference(problem)
+        assert (abs(sol.objective_value - objective)
+                <= lp.FEASIBILITY_TOL * max(1.0, abs(objective)))
 
 
 def test_starts_per_attack_resume_from_the_anchor(case118_path, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -10,10 +11,13 @@ import numpy as np
 import pytest
 
 import gridfdi
+from gridfdi import harness
+from gridfdi.cases import IslandError, load_case
 from gridfdi.cli import _config_to_dict, _read_suite, main
 from gridfdi.detect import (BORI_THRESHOLDS, COMBINED_ALERT, DEAD_BAND, INDEX_THRESHOLDS,
                             TOP_N)
 from gridfdi.harness import (
+    NETWORKS_KEPT,
     AttackParams,
     NetworkCache,
     ScenarioConfig,
@@ -179,6 +183,35 @@ def test_gen_scenarios_and_run_experiment(case118_path, tmp_path, monkeypatch):
     assert attack["attack_objective_pu"] > 0
     assert attack["tampered_load_count"] > 0
     assert 0.0 <= attack["residual_delta"] < 1e-8
+
+
+def test_run_experiment_loads_each_network_once(case118_path, tmp_path, monkeypatch):
+    # 24 outage mini-suites, outage 71 first, one scenario each: more networks
+    # than a NetworkCache keeps, so outage 71's is dropped before the summary
+    outages = [71]
+    for k in range(72, 186):
+        if len(outages) < 24 and k not in (111, 118):
+            try:
+                load_case(case118_path, (k,))
+            except IslandError:
+                continue
+            outages.append(k)
+    assert len(outages) == 24 > NETWORKS_KEPT
+    runs = {}
+    for name, keys in (("alone", outages[:1]), ("joined", outages)):
+        suite = [dataclasses.replace(outage_robustness_suite(case118_path, k)[0], index=j)
+                 for j, k in enumerate(keys)]
+        suite_file = tmp_path / f"{name}.json"
+        suite_file.write_text(json.dumps({"scenarios": [_config_to_dict(c) for c in suite]}))
+        loads = []
+        monkeypatch.setattr(harness, "load_case",
+                            lambda *key: loads.append(key) or load_case(*key))
+        main(["run-experiment", "--suite", str(suite_file), "--out", str(tmp_path / name)])
+        runs[name] = loads, _read(tmp_path / name / "summary.json")
+    loads, summary = runs["joined"]
+    assert loads == [(str(case118_path), (k,)) for k in outages]
+    assert summary["assumptions"] == runs["alone"][1]["assumptions"]
+    assert summary["assumptions"]["reference_bus"] == 69
 
 
 def test_gen_scenarios_outage_grid(case118_path, tmp_path):

@@ -3,13 +3,12 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.optimize
-import scipy.sparse
 
 from gridfdi import attack, lp, sced
 from gridfdi.cases import read_only
 
-from oracles import boxed_vertex_verdict, enumerate_vertices, matrix_lp, random_bounded_lp
+from oracles import (boxed_vertex_verdict, enumerate_vertices, linprog_reference, matrix_lp,
+                     random_bounded_lp)
 
 INF = np.inf
 
@@ -44,6 +43,23 @@ def test_unbounded():
     p = matrix_lp("max", [1.0], [0.0], [INF])
     sol = lp.solve_lp(p)
     assert sol.status == lp.UNBOUNDED
+
+
+@pytest.mark.parametrize("problem, status", [
+    # x <= -1 over x >= 0 with y free and max y: infeasible and unbounded
+    (matrix_lp("max", [0.0, 1.0], [0.0, -INF], [INF, INF], [[1.0, 0.0]], [-1.0]),
+     lp.INFEASIBLE),
+    # x + y = 5 beyond the reach of the box 0 <= x, y <= 1
+    (matrix_lp("max", [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[5.0]),
+     lp.INFEASIBLE),
+    # max x + y over x - y = 0, both columns free
+    (matrix_lp("max", [1.0, 1.0], [-INF, -INF], [INF, INF], a_eq=[[1.0, -1.0]], b_eq=[0.0]),
+     lp.UNBOUNDED),
+])
+def test_cold_statuses_without_presolve(problem, status):
+    # presolve is off, so the simplex itself must reach each of these statuses
+    sol = lp.solve_lp(problem)
+    assert (sol.status, sol.values, sol.rounds) == (status, None, 1)
 
 
 def test_equality_and_negative_bounds():
@@ -561,24 +577,6 @@ def test_random_lazy_rows_match_vertex_enumeration(rng):
     assert grown > 0      # some start lacked a row the optimum needs
 
 
-def _linprog_on_working_rows(problem, sol):
-    """scipy's ``linprog(method="highs")`` as a reference: the same LP with
-    the working rows ``solve_lp`` ended with, a row with equal bounds as an
-    ``A_eq`` row and each other finite row bound as an ``A_ub`` row;
-    returns (x, objective)."""
-    sign = -1.0 if problem.sense == "max" else 1.0
-    rows = np.flatnonzero(sol.basis.working)
-    a, lo, hi = problem.a[rows], problem.row_lower[rows], problem.row_upper[rows]
-    eq = lo == hi
-    below, above = ~eq & np.isfinite(hi), ~eq & np.isfinite(lo)
-    res = scipy.optimize.linprog(
-        sign * problem.objective, A_ub=scipy.sparse.vstack([a[below], -a[above]]),
-        b_ub=np.concatenate([hi[below], -lo[above]]), A_eq=a[eq], b_eq=lo[eq],
-        bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
-    assert res.status == 0, res.message
-    return res.x, sign * res.fun
-
-
 def _attack_118(net118, target, budget):
     dispatch = sced.base_dispatch(net118)
     spec = attack.AttackSpec(target, 0.10, budget, dispatch.scheduled_flows,
@@ -614,7 +612,7 @@ def test_same_answers_as_linprog_on_case118(net118, monkeypatch):
     # which has no two-sided row, gets each attack row as a <= pair: every
     # answer agrees up to roundoff
     for problem, sol in solved:
-        x, objective = _linprog_on_working_rows(problem, sol)
+        x, objective = linprog_reference(problem, np.flatnonzero(sol.basis.working))
         assert np.abs(sol.values - x).max() <= 1e-9
         assert sol.objective_value == pytest.approx(objective, abs=lp.FEASIBILITY_TOL)
 
