@@ -25,7 +25,7 @@ from .cases import Network, load_case
 from .detect import AlertLevel, ConfigError, DetectionReport, Snapshot, run_two_stage
 from .estimation import build_measurements, estimated_flows, wls_estimate
 from .powerflow import compute_ptdf
-from .sced import Dispatch, base_dispatch, run_sced
+from .sced import Dispatch, base_dispatch, per_bus, run_sced
 
 FLUCTUATION_CUTOFF = 1.96   # clip standard-normal draws; 95% two-sided band
 NETWORKS_KEPT = 16          # networks a NetworkCache holds, least recently used out
@@ -123,12 +123,6 @@ class NetworkCache:
         return net, compute_ptdf(net)
 
 
-def _gen_by_bus(net: Network, dispatch: Dispatch) -> np.ndarray:
-    out = np.zeros(net.n_bus)
-    np.add.at(out, [g.bus for g in net.generators], dispatch.gen_output)
-    return out
-
-
 def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
     """Simulate one scenario and assemble the detector snapshot plus ground
     truth; deterministic for identical (config, seed)."""
@@ -140,7 +134,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
     # Interval 1: trusted loads, dispatch, actual flows.
     loads_prev = net.load_mw
     dispatch_prev = base_dispatch(net)
-    gen_prev = _gen_by_bus(net, dispatch_prev)
+    gen_prev = per_bus(net, dispatch_prev.gen_output)
 
     # Loads drift into interval 2; the old dispatch rides through, imbalance
     # lands on the reference unit, and telemetry meters what it produces.
@@ -183,7 +177,7 @@ def run_timeline(config: ScenarioConfig, cache: NetworkCache) -> TimelineResult:
 
     # Interval 2 dispatch runs on the estimated picture.
     dispatch_next = run_sced(net, measured_loads, soft_limits=True)
-    gen_next = _gen_by_bus(net, dispatch_next)
+    gen_next = per_bus(net, dispatch_next.gen_output)
 
     # Ground truth: the new dispatch against the *real* loads.
     true_flows_next = ptdf.matrix @ ((gen_next - loads_true) / net.base_mva)

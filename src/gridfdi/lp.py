@@ -161,16 +161,17 @@ class _Dual:
 @dataclass(frozen=True)
 class Basis:
     """Where a solve starts: ``working`` flags the rows of ``a`` that go to
-    HiGHS first; without ``statuses`` the solve starts cold.  The basis a
-    solve ends with sets the rest: ``statuses`` is the HiGHS basis of its
+    HiGHS first; without ``_statuses`` the solve starts cold.  The basis a
+    solve ends with sets the rest: ``_statuses`` is the HiGHS basis of its
     last call, over the working rows, each other row counting as basic, and
     over the columns HiGHS saw; ``fixed`` the status of each column HiGHS did
-    not see (-1 for one it saw); ``dual`` the LP and the marginals."""
+    not see (-1 for one it saw); ``dual`` the LP and the marginals.  A kept
+    start is read-only, but a HiGHS basis cannot be frozen, so it is private."""
 
     working: np.ndarray                      # bool per row of a
-    statuses: highs.HighsBasis | None = None
     fixed: np.ndarray | None = None          # int8 HiGHS status per column
     dual: _Dual | None = None
+    _statuses: highs.HighsBasis | None = None
 
     @cached_property
     def _layout(self):
@@ -181,8 +182,8 @@ class Basis:
         ``kNonbasic``) or that block is not square or singular.  Each read of
         a HiGHS status list builds it anew, so each is read once here."""
         cols = self.fixed.copy()
-        cols[cols < 0] = np.fromiter(map(int, self.statuses.col_status), np.int8)
-        rows = np.fromiter(map(int, self.statuses.row_status), np.int8)
+        cols[cols < 0] = np.fromiter(map(int, self._statuses.col_status), np.int8)
+        rows = np.fromiter(map(int, self._statuses.row_status), np.int8)
         if not (np.isin(cols, _NAMED).all() and np.isin(rows, _NAMED).all()):
             return None
         basic = np.flatnonzero(cols == _BASIC)
@@ -265,12 +266,12 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     if working.shape != lp.row_lower.shape:
         raise ValueError(f"start basis has working shape {working.shape},"
                          f" the LP {lp.row_lower.size} rows")
-    if start.statuses is not None and start.fixed.shape != lp.lower.shape:
+    if start._statuses is not None and start.fixed.shape != lp.lower.shape:
         raise SolverError(f"start basis has {start.fixed.size} columns,"
                           f" the LP {lp.n_var}")
     sign = -1.0 if lp.sense == "max" else 1.0
     c = sign * lp.objective
-    if start.statuses is not None:
+    if start._statuses is not None:
         point = _basis_point(lp, c, start)
         if point is not None:
             x, ax = point
@@ -293,12 +294,12 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
         fixed = np.where(seen, np.int8(-1), side)
         # HiGHS resumes from the start only on the first round, and only
         # when the start covers the very columns it sees; later rounds go cold
-        warm = (rounds == 1 and start.statuses is not None
+        warm = (rounds == 1 and start._statuses is not None
                 and np.array_equal(start.fixed, fixed))
         ans = _run_highs(c[cols], lp.lower[cols], lp.upper[cols],
                          (indptr, (np.cumsum(seen) - 1)[indices], data),
                          lp.row_lower[rows], lp.row_upper[rows],
-                         start.statuses if warm else None)
+                         start._statuses if warm else None)
         iterations += ans.iterations
         if ans.status == INFEASIBLE:
             return LpSolution(INFEASIBLE, None, None, rounds, iterations)
@@ -322,7 +323,7 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     dual = _Dual(lp.a, c, y, z)
     fun = ans.fun + float(c[~seen] @ picked[~seen])
     return _certified(lp, c, sign, x, ax, fun, dual, rounds, iterations,
-                      Basis(working, ans.basis, fixed, dual))
+                      Basis(working, fixed, dual, ans.basis))
 
 
 def _basis_point(lp, c, start):

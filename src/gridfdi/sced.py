@@ -19,7 +19,8 @@ ended with and from its final basis, which stays dual feasible since only
 right-hand sides and bounds differ.  The base dispatch starts from no limit
 row and no basis, and so does every dispatch on a network whose base
 dispatch fails.  Starts depend on the network alone, so answers do not
-depend on call order.
+depend on call order.  The LP's constants, that empty start among them, are
+built once per network; a dispatch builds only its row bounds.
 """
 
 from __future__ import annotations
@@ -60,26 +61,28 @@ class Dispatch:
 @dataclass(frozen=True)
 class _Operators:
     """The SCED LP's constants over [p, v+, v-] for one network, read-only:
-    generator buses, bounds and costs, and the rows, one per in-service
-    branch, ``PTDF_gen p - v+_k + v-_k``, then the balance row."""
+    generator buses; the objective, the lower bounds and the upper bounds
+    with the elastic columns free (soft limits) or fixed at zero; the
+    rows, one per in-service branch, ``PTDF_gen p - v+_k + v-_k``, then the
+    balance row; the total capacity; and the empty start, no limit row and
+    no basis, the balance row being in every working set."""
 
     gen_bus: np.ndarray
-    p_min: np.ndarray        # p.u.
-    p_max: np.ndarray        # p.u.
-    cost: np.ndarray         # $/h per p.u.
+    objective: np.ndarray    # $/h per p.u.
+    lower: np.ndarray        # p.u.
+    soft_upper: np.ndarray
+    fixed_upper: np.ndarray
     rows: sparse.csr_array
-
-
-@dataclass(frozen=True)
-class _Base:
-    dispatch: Dispatch
-    basis: lp.Basis          # final basis; its working set is the seed
+    capacity_mw: float
+    empty: lp.Basis
 
 
 @per_network("sced")
 def _operators(net: Network) -> _Operators:
-    ptdf = compute_ptdf(net)
     gens = net.generators
+    if not gens:
+        raise DispatchError("network has no in-service generators")
+    ptdf = compute_ptdf(net)
     base = net.base_mva
     ng, m = len(gens), ptdf.n_branches
     gen_bus = np.array([g.bus for g in gens], dtype=int)
@@ -92,31 +95,37 @@ def _operators(net: Network) -> _Operators:
           np.concatenate([c, ng + branch, ng + m + branch, np.arange(ng)]))),
         shape=(m + 1, ng + 2 * m),
     )
+    elastic = np.zeros(2 * m)
+    p_max = np.array([g.p_max for g in gens]) / base
     return _Operators(
         gen_bus=gen_bus,
-        p_min=np.array([g.p_min for g in gens]) / base,
-        p_max=np.array([g.p_max for g in gens]) / base,
-        cost=np.array([g.linear_cost for g in gens]) * base,
+        objective=np.append(np.array([g.linear_cost for g in gens]) * base,
+                            elastic + VIOLATION_PENALTY * base),
+        lower=np.append(np.array([g.p_min for g in gens]) / base, elastic),
+        soft_upper=np.append(p_max, elastic + np.inf),
+        fixed_upper=np.append(p_max, elastic),
         rows=rows,
+        capacity_mw=sum(g.p_max for g in gens),
+        empty=lp.Basis(np.arange(m + 1) == m),
     )
+
+
+def per_bus(net: Network, per_gen: np.ndarray) -> np.ndarray:
+    """Per-generator values summed onto their buses."""
+    return np.bincount(_operators(net).gen_bus, per_gen, net.n_bus)
 
 
 def _dispatch_lp(net, d_pu, soft):
     """The SCED LP over [p, v+, v-]: one row per branch, kept within
-    ``PTDF d +- limit``, then the balance row.  The elastic ``v+, v- >= 0``
-    are priced at ``VIOLATION_PENALTY``; without ``soft`` they are fixed at
-    zero."""
+    ``PTDF d +- limit``, then the balance row; only these row bounds depend
+    on the loads.  The elastic ``v+, v- >= 0`` are priced at
+    ``VIOLATION_PENALTY``; without ``soft`` they are fixed at zero."""
     ops = _operators(net)
     limits = net.limits_pu
-    elastic = np.zeros(2 * limits.size)
-    shift = compute_ptdf(net).matrix @ d_pu
-    total = d_pu.sum()
+    shift, total = compute_ptdf(net).matrix @ d_pu, d_pu.sum()
     return lp.LinearProgram(
-        sense="min",
-        objective=np.append(ops.cost, elastic + VIOLATION_PENALTY * net.base_mva),
-        lower=np.append(ops.p_min, elastic),
-        upper=np.append(ops.p_max, elastic + (np.inf if soft else 0.0)),
-        a=ops.rows,
+        sense="min", objective=ops.objective, lower=ops.lower,
+        upper=ops.soft_upper if soft else ops.fixed_upper, a=ops.rows,
         row_lower=np.append(shift - limits, total),
         row_upper=np.append(shift + limits, total),
     )
@@ -136,9 +145,9 @@ def run_sced(net: Network, loads_mw: np.ndarray,
     if loads_mw.shape != (net.n_bus,):
         raise ValueError(f"expected {net.n_bus} bus loads, got {loads_mw.shape}")
     try:
-        start = _base(net).basis
+        start = _base(net)[1]
     except DispatchError:
-        start = _empty_start(net)   # case loads not dispatchable
+        start = _operators(net).empty   # case loads not dispatchable
     return _solve(net, loads_mw, soft_limits, start)[0]
 
 
@@ -146,32 +155,21 @@ def base_dispatch(net: Network) -> Dispatch:
     """Soft-limit dispatch on the case loads.  It depends on the network
     alone, so it is solved once per instance, from an empty working set, and
     shared read-only by every caller on that network."""
-    return _base(net).dispatch
+    return _base(net)[0]
 
 
 @per_network("base_dispatch")
-def _base(net: Network) -> _Base:
-    return _Base(*_solve(net, net.load_mw, True, _empty_start(net)))
-
-
-def _empty_start(net):
-    """No limit row and no basis: a cold solve that generates each limit row
-    it needs.  The balance row is in every working set."""
-    working = np.zeros(net.limits_pu.size + 1, dtype=bool)
-    working[-1] = True
-    return lp.Basis(working)
+def _base(net: Network) -> tuple[Dispatch, lp.Basis]:
+    return _solve(net, net.load_mw, True, _operators(net).empty)
 
 
 def _solve(net, loads_mw, soft, start):
     """``(dispatch, final basis)``, solved from ``start``."""
-    gens = net.generators
-    if not gens:
-        raise DispatchError("network has no in-service generators")
+    ops = _operators(net)
     total_load = float(loads_mw.sum())
-    total_cap = sum(g.p_max for g in gens)
-    if total_cap < total_load - 1e-9:
+    if ops.capacity_mw < total_load - 1e-9:
         raise DispatchError(
-            f"total capacity {total_cap:.1f} MW below load {total_load:.1f} MW",
+            f"total capacity {ops.capacity_mw:.1f} MW below load {total_load:.1f} MW",
             binding=("capacity",),
         )
 
@@ -184,21 +182,15 @@ def _solve(net, loads_mw, soft, start):
             binding=() if soft else _diagnose_infeasibility(net, loads_mw, start),
         )
 
-    ops = _operators(net)
     ng = ops.gen_bus.size
     p = sol.values[:ng]
-    inj = -d_pu.copy()
-    np.add.at(inj, ops.gen_bus, p)
-    flows = compute_ptdf(net).matrix @ inj
-    binding = tuple(
-        net.in_service_branches[k].ordinal
-        for k in np.flatnonzero(np.abs(flows) >= net.limits_pu - BINDING_TOL)
-    )
+    flows = compute_ptdf(net).matrix @ (per_bus(net, p) - d_pu)
     dispatch = Dispatch(
         gen_output=p * base,
         scheduled_flows=flows,
         total_cost=float(sol.objective_value),
-        binding_branches=binding,
+        binding_branches=tuple(
+            net.branch_ordinals[np.abs(flows) >= net.limits_pu - BINDING_TOL].tolist()),
         violations_mw=sol.values[ng:].reshape(2, -1).sum(axis=0) * base,
     )
     return dispatch, sol.basis
@@ -211,7 +203,4 @@ def _diagnose_infeasibility(net, loads_mw, start):
         soft = _solve(net, loads_mw, True, start)[0]
     except (DispatchError, lp.SolverError):
         return ()
-    return tuple(
-        net.in_service_branches[k].ordinal
-        for k in np.flatnonzero(soft.violations_mw > BINDING_TOL)
-    )
+    return tuple(net.branch_ordinals[soft.violations_mw > BINDING_TOL].tolist())

@@ -5,7 +5,9 @@ and the outage-71 robustness suite (72) decide, scenario by scenario.
 keyed ``grid/NNN`` or ``outage71/NNN`` by scenario index.  Discrete fields
 compare exactly; each float field compares at the absolute tolerance in
 ``TOLERANCES``, whose comment gives the reason.  A change that moves an entry
-rewrites the record with ``scripts/write_golden.py`` and explains the move.
+rewrites the record with ``scripts/write_golden.py`` and explains the move;
+the script (:func:`update`) writes only when an entry moved beyond its
+tolerance or is missing, so roundoff below the tolerances never rewrites it.
 
 The record also keeps, per suite, the two SMLDI margins to the 0.35 Warning
 line: the largest fluctuation-only SMLDI (0.336 on the grid) and the smallest
@@ -82,17 +84,17 @@ def build_record(runs: dict) -> dict:
     return {"margins": margins, "scenarios": scenarios}
 
 
-def load_record() -> dict:
-    with open(RECORD) as fh:
+def load_record(path: Path = RECORD) -> dict:
+    with open(path) as fh:
         return json.load(fh)
 
 
-def write_record(record: dict) -> None:
+def write_record(record: dict, path: Path = RECORD) -> None:
     """Write ``record`` with one line per scenario, so a moved entry shows
     as one changed line."""
     rows = ",\n".join(f"  {json.dumps(key)}: {json.dumps(entry)}"
                       for key, entry in record["scenarios"].items())
-    with open(RECORD, "w") as fh:
+    with open(path, "w") as fh:
         fh.write(f'{{"margins": {json.dumps(record["margins"], indent=1)},\n'
                  f' "scenarios": {{\n{rows}\n}}}}\n')
 
@@ -115,3 +117,15 @@ def diff(golden: dict, record: dict) -> list[str]:
             if _differs(field, a, b):
                 lines.append(f"{key} {field}: {a!r} -> {b!r}")
     return sorted(lines)
+
+
+def update(record: dict, path: Path = RECORD) -> list[str]:
+    """Write ``record`` to ``path`` when no record is there yet or when
+    :func:`diff` names a moved or missing scenario, and leave the file as
+    it is otherwise.  Returns the lines to print: the moves and where the
+    record went, or "no scenario moved"."""
+    lines = diff(load_record(path), record) if path.exists() else []
+    if path.exists() and not lines:
+        return ["no scenario moved"]
+    write_record(record, path)
+    return lines + [f"wrote {path} ({len(record['scenarios'])} scenarios)"]

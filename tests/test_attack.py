@@ -199,6 +199,8 @@ def test_spec_validation(net3):
         AttackSpec(1, 0.1, -1.0, flows, loads).validate(net3)
     with pytest.raises(ContractError):
         AttackSpec(1, 0.1, 1.0, flows[:2], loads).validate(net3)
+    with pytest.raises(ContractError, match="^base_loads length does not match bus count$"):
+        AttackSpec(1, 0.1, 1.0, flows, loads[:2]).validate(net3)
     with pytest.raises(ValueError, match="bus 3 has base load -10 MW"):
         AttackSpec(1, 0.1, 1.0, flows, np.array([0.0, 90.0, -10.0])).validate(net3)
 
@@ -267,7 +269,7 @@ def test_cold_contingency_lps_match_linprog(case118_path, monkeypatch):
     solved = []
 
     def spy(problem, start=None):
-        assert start is None or start.statuses is None
+        assert start is None or start._statuses is None
         sol = solve(problem, start)
         solved.append((problem, sol))
         return sol

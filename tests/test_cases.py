@@ -156,6 +156,21 @@ def test_zero_reactance():
         validate_case(parse_matpower(text))
 
 
+def test_zero_rating():
+    text = TRIANGLE.replace(
+        "\t2\t3\t0.01\t0.1\t0\t100\t0\t0\t0\t0\t1\t-360\t360;",
+        "\t2\t3\t0.01\t0.1\t0\t0\t0\t0\t0\t0\t1\t-360\t360;",
+    )
+    with pytest.raises(DataError, match="^branch 2 has nonpositive limit 0.0$"):
+        validate_case(parse_matpower(text))
+
+
+def test_generator_on_unknown_bus():
+    text = TRIANGLE.replace("\t1\t80\t0\t100", "\t9\t80\t0\t100")
+    with pytest.raises(StructureError, match="^generator 1 references unknown bus 9$"):
+        validate_case(parse_matpower(text))
+
+
 def test_outage_keeps_connectivity(case118_path):
     net = load_case(case118_path, (1,))
     assert len(net.in_service_branches) == 185

@@ -432,6 +432,8 @@ NO_SUCH_FILE = "No such file or directory"
      "attack: bus 3 has base load -10 MW; a load shift needs a nonnegative load"),
     ("sced --out {missing_dir}/x.json", "--out {missing_dir}/x.json: " + NO_SUCH_FILE),
     ("run-experiment --suite {one_scenario} --out {text}", "--out {text}: File exists"),
+    ("sced --loads {short_load}", "--loads {short_load}: has 2 loads, the case has 118"
+     " buses"),
 ], ids=["snapshot-missing", "snapshot-not-json", "snapshot-case-missing",
         "suite-missing", "suite-not-json", "loads-missing", "loads-not-json",
         "case-missing", "outage-not-a-number", "outage-out-of-range",
@@ -447,7 +449,7 @@ NO_SUCH_FILE = "No such file or directory"
         "scenario-string-mu", "scenario-fractional-index", "scenario-misspelt-key",
         "scenario-duplicate-index", "snapshot-misspelt-outages", "snapshot-string-series",
         "snapshot-boolean-series", "attack-negative-load", "out-in-missing-dir",
-        "out-dir-is-a-file"])
+        "out-dir-is-a-file", "loads-short-list"])
 def test_input_errors_end_in_one_line(case3_path, case118_path, net118, tmp_path, args,
                                       message):
     paths = {name: tmp_path / f"{name}.json" for name in (
@@ -457,7 +459,7 @@ def test_input_errors_end_in_one_line(case3_path, case118_path, net118, tmp_path
         "null_load", "overload", "boolean_target", "fractional_target",
         "string_target", "boolean_sigma", "string_mu", "fractional_index",
         "misspelt_key", "duplicate_index", "misspelt_outages", "string_series",
-        "boolean_series", "negative_load", "one_scenario")}
+        "boolean_series", "negative_load", "one_scenario", "short_load")}
     paths.update(case=case118_path, case3=case3_path, missing_case=tmp_path / "missing.m",
                  missing_dir=tmp_path / "no_dir")
     series = {key: [1.0] for key in ("prev_flows", "prev_loads", "measured_flows",
@@ -499,6 +501,7 @@ def test_input_errors_end_in_one_line(case3_path, case118_path, net118, tmp_path
     for name, loads in (("nested_load", {"1": [1]}), ("string_array", ["a", 1]),
                         ("string_loads", "text"), ("word_load", {"1": "x"}),
                         ("null_load", {"1": None}), ("negative_load", [0.0, 90.0, -10.0]),
+                        ("short_load", [0.0, 40.0]),
                         ("overload", (net118.load_mw * 1.25).tolist())):
         paths[name].write_text(json.dumps(loads))
     out = tmp_path / "out"

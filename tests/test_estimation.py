@@ -145,6 +145,16 @@ def test_load_and_generation_lengths_checked(net118, short):
         build_measurements(net118, sol.flows, args["loads"], args["gen"])
 
 
+@pytest.mark.parametrize("kind, index", [("flow", 3), ("injection", 3),
+                                         ("injection", -1)])
+def test_measurement_index_outside_the_network(net3, kind, index):
+    # net3 has three branches and three buses
+    meas = MeasurementSet(kinds=("flow", kind), indices=np.array([0, index]),
+                          values=np.zeros(2), weights=np.ones(2))
+    with pytest.raises(ValueError, match="^measurement index outside the network$"):
+        measurement_matrix(meas, net3)
+
+
 @pytest.mark.parametrize("field", ["indices", "values", "weights"])
 def test_measurement_arrays_must_be_parallel(field):
     arrays = {"indices": np.array([0, 1]), "values": np.array([0.3, 0.1]),

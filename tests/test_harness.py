@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gridfdi import attack, harness, lp
 from gridfdi.cases import DataError
@@ -75,6 +76,8 @@ def test_config_validation(case118_path):
         ).validate()
     with pytest.raises(ConfigError):
         _config(case118_path, mode="both").validate()
+    with pytest.raises(ConfigError, match="^fluctuation sigma must be nonnegative$"):
+        _config(case118_path, fluctuation=FluctuationSpec(0.0, -0.01)).validate()
     _config(case118_path).validate()
 
 
@@ -331,6 +334,39 @@ def test_base_dispatch_solved_once_per_network(case118_path):
     assert not np.array_equal(kept[1].scheduled_flows, kept[2].scheduled_flows)
 
 
+def _write_through(value):
+    """Write into every public field of ``value``, recursively: a frozen
+    dataclass refuses new fields, an array refuses new entries, and any
+    other object, such as a HiGHS basis, takes the write."""
+    if isinstance(value, np.ndarray):
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0
+    elif sparse.issparse(value):
+        for part in (value.data, value.indices, value.indptr):
+            _write_through(part)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if not f.name.startswith("_"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, None)
+                _write_through(getattr(value, f.name))
+    elif isinstance(value, lp.highs.HighsBasis):
+        value.col_status = [lp.highs.HighsBasisStatus.kBasic] * len(value.col_status)
+
+
+def test_stored_starts_refuse_writes(case118_path):
+    # the dispatch start and an attack start, written through every public
+    # field, still start the next grid pass: nothing reaches what they hold
+    cache = NetworkCache()
+    suite = study_118_suite(case118_path)
+    assert all(o.error is None for o in run_experiment(suite, cache).outcomes)
+    net, _ = cache.get(case118_path, ())
+    starts = net.operators["attack_starts"]
+    _write_through(net.operators["base_dispatch"][1])
+    _write_through(starts[next(k for k in starts if k[2:] == (0.05, 2.0))])
+    assert [o.error for o in run_experiment(suite, cache).outcomes if o.error] == []
+
+
 def _mixed_subset(case118_path):
     """Grid scenarios of every kind: fluctuation-only under each load
     distribution, and attacks on both targets from constant and from
@@ -426,7 +462,7 @@ def test_basis_answers_match_highs_from_the_same_start(case118_path, monkeypatch
 
     def spy(problem, start=None):
         sol = solve(problem, start)
-        if start is not None and start.statuses is not None:
+        if start is not None and start._statuses is not None:
             highs_only.append(True)
             pairs.append((sol, solve(problem, start)))
             highs_only.pop()

@@ -688,7 +688,7 @@ def test_start_falls_back_to_highs(case, monkeypatch):
         # nonbasic at zero, a status that names no bound
         p = matrix_lp("min", [0.0, 1.0], [-INF, 0.0], [INF, 10.0], [[0.0, -1.0]], [-1.0])
         start = lp.solve_lp(p).basis
-        assert lp.highs.HighsBasisStatus.kZero in start.statuses.col_status
+        assert lp.highs.HighsBasisStatus.kZero in start._statuses.col_status
         assert start._layout is None
     elif case == "singular":
         # parallel rows, and the optimal basis edited so that both columns
@@ -699,7 +699,7 @@ def test_start_falls_back_to_highs(case, monkeypatch):
         edited.col_status = [lp.highs.HighsBasisStatus.kBasic] * 2
         edited.row_status = [lp.highs.HighsBasisStatus.kUpper] * 2
         edited.valid = True
-        start = dataclasses.replace(lp.solve_lp(p).basis, statuses=edited)
+        start = dataclasses.replace(lp.solve_lp(p).basis, _statuses=edited)
         assert start._layout is None
     else:
         # a start of another objective: its marginals do not price this one
@@ -721,7 +721,7 @@ def test_highs_sees_only_the_columns_of_its_working_rows(monkeypatch):
     assert [args[0].size for args in calls] == [2, 3]
     assert sol.objective_value == pytest.approx(best, abs=1e-9)
     assert sol.basis.fixed.tolist() == [-1, -1, -1]
-    assert len(sol.basis.statuses.col_status) == 3
+    assert len(sol.basis._statuses.col_status) == 3
     # with the second row slack x2 never joins: its cost alone places it at
     # its lower bound, and its marginal is that cost
     q = dataclasses.replace(p, row_upper=np.array([12.0, 20.0]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,41 @@ def test_failed_base_dispatch_is_not_memoised():
     run_sced(small, small.load_mw * 0.5, soft_limits=True)
     assert "base_dispatch" not in small.operators
     assert not small.operators["sced"].rows.data.flags.writeable
+
+
+def test_network_without_generators_is_refused(net3):
+    net = dataclasses.replace(net3, generators=())
+    for dispatch in (base_dispatch, lambda n: run_sced(n, n.load_mw, soft_limits=True)):
+        with pytest.raises(DispatchError, match="^network has no in-service generators$"):
+            dispatch(net)
+    assert "sced" not in net.operators
+
+
+def test_dispatch_lp_builds_only_its_row_bounds(net118):
+    # the objective, the bounds of each mode and the rows are the network's,
+    # read-only; soft limits free the elastic columns, fixed ones pin them
+    d_pu = net118.load_mw / net118.base_mva
+    soft, fixed = (sced._dispatch_lp(net118, d_pu, mode) for mode in (True, False))
+    for name in ("objective", "lower", "a"):
+        assert getattr(soft, name) is getattr(fixed, name)
+    for problem in (soft, fixed, sced._dispatch_lp(net118, d_pu, True)):
+        assert not (problem.objective.flags.writeable or problem.lower.flags.writeable
+                    or problem.upper.flags.writeable)
+    assert soft.upper is sced._dispatch_lp(net118, d_pu, True).upper
+    ng = len(net118.generators)
+    assert np.isinf(soft.upper[ng:]).all() and not fixed.upper[ng:].any()
+    assert soft.upper[:ng].tolist() == fixed.upper[:ng].tolist()
+
+
+def test_generators_sharing_a_bus_sum_onto_it():
+    # both units on bus 2, where the load is: the cheaper one serves it and
+    # no flow is scheduled
+    net = validate_case(parse_matpower(
+        TWO_GEN.format(rate=500).replace("\t1\t0\t0\t100", "\t2\t0\t0\t100", 1)))
+    assert sced.per_bus(net, np.array([30.0, 50.0])).tolist() == [0.0, 80.0]
+    dispatch = run_sced(net, net.load_mw)
+    assert dispatch.gen_output == pytest.approx([120.0, 0.0], abs=1e-6)
+    assert dispatch.scheduled_flows == pytest.approx([0.0], abs=1e-12)
 
 
 def test_loads_shape_checked(net3):
