@@ -63,15 +63,14 @@ class AttackSpec:
             raise ValueError(
                 f"l1 budget must be nonnegative and finite, got {self.l1_limit}"
             )
-        n_active = len(net.in_service_branches)
-        if np.asarray(self.base_flows).shape != (n_active,):
+        if np.asarray(self.base_flows).shape != net.branch_ordinals.shape:
             raise ContractError("base_flows length does not match in-service branches")
         if np.asarray(self.base_loads).shape != (net.n_bus,):
             raise ContractError("base_loads length does not match bus count")
         negative = net.load_bus_mask & (np.asarray(self.base_loads) < 0.0)
         if self.load_shift_factor > 0.0 and np.any(negative):
             bus = int(np.argmax(negative))
-            raise ValueError(f"bus {net.buses[bus].external_id} has base load"
+            raise ValueError(f"bus {net.bus_ids[bus]} has base load"
                              f" {self.base_loads[bus]:g} MW; a load shift needs a"
                              " nonnegative load at every load bus")
         if self.target_flow(net) == 0.0:  # also raises if out of service
@@ -201,8 +200,8 @@ def audit_attack(net: Network, spec: AttackSpec, result: AttackResult) -> None:
         raise AuditError("reference-bus bias not zero")
     bad = np.abs(dp + estimated_flows(net, c)) > AUDIT_TOL
     if np.any(bad):
-        ordinal = net.in_service_branches[np.argmax(bad)].ordinal
-        raise AuditError(f"flow-delta equation violated on branch {ordinal}")
+        raise AuditError("flow-delta equation violated on branch"
+                         f" {net.branch_ordinals[np.argmax(bad)]}")
 
     div_pu = _divergence(net, dp)
     is_load = net.load_bus_mask
@@ -216,7 +215,7 @@ def audit_attack(net: Network, spec: AttackSpec, result: AttackResult) -> None:
     )
     for bad, message in checks:
         if np.any(bad):
-            raise AuditError(f"{message} {net.buses[np.argmax(bad)].external_id}")
+            raise AuditError(f"{message} {net.bus_ids[np.argmax(bad)]}")
 
     if np.any(np.abs(c) > s + AUDIT_TOL):
         raise AuditError("absolute-value auxiliaries below |c|")

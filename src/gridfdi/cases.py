@@ -3,8 +3,9 @@
 A case file is a MATLAB-flavoured text file assigning matrices to
 ``mpc.bus``, ``mpc.branch``, ``mpc.gen``, ``mpc.gencost`` and the scalar
 ``mpc.baseMVA``.  Parsing keeps every numeric entry in file order; validation
-turns the raw rows into an immutable :class:`Network` with contiguous internal
-indices, applied branch outages and a connectivity check.
+turns the raw rows into a :class:`Network` of read-only per-bus and
+per-branch arrays, with contiguous internal indices, applied branch outages,
+finite entries and a connectivity check.
 
 Branch ordinals used throughout the toolkit (CLI ``--target``, ``--outage``,
 reports) are 1-based row positions in the case file.
@@ -50,11 +51,12 @@ class IslandError(CaseError):
 # Minimum column counts for the MATPOWER layouts we rely on.
 _MIN_COLS = {"bus": 13, "branch": 13, "gen": 10, "gencost": 4}
 
-# Column positions (0-based) in the standard tables.
-_BUS_ID, _BUS_TYPE, _BUS_PD = 0, 1, 2
-_BR_FROM, _BR_TO, _BR_X, _BR_RATE_A, _BR_STATUS = 0, 1, 3, 5, 10
-_GEN_BUS, _GEN_PG, _GEN_STATUS, _GEN_PMAX, _GEN_PMIN = 0, 1, 7, 8, 9
-
+# The columns (0-based) the model reads, by their MATPOWER names.
+_COLUMNS = {
+    "bus": {"bus_i": 0, "type": 1, "Pd": 2},
+    "branch": {"fbus": 0, "tbus": 1, "x": 3, "rateA": 5, "status": 10},
+    "gen": {"bus": 0, "status": 7, "Pmax": 8, "Pmin": 9},
+}
 _REF_BUS_TYPE = 3
 
 
@@ -70,21 +72,6 @@ class RawCase:
 
 
 @dataclass(frozen=True)
-class Bus:
-    external_id: int
-    load_mw: float
-
-
-@dataclass(frozen=True)
-class Branch:
-    ordinal: int             # 1-based row position in the case file
-    from_bus: int            # internal bus index
-    to_bus: int
-    reactance: float         # p.u.
-    limit_mw: float
-
-
-@dataclass(frozen=True)
 class Generator:
     bus: int                 # internal bus index
     p_min: float             # MW
@@ -92,23 +79,32 @@ class Generator:
     linear_cost: float       # $/MWh
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    """Validated, immutable network model; safe to share across workers.
-    Operators derived from it are built on first use and kept on the
-    instance, so an outage case (a new instance) starts without them."""
+    """Validated network model, its arrays read-only, so it is safe to share
+    across workers; equal only to itself.  Operators derived from it are
+    built on first use and kept on the instance, so an outage case (a new
+    instance) starts without them."""
 
     base_mva: float
-    buses: tuple[Bus, ...]   # internal bus index = position
-    # In-service branches in file order; all branch-indexed vectors (flows,
-    # limits, PTDF rows) follow this ordering.
-    in_service_branches: tuple[Branch, ...]
+    bus_ids: np.ndarray          # external id per bus; internal index = position
+    load_mw: np.ndarray          # MW per bus
+    # Per in-service branch, in file order; all branch-indexed vectors
+    # (flows, limits, PTDF rows) follow this ordering.
+    branch_ordinals: np.ndarray  # 1-based row position in the case file
+    from_bus: np.ndarray         # internal bus index
+    to_bus: np.ndarray
+    reactance: np.ndarray        # p.u.
+    limits_pu: np.ndarray        # thermal limit, p.u.
     generators: tuple[Generator, ...]
     reference_bus: int
 
+    def __post_init__(self):
+        read_only(self)
+
     @property
     def n_bus(self):
-        return len(self.buses)
+        return self.bus_ids.size
 
     @cached_property
     def operators(self) -> dict:
@@ -123,24 +119,9 @@ class Network:
         return read_only(self.load_mw > 0)
 
     @cached_property
-    def limits_pu(self) -> np.ndarray:
-        """Thermal limit per in-service branch, p.u. (read-only)."""
-        return read_only(
-            np.array([b.limit_mw for b in self.in_service_branches]) / self.base_mva)
-
-    @cached_property
-    def branch_ordinals(self) -> np.ndarray:
-        """The 1-based file ordinal per in-service branch (read-only)."""
-        return read_only(np.array([b.ordinal for b in self.in_service_branches]))
-
-    @property
-    def load_mw(self) -> np.ndarray:
-        return np.array([b.load_mw for b in self.buses])
-
-    @cached_property
     def _positions(self) -> MappingProxyType:
         return MappingProxyType(
-            {br.ordinal: pos for pos, br in enumerate(self.in_service_branches)})
+            dict(zip(self.branch_ordinals.tolist(), range(self.branch_ordinals.size))))
 
     def branch_position(self, ordinal: int) -> int:
         """Position of a 1-based file ordinal inside the in-service vector.
@@ -300,28 +281,25 @@ def validate_case(raw: RawCase, outaged_branches: tuple[int, ...] = ()) -> Netwo
     bus indices follow bus-row order, and the in-service branches keep
     branch-row order.  Every branch row's buses are checked, in service or not.
     """
-    for name, rows in (
-        ("bus", raw.bus_rows),
-        ("branch", raw.branch_rows),
-        ("gen", raw.gen_rows),
-    ):
+    blocks = {"bus": raw.bus_rows, "branch": raw.branch_rows, "gen": raw.gen_rows}
+    for name, rows in blocks.items():
         need = _MIN_COLS[name]
         for r, row in enumerate(rows):
             if len(row) < need:
                 raise StructureError(
                     f"mpc.{name} row {r + 1} has {len(row)} columns, need >= {need}"
                 )
+    bus, branch, gen = (_finite_columns(name, rows) for name, rows in blocks.items())
 
-    ext_ids = [int(row[_BUS_ID]) for row in raw.bus_rows]
-    if len(set(ext_ids)) != len(ext_ids):
-        dupes = sorted({e for e in ext_ids if ext_ids.count(e) > 1})
-        raise StructureError(f"duplicate bus ids: {dupes}")
-    ext_to_int = {e: i for i, e in enumerate(ext_ids)}
+    bus_ids = bus["bus_i"].astype(int)
+    ids = bus_ids.tolist()
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        raise StructureError(f"duplicate bus ids: {sorted({e for e in ids if ids.count(e) > 1})}")
 
-    buses = tuple(
-        Bus(external_id=int(row[_BUS_ID]), load_mw=float(row[_BUS_PD]))
-        for row in raw.bus_rows
-    )
+    def internal(ext):
+        """The internal index per external bus id, -1 for an unknown one."""
+        return np.array([index.get(e, -1) for e in ext.astype(int).tolist()], dtype=int)
 
     n_branch = len(raw.branch_rows)
     # in input order: entries that are not numbers (say "71") do not sort
@@ -329,81 +307,79 @@ def validate_case(raw: RawCase, outaged_branches: tuple[int, ...] = ()) -> Netwo
            if isinstance(k, bool) or k not in range(1, n_branch + 1)]
     if bad:
         raise DataError(f"outage ordinals out of range 1..{n_branch}: {bad}")
-    outages = set(outaged_branches)
+    live = branch["status"] > 0
+    live[[int(k) - 1 for k in outaged_branches]] = False
 
-    branches = []
-    for i, row in enumerate(raw.branch_rows):
-        f_ext, t_ext = int(row[_BR_FROM]), int(row[_BR_TO])
-        if f_ext not in ext_to_int or t_ext not in ext_to_int:
-            raise StructureError(f"branch {i + 1} references unknown bus")
-        if row[_BR_STATUS] <= 0 or (i + 1) in outages:
-            continue
-        x = float(row[_BR_X])
-        limit = float(row[_BR_RATE_A])
-        if x == 0.0:
-            raise DataError(f"branch {i + 1} has zero reactance")
-        if limit <= 0.0:
-            raise DataError(f"branch {i + 1} has nonpositive limit {limit}")
-        branches.append(
-            Branch(
-                ordinal=i + 1,
-                from_bus=ext_to_int[f_ext],
-                to_bus=ext_to_int[t_ext],
-                reactance=x,
-                limit_mw=limit,
-            )
-        )
+    # per row, in file order: an unknown bus (any row), then zero reactance,
+    # then a nonpositive rating (in-service rows only)
+    f, t = internal(branch["fbus"]), internal(branch["tbus"])
+    x, rate = branch["x"], branch["rateA"]
+    faults = np.column_stack([(f < 0) | (t < 0), live & (x == 0.0), live & (rate <= 0.0)])
+    if faults.any():
+        i, kind = np.argwhere(faults)[0]
+        raise (StructureError(f"branch {i + 1} references unknown bus"),
+               DataError(f"branch {i + 1} has zero reactance"),
+               DataError(f"branch {i + 1} has nonpositive limit {float(rate[i])}"))[kind]
+    keep = np.flatnonzero(live)
 
+    gen_bus = internal(gen["bus"])
     ncost = len(raw.gencost_rows)
     generators = []
-    for g, row in enumerate(raw.gen_rows):
-        if row[_GEN_STATUS] <= 0:
-            continue
-        bus_ext = int(row[_GEN_BUS])
-        if bus_ext not in ext_to_int:
-            raise StructureError(f"generator {g + 1} references unknown bus {bus_ext}")
+    for g in np.flatnonzero(gen["status"] > 0).tolist():
+        if gen_bus[g] < 0:
+            raise StructureError(
+                f"generator {g + 1} references unknown bus {int(gen['bus'][g])}")
         cost = _linear_cost(raw.gencost_rows[g]) if g < ncost else 0.0
-        generators.append(
-            Generator(
-                bus=ext_to_int[bus_ext],
-                p_min=float(row[_GEN_PMIN]),
-                p_max=float(row[_GEN_PMAX]),
-                linear_cost=cost,
-            )
-        )
+        if not np.isfinite(cost):
+            raise DataError(f"mpc.gencost row {g + 1}: c1 is {cost}, not a finite number")
+        generators.append(Generator(bus=int(gen_bus[g]), p_min=float(gen["Pmin"][g]),
+                                    p_max=float(gen["Pmax"][g]), linear_cost=cost))
 
     # Reference bus: the case's slack-type bus, else lowest-numbered gen bus.
-    ref = None
-    for row in raw.bus_rows:
-        if int(row[_BUS_TYPE]) == _REF_BUS_TYPE:
-            ref = ext_to_int[int(row[_BUS_ID])]
-            break
-    if ref is None:
-        if not generators:
-            raise StructureError("no slack bus and no in-service generator")
-        ref = min(
-            (g.bus for g in generators),
-            key=lambda b: buses[b].external_id,
-        )
+    slack = np.flatnonzero(bus["type"].astype(int) == _REF_BUS_TYPE)
+    if slack.size:
+        ref = int(slack[0])
+    elif not generators:
+        raise StructureError("no slack bus and no in-service generator")
+    else:
+        ref = min((g.bus for g in generators), key=lambda b: bus_ids[b])
 
-    _check_connected(len(buses), branches)
+    _check_connected(bus_ids.size, f[keep], t[keep])
 
     return Network(
         base_mva=raw.base_mva,
-        buses=buses,
-        in_service_branches=tuple(branches),
+        bus_ids=bus_ids,
+        load_mw=bus["Pd"],
+        branch_ordinals=keep + 1,
+        from_bus=f[keep],
+        to_bus=t[keep],
+        reactance=x[keep],
+        limits_pu=rate[keep] / raw.base_mva,
         generators=tuple(generators),
         reference_bus=ref,
     )
 
 
-def _check_connected(n_bus: int, branches) -> None:
+def _finite_columns(name: str, rows: list[list[float]]) -> dict:
+    """The columns of ``mpc.NAME`` the model reads, by name, each an array
+    of its own; a non-finite entry in one of them raises, the first one in
+    row order named."""
+    columns = _COLUMNS[name]
+    table = np.array([[row[k] for k in columns.values()] for row in rows],
+                     dtype=float).reshape(len(rows), len(columns))
+    bad = ~np.isfinite(table)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DataError(f"mpc.{name} row {r + 1}: {list(columns)[c]} is {table[r, c]},"
+                        " not a finite number")
+    return {key: table[:, k].copy() for k, key in enumerate(columns)}
+
+
+def _check_connected(n_bus: int, from_bus: np.ndarray, to_bus: np.ndarray) -> None:
     if n_bus == 0:
         raise StructureError("case has no buses")
-    rows = [b.from_bus for b in branches]
-    cols = [b.to_bus for b in branches]
     adj = sparse.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_bus, n_bus)
+        (np.ones(from_bus.size), (from_bus, to_bus)), shape=(n_bus, n_bus)
     )
     n_comp, labels = connected_components(adj, directed=False)
     if n_comp != 1:

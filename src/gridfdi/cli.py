@@ -170,7 +170,7 @@ def _load_loads(net, path: str | None) -> np.ndarray:
     with _one_line(f"--loads {path}"):
         data = _read_json(path)
         if isinstance(data, dict):
-            position = {b.external_id: k for k, b in enumerate(net.buses)}
+            position = dict(zip(net.bus_ids.tolist(), range(net.n_bus)))
             by_bus = [0.0] * net.n_bus
             for key, mw in data.items():
                 if not key.isdigit() or int(key) not in position:
@@ -178,14 +178,12 @@ def _load_loads(net, path: str | None) -> np.ndarray:
                 by_bus[position[int(key)]] = mw
             data = by_bus
         _expect(isinstance(data, list), "", f"expected a list or an object, got {data!r}")
-        loads = np.array([_number(mw, f"bus {b.external_id}")
-                          for b, mw in zip(net.buses, data)])
+        loads = np.array([_number(mw, f"bus {b}") for b, mw in zip(net.bus_ids, data)])
         if len(data) != net.n_bus:
             raise ValueError(f"has {len(data)} loads, the case has {net.n_bus} buses")
         bad = ~np.isfinite(loads)
         if np.any(bad):
-            raise ValueError(f"gives bus {net.buses[np.argmax(bad)].external_id}"
-                             " a non-finite load")
+            raise ValueError(f"gives bus {net.bus_ids[np.argmax(bad)]} a non-finite load")
     return loads
 
 
@@ -212,7 +210,7 @@ def _plain(obj, levels=False):
 def _assumptions(net) -> dict:
     """The modelling assumptions a detection report was made under."""
     return {
-        "reference_bus": None if net is None else net.buses[net.reference_bus].external_id,
+        "reference_bus": None if net is None else net.bus_ids[net.reference_bus],
         "measurement_set": "one flow per in-service branch + one net injection per bus",
         "smldi_top_n": TOP_N,
     }
@@ -234,15 +232,12 @@ def _cmd_ptdf(args):
     payload = {
         "case": str(args.case),
         "outages": list(_parse_outages(args.outage)),
-        "reference_bus": net.buses[net.reference_bus].external_id,
+        "reference_bus": net.bus_ids[net.reference_bus],
         "branch_ordinals": net.branch_ordinals,
-        "bus_ids": [b.external_id for b in net.buses],
+        "bus_ids": net.bus_ids,
         "matrix": ptdf.matrix,
-        "critical_sets": {
-            str(br.ordinal): [net.buses[n].external_id
-                              for n in np.flatnonzero(ptdf.critical_mask[k])]
-            for k, br in enumerate(net.in_service_branches)
-        },
+        "critical_sets": {str(ordinal): net.bus_ids[row]
+                          for ordinal, row in zip(net.branch_ordinals, ptdf.critical_mask)},
         "critical_set_sizes": ptdf.critical_sizes,
         "eligible": ptdf.eligible,
     }
@@ -258,7 +253,7 @@ def _cmd_sced(args):
         "case": str(args.case),
         "total_cost": dispatch.total_cost,
         "gen_output_mw": dispatch.gen_output,
-        "gen_buses": [net.buses[g.bus].external_id for g in net.generators],
+        "gen_buses": [net.bus_ids[g.bus] for g in net.generators],
         "scheduled_flows_pu": dispatch.scheduled_flows,
         "branch_ordinals": net.branch_ordinals,
         "binding_branches": list(dispatch.binding_branches),
@@ -288,9 +283,9 @@ def _cmd_attack(args):
         "tampered_loads_mw": result.tampered_loads,
         "cyber_flows_pu": result.cyber_flows,
         "branch_ordinals": net.branch_ordinals,
-        "bus_ids": [b.external_id for b in net.buses],
+        "bus_ids": net.bus_ids,
         "base_mva": result.base_mva,
-        "reference_bus": net.buses[net.reference_bus].external_id,
+        "reference_bus": net.bus_ids[net.reference_bus],
     }
     _write_json(args.out, payload)
 

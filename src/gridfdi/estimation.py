@@ -97,7 +97,7 @@ def build_measurements(
     flows_pu = np.asarray(flows_pu, dtype=float)
     loads_mw = np.asarray(loads_mw, dtype=float)
     gen_mw = np.asarray(gen_mw, dtype=float)
-    m, n = len(net.in_service_branches), net.n_bus
+    m, n = net.branch_ordinals.size, net.n_bus
     for what, given, size in (("branch flows", flows_pu, m), ("bus loads", loads_mw, n),
                               ("bus generation entries", gen_mw, n)):
         if given.shape != (size,):
@@ -129,7 +129,7 @@ def _weight(sigma: float) -> float:
 @per_network("measurement_layout")
 def _layout(net: Network) -> tuple:
     """Indices and flow mask shared by the network's full sets."""
-    m, n = len(net.in_service_branches), net.n_bus
+    m, n = net.branch_ordinals.size, net.n_bus
     return np.concatenate([np.arange(m), np.arange(n)]), np.repeat([True, False], [m, n])
 
 

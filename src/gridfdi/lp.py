@@ -148,11 +148,12 @@ def _check_bounds(name, lower, upper, size):
 
 @dataclass(frozen=True)
 class _Dual:
-    """The LP ``min c x`` over the rows ``a`` that a solve ended on, and its
-    marginals: ``y`` per row of ``a``, zero outside the working set, and
-    ``z`` per column."""
+    """The LP ``min c x`` over the rows ``_a`` that a solve ended on, and its
+    marginals: ``y`` per row, zero outside the working set, and ``z`` per
+    column.  A sparse matrix's arrays can be rebound however read-only they
+    are, so the rows, often a network's shared block, are private."""
 
-    a: sparse.csr_array
+    _a: sparse.csr_array
     c: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -178,7 +179,7 @@ class Basis:
         """``(basic columns, per column whether it sits at its upper bound,
         the nonbasic working rows, per such row whether at its upper bound,
         the factor of those rows over the basic columns)``, built on first
-        use from ``dual.a``; None when a status names no bound (``kZero``,
+        use from ``dual._a``; None when a status names no bound (``kZero``,
         ``kNonbasic``) or that block is not square or singular.  Each read of
         a HiGHS status list builds it anew, so each is read once here."""
         cols = self.fixed.copy()
@@ -191,7 +192,7 @@ class Basis:
         rows_at_bound = np.flatnonzero(self.working)[at_bound]
         if basic.size != rows_at_bound.size:
             return None
-        factor = _Factor.of(self.dual.a, rows_at_bound, basic)
+        factor = _Factor.of(self.dual._a, rows_at_bound, basic)
         if factor is None:
             return None
         return basic, cols == _UPPER, rows_at_bound, rows[at_bound] == _UPPER, factor
@@ -335,7 +336,7 @@ def _basis_point(lp, c, start):
     feasible for it (Bertsimas & Tsitsiklis 1997, section 5.1).  So the
     start must come from a solve with this ``c`` and this very ``a``."""
     dual = start.dual
-    if (dual is None or dual.a is not lp.a or not np.array_equal(dual.c, c)
+    if (dual is None or dual._a is not lp.a or not np.array_equal(dual.c, c)
             or start._layout is None):
         return None
     basic, col_upper, rows, row_upper, factor = start._layout

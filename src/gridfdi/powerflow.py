@@ -86,7 +86,7 @@ class Ptdf:
 @dataclass(frozen=True)
 class Topology:
     """DC operators of one network, built once per :class:`Network` instance
-    by :func:`topology`.  Branch rows follow ``net.in_service_branches``;
+    by :func:`topology`.  Branch rows follow ``net.branch_ordinals``;
     arrays are read-only."""
 
     incidence: np.ndarray  # A, branch x bus: +1 at the from bus, -1 at the to bus
@@ -99,15 +99,11 @@ class Topology:
 @per_network("topology")
 def topology(net: Network) -> Topology:
     """The network's cached DC operators; the first call builds them."""
-    branches = net.in_service_branches
-    f = np.array([br.from_bus for br in branches], dtype=int)
-    t = np.array([br.to_bus for br in branches], dtype=int)
-    x = np.array([br.reactance for br in branches], dtype=float)
-    rows = np.arange(len(branches))
-    a = np.zeros((len(branches), net.n_bus))
-    a[rows, f] = 1.0
-    a[rows, t] -= 1.0      # a self-loop row cancels to zero
-    bf = a / x[:, None]
+    rows = np.arange(net.branch_ordinals.size)
+    a = np.zeros((rows.size, net.n_bus))
+    a[rows, net.from_bus] = 1.0
+    a[rows, net.to_bus] -= 1.0      # a self-loop row cancels to zero
+    bf = a / net.reactance[:, None]
     b = a.T @ bf
     keep = np.array([i for i in range(net.n_bus) if i != net.reference_bus])
     try:

@@ -124,26 +124,24 @@ def random_bounded_lp(rng, n_var=None, n_con=None):
 
 
 def measurement_matrix_loop(meas, net):
-    """Dense H built branch by branch from the network's branch records:
-    a flow row carries +-1/x at the branch ends, an injection row sums the
-    rows of every branch touching the bus."""
-    branches = net.in_service_branches
+    """Dense H built branch by branch from the network's branch ends and
+    reactances: a flow row carries +-1/x at the branch ends, an injection row
+    sums the rows of every branch touching the bus."""
+    branches = list(zip(net.from_bus, net.to_bus, net.reactance))
     h = np.zeros((len(meas), net.n_bus))
     for i, (kind, idx) in enumerate(zip(meas.kinds, meas.indices)):
         if kind == "flow":
-            br = branches[idx]
-            w = 1.0 / br.reactance
-            h[i, br.from_bus] += w
-            h[i, br.to_bus] -= w
+            f, t, x = branches[idx]
+            h[i, f] += 1.0 / x
+            h[i, t] -= 1.0 / x
         elif kind == "injection":
-            for br in branches:
-                w = 1.0 / br.reactance
-                if br.from_bus == idx:
-                    h[i, br.from_bus] += w
-                    h[i, br.to_bus] -= w
-                elif br.to_bus == idx:
-                    h[i, br.to_bus] += w
-                    h[i, br.from_bus] -= w
+            for f, t, x in branches:
+                if f == idx:
+                    h[i, f] += 1.0 / x
+                    h[i, t] -= 1.0 / x
+                elif t == idx:
+                    h[i, t] += 1.0 / x
+                    h[i, f] -= 1.0 / x
         else:
             raise ValueError(f"unknown measurement kind {kind!r}")
     return h
@@ -152,8 +150,8 @@ def measurement_matrix_loop(meas, net):
 def estimated_flows_loop(net, angles):
     """Branch flows from bus angles, one branch at a time."""
     return np.array([
-        (angles[br.from_bus] - angles[br.to_bus]) / br.reactance
-        for br in net.in_service_branches
+        (angles[f] - angles[t]) / x
+        for f, t, x in zip(net.from_bus, net.to_bus, net.reactance)
     ])
 
 
@@ -197,9 +195,10 @@ def dispatch_lp_rows(net, ptdf, d_pu, soft_penalty=None):
 
 def attack_lp_rows(net, spec):
     """The attack LP over [c, s, dp] built one row at a time from the branch
-    and bus records: dp tied to the angle bias per branch, the dp divergence
-    bounded at load buses and zero elsewhere, |c| <= s, sum(s) <= budget."""
-    branches = net.in_service_branches
+    ends, reactances and bus loads: dp tied to the angle bias per branch, the
+    dp divergence bounded at load buses and zero elsewhere, |c| <= s,
+    sum(s) <= budget."""
+    branches = list(zip(net.from_bus, net.to_bus, net.reactance))
     m, n = len(branches), net.n_bus
     d0_pu = np.asarray(spec.base_loads, dtype=float) / net.base_mva
     target_pos = net.branch_position(spec.target_branch)
@@ -214,21 +213,21 @@ def attack_lp_rows(net, spec):
     objective[dps.start + target_pos] = sgn
 
     ub, ub_rhs, eq = [], [], []
-    for k, br in enumerate(branches):   # dp_k + (c_from - c_to)/x_k = 0
+    for k, (f, t, x) in enumerate(branches):   # dp_k + (c_from - c_to)/x_k = 0
         row = np.zeros(width)
-        row[cs.start + br.from_bus] += 1.0 / br.reactance
-        row[cs.start + br.to_bus] -= 1.0 / br.reactance
+        row[cs.start + f] += 1.0 / x
+        row[cs.start + t] -= 1.0 / x
         row[dps.start + k] = 1.0
         eq.append(row)
 
-    for i, bus in enumerate(net.buses):
+    for i, load_mw in enumerate(net.load_mw):
         row = np.zeros(width)
-        for k, br in enumerate(branches):
-            if br.from_bus == i:
+        for k, (f, t, _) in enumerate(branches):
+            if f == i:
                 row[dps.start + k] += 1.0
-            if br.to_bus == i:
+            if t == i:
                 row[dps.start + k] -= 1.0
-        if bus.load_mw > 0:
+        if load_mw > 0:
             bound = spec.load_shift_factor * d0_pu[i]
             ub += [row, -row]
             ub_rhs += [bound, bound]

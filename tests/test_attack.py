@@ -173,7 +173,7 @@ def test_inconsistent_corruption_is_visible(net118):
     loads, gen, flows = _state_118(net118)
     clean = build_measurements(net118, flows, loads, gen)
     values = clean.values.copy()
-    values[len(net118.in_service_branches) + 10] += 0.5  # one injection, raw
+    values[net118.branch_ordinals.size + 10] += 0.5  # one injection, raw
     se_clean = wls_estimate(clean, net118)
     se_bad = wls_estimate(clean.with_values(values), net118)
     delta = abs(

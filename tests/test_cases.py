@@ -1,5 +1,5 @@
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -55,7 +55,7 @@ def test_parse_counts_118(case118_path):
 
 def test_validate_118(net118):
     assert net118.n_bus == 118
-    assert len(net118.in_service_branches) == 186
+    assert net118.branch_ordinals.size == 186
     assert len(net118.generators) == 19
     loads = net118.load_mw
     assert int((loads > 0).sum()) == 99
@@ -171,10 +171,46 @@ def test_generator_on_unknown_bus():
         validate_case(parse_matpower(text))
 
 
+@pytest.mark.parametrize("block, row, column, position, value", [
+    ("bus", 2, "Pd", 2, "NaN"),
+    ("branch", 1, "x", 3, "Inf"),
+    ("branch", 2, "rateA", 5, "NaN"),
+    ("branch", 3, "status", 10, "NaN"),
+    ("gen", 1, "status", 7, "NaN"),
+    ("gen", 1, "Pmax", 8, "Inf"),
+    ("gen", 1, "Pmin", 9, "-Inf"),
+    ("gencost", 1, "c1", 5, "NaN"),
+], ids=["bus-Pd", "branch-x", "branch-rateA", "branch-status", "gen-status",
+        "gen-Pmax", "gen-Pmin", "gencost-c1"])
+def test_non_finite_entry_is_refused(block, row, column, position, value):
+    # each would load: an infinite x carries no flow, a NaN status counts as
+    # in service, and the others fail later without naming their row
+    lines = TRIANGLE.splitlines()
+    i = lines.index(f"mpc.{block} = [") + row
+    entries = lines[i].split("\t")
+    entries[position + 1] = value      # the row starts with a tab
+    text = TRIANGLE.replace(lines[i], "\t".join(entries))
+    message = f"^mpc.{block} row {row}: {column} is {value.lower()}, not a finite number$"
+    with pytest.raises(DataError, match=message):
+        validate_case(parse_matpower(text))
+
+
+def test_first_faulty_branch_row_is_reported():
+    # zero reactance on row 2 comes before an unknown bus on row 3; on one
+    # row, the unknown bus comes first
+    zero_x = TRIANGLE.replace("\t2\t3\t0.01\t0.1\t", "\t2\t3\t0.01\t0\t")
+    two_rows = zero_x.replace("\t1\t3\t0.01\t0.1\t", "\t1\t9\t0.01\t0.1\t")
+    with pytest.raises(DataError, match="^branch 2 has zero reactance$"):
+        validate_case(parse_matpower(two_rows))
+    both = TRIANGLE.replace("\t2\t3\t0.01\t0.1\t", "\t2\t9\t0.01\t0\t")
+    with pytest.raises(StructureError, match="^branch 2 references unknown bus$"):
+        validate_case(parse_matpower(both))
+
+
 def test_outage_keeps_connectivity(case118_path):
     net = load_case(case118_path, (1,))
-    assert len(net.in_service_branches) == 185
-    assert 1 not in [b.ordinal for b in net.in_service_branches]
+    assert net.branch_ordinals.size == 185
+    assert 1 not in net.branch_ordinals
 
 
 def test_outage_island():
@@ -187,7 +223,7 @@ def test_outage_island():
 def test_single_outage_on_triangle_ok():
     raw = parse_matpower(TRIANGLE)
     net = validate_case(raw, (2,))
-    assert len(net.in_service_branches) == 2
+    assert net.branch_ordinals.tolist() == [1, 3]
 
 
 def test_outage_out_of_range():
@@ -210,9 +246,10 @@ def test_validate_deterministic(case118_path):
         raw = parse_matpower(fh.read())
     a = validate_case(raw, (5,))
     b = validate_case(raw, (5,))
-    assert [x.external_id for x in a.buses] == [x.external_id for x in b.buses]
-    assert a.in_service_branches == b.in_service_branches
-    assert [x.ordinal for x in a.in_service_branches] == [
+    for name in ("bus_ids", "load_mw", "from_bus", "to_bus", "reactance", "limits_pu"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.generators == b.generators
+    assert a.branch_ordinals.tolist() == [
         k for k in range(1, len(raw.branch_rows) + 1) if k != 5
     ]
     assert a.reference_bus == b.reference_bus
@@ -225,7 +262,7 @@ def test_reference_bus_fallback():
         "\t1\t1\t0\t0\t0\t0\t1\t1\t0\t138\t1\t1.06\t0.94;",
     )
     net = validate_case(parse_matpower(text))
-    assert net.buses[net.reference_bus].external_id == 1
+    assert net.bus_ids[net.reference_bus] == 1
 
 
 def test_piecewise_gencost_rejected():
@@ -253,8 +290,7 @@ def test_branch_position_refuses_a_bool(net3, ordinal):
 def test_branch_ordinals_follow_the_in_service_branches(case118_path):
     net = load_case(case118_path, (71,))
     ordinals = net.branch_ordinals
-    assert ordinals.tolist() == [b.ordinal for b in net.in_service_branches]
-    assert 71 not in ordinals and ordinals.size == 185
+    assert ordinals.tolist() == [k for k in range(1, 187) if k != 71]
     assert not ordinals.flags.writeable
     assert net.branch_ordinals is ordinals
 
@@ -269,9 +305,9 @@ def test_branch_position_out_of_service():
 
 def test_branch_position_at_both_ends_and_outaged(case118_path):
     net = load_case(case118_path, (71,))
-    branches = net.in_service_branches
-    assert net.branch_position(branches[0].ordinal) == 0
-    assert net.branch_position(branches[-1].ordinal) == len(branches) - 1
+    ordinals = net.branch_ordinals
+    assert net.branch_position(ordinals[0]) == 0
+    assert net.branch_position(ordinals[-1]) == ordinals.size - 1
     assert net.branch_position(72) == 70
     for ordinal in (71, 9999):
         with pytest.raises(DataError, match=f"branch {ordinal} is not in service"):
@@ -284,7 +320,7 @@ def test_out_of_service_rows_leave_no_branch():
     row = "\t2\t3\t0.01\t0\t0\t0\t0\t0\t0\t0\t0\t-360\t360;"
     text = TRIANGLE.replace("];\nmpc.gencost", row + "\n];\nmpc.gencost")
     net = validate_case(parse_matpower(text))
-    assert [b.ordinal for b in net.in_service_branches] == [1, 2, 3]
+    assert net.branch_ordinals.tolist() == [1, 2, 3]
     unknown = text.replace(row, row.replace("\t2\t3", "\t2\t9", 1))
     with pytest.raises(StructureError, match="branch 4 references unknown bus"):
         validate_case(parse_matpower(unknown))
@@ -292,12 +328,18 @@ def test_out_of_service_rows_leave_no_branch():
 
 @pytest.mark.parametrize("outages", [(), (71,)])
 def test_network_rebuilt_from_its_public_fields(case118_path, outages):
-    # the fields hold every fact: a copy built from them is equal and yields
-    # the same operators and dispatch as the loaded network
+    # the fields hold every fact: a copy built from writable copies of them
+    # makes every array read-only, is equal only to itself and yields the
+    # same operators and dispatch as the loaded network
     net = load_case(case118_path, outages)
-    copy = Network(net.base_mva, net.buses, net.in_service_branches,
-                   net.generators, net.reference_bus)
-    assert copy == net and copy.operators is not net.operators
+    values = {f.name: getattr(net, f.name) for f in fields(Network)}
+    arrays = [name for name, value in values.items() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 7
+    copy = Network(**{**values, **{name: values[name].copy() for name in arrays}})
+    for name in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(copy, name)[0] = 0
+    assert copy != net and copy == copy and copy.operators is not net.operators
     a, b = compute_ptdf(copy), compute_ptdf(net)
     assert np.array_equal(a.matrix, b.matrix)
     assert np.array_equal(a.critical_mask, b.critical_mask)

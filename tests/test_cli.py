@@ -61,10 +61,10 @@ def test_ptdf_critical_sets_follow_the_mask(case118_path, net118, ptdf118, tmp_p
     main(["ptdf", "--case", str(case118_path), "--out", str(out)])
     data = _read(out)
     mask = ptdf118.critical_mask
-    bus_ids = [b.external_id for b in net118.buses]
+    bus_ids = net118.bus_ids.tolist()
     assert data["bus_ids"] == bus_ids
-    want = {str(br.ordinal): [bus_ids[n] for n in np.flatnonzero(mask[k])]
-            for k, br in enumerate(net118.in_service_branches)}
+    want = {str(ordinal): [bus_ids[n] for n in np.flatnonzero(mask[k])]
+            for k, ordinal in enumerate(net118.branch_ordinals.tolist())}
     assert data["critical_sets"] == want
     sizes = mask.sum(axis=1)
     assert data["critical_set_sizes"] == sizes.tolist()
@@ -321,6 +321,21 @@ def test_detect_without_eligible_branch_fails_in_one_line(case3_path, net3, tmp_
     with pytest.raises(SystemExit, match=re.escape(
             f"{snap_file}: no branch has a large enough critical load set")):
         main(["detect", "--snapshot", str(snap_file), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_infinite_reactance_fails_in_one_line(case118_path, tmp_path):
+    # loaded, branch 1 would carry no flow and its PTDF row would be zero
+    text = Path(case118_path).read_text()
+    row = "\t1\t2\t0.0303\t0.0999\t"
+    assert row in text
+    case = tmp_path / "infinite.m"
+    case.write_text(text.replace(row, "\t1\t2\t0.0303\tInf\t", 1))
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_:
+        main(["ptdf", "--case", str(case), "--out", str(out)])
+    assert exit_.value.code == (f"--case {case}: mpc.branch row 1: x is inf,"
+                                " not a finite number")
     assert not out.exists()
 
 

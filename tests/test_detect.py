@@ -515,7 +515,7 @@ def test_snapshot_rejects_non_finite(field, bad):
 
 def test_critical_mask_matches_sets(net118, ptdf118):
     # per branch, the load buses whose |PTDF| reaches the threshold
-    load_buses = [i for i, b in enumerate(net118.buses) if b.load_mw > 0]
+    load_buses = np.flatnonzero(net118.load_mw > 0).tolist()
     for k, row in enumerate(ptdf118.matrix):
         want = [n for n in load_buses if abs(row[n]) >= CRITICAL_PTDF]
         assert np.flatnonzero(ptdf118.critical_mask[k]).tolist() == want

@@ -262,7 +262,7 @@ def test_outage_networks_never_share_operators(case118_path, rng):
         # dense oracle: rows of H give Bf (flows) and B (injections)
         meas = _noisy(net, {}, seed=None)
         h = measurement_matrix_loop(meas, net)
-        m = len(net.in_service_branches)
+        m = net.branch_ordinals.size
         keep = topology(net).keep
         theta = np.zeros(net.n_bus)
         theta[keep] = np.linalg.solve(h[m:][np.ix_(keep, keep)], inj[keep])

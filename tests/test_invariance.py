@@ -72,8 +72,8 @@ def moved(raw118):
 
 
 def test_reference_bus_moved(net118, moved):
-    assert net118.buses[net118.reference_bus].external_id == 69
-    assert moved.buses[moved.reference_bus].external_id == 89
+    assert net118.bus_ids[net118.reference_bus] == 69
+    assert moved.bus_ids[moved.reference_bus] == 89
 
 
 def test_ptdf_shifts_by_the_new_reference_column(net118, ptdf118, moved):
@@ -160,8 +160,7 @@ def _new_ordinal(branch_perm):
 
 def test_relabelling_permutes_the_ptdf(net118, ptdf118, relabelled):
     net, bus_perm, branch_perm = relabelled
-    assert (net.buses[net.reference_bus].external_id
-            == net118.buses[net118.reference_bus].external_id)
+    assert net.bus_ids[net.reference_bus] == net118.bus_ids[net118.reference_bus]
     assert np.allclose(compute_ptdf(net).matrix, ptdf118.matrix[branch_perm][:, bus_perm],
                        rtol=0, atol=1e-12)
 
@@ -193,7 +192,7 @@ def test_relabelling_keeps_the_detector_report(monkeypatch, net118, relabelled):
         sced_flows=snap.sced_flows[branch_perm],
         limits=net.limits_pu,
         ptdf=compute_ptdf(net),
-        branch_ordinals=np.array([b.ordinal for b in net.in_service_branches]),
+        branch_ordinals=net.branch_ordinals,
     )
     a, b = run_two_stage(snap), run_two_stage(moved)
     assert a.under_attack

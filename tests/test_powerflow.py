@@ -123,13 +123,13 @@ def test_outage_ptdf_matches_lodf_update(case118_path, net118, ptdf118):
     p = ptdf118.matrix
     checked = islanding = 0
     worst = 0.0
-    for l, br in enumerate(net118.in_service_branches):
+    for l, (ordinal, i, j) in enumerate(zip(net118.branch_ordinals.tolist(),
+                                            net118.from_bus, net118.to_bus)):
         try:
-            net = validate_case(raw, (br.ordinal,))
+            net = validate_case(raw, (ordinal,))
         except IslandError:
             islanding += 1
             continue
-        i, j = br.from_bus, br.to_bus
         lodf = (p[:, i] - p[:, j]) / (1.0 - (p[l, i] - p[l, j]))
         want = np.delete(p + np.outer(lodf, p[l]), l, axis=0)
         worst = max(worst, np.abs(compute_ptdf(net).matrix - want).max())

@@ -125,7 +125,7 @@ def test_violations_zero_unless_soft(net118):
     assert np.array_equal(dispatch.violations_mw, np.zeros(1))
     # servable within ratings: the elastic variables stay at zero
     soft = run_sced(net118, net118.load_mw, soft_limits=True)
-    assert soft.violations_mw.shape == (len(net118.in_service_branches),)
+    assert soft.violations_mw.shape == net118.branch_ordinals.shape
     assert np.all(np.abs(soft.violations_mw) <= 1e-6)
 
 
@@ -267,8 +267,7 @@ def test_seeded_soft_sced_matches_full_lp_118(net118, ptdf118, monkeypatch):
         flows = ptdf118.matrix @ inj
         limits = net118.limits_pu
         assert dispatch.binding_branches == tuple(
-            net118.in_service_branches[k].ordinal
-            for k in np.flatnonzero(np.abs(flows) >= limits - 1e-6))
+            net118.branch_ordinals[np.abs(flows) >= limits - 1e-6].tolist())
         assert dispatch.violations_mw == pytest.approx(oracle.values[vs] * net118.base_mva,
                                                        abs=1e-7)
     assert len(rounds) == 20
@@ -281,8 +280,7 @@ def test_hard_infeasibility_names_the_soft_dispatch_overloads(net118):
     # overloads, in its binding set and its message
     loads = net118.load_mw * 1.25
     soft = run_sced(net118, loads, soft_limits=True)
-    overloaded = tuple(net118.in_service_branches[k].ordinal
-                       for k in np.flatnonzero(soft.violations_mw > 1e-6))
+    overloaded = tuple(net118.branch_ordinals[soft.violations_mw > 1e-6].tolist())
     with pytest.raises(DispatchError) as err:
         run_sced(net118, loads)
     assert err.value.binding == overloaded == (111, 118)
